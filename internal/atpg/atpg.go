@@ -79,6 +79,18 @@ func (s Stats) Coverage() float64 {
 // the undetected fault list in 64-pattern batches (fault dropping). The
 // returned set's order is the "tool ordering" of Table II.
 func Generate(c *circuit.Circuit, opts Options) (*cube.Set, Stats, error) {
+	return generateWith(c, opts, newPodem(c))
+}
+
+// testGenerator is a PODEM engine for one circuit: generate returns a
+// test cube and status for one fault.
+type testGenerator interface {
+	generate(f Fault, backtrackLimit int) (cube.Cube, int)
+}
+
+// generateWith is Generate on a given PODEM engine; the tests run it on
+// the reference engine to compare whole runs.
+func generateWith(c *circuit.Circuit, opts Options, eng testGenerator) (*cube.Set, Stats, error) {
 	opts = opts.withDefaults()
 	cc := logicsim.Compile(c)
 	faults := Collapse(c, AllFaults(c))
@@ -94,7 +106,6 @@ func Generate(c *circuit.Circuit, opts Options) (*cube.Set, Stats, error) {
 
 	stats := Stats{TotalFaults: len(faults)}
 	set := cube.NewSet(c.NumInputs())
-	eng := newPodem(c)
 	fs := NewFaultSim(cc)
 
 	detected := make([]bool, len(faults))

@@ -393,7 +393,7 @@ func scalarFaultDetect(c *circuit.Circuit, sim *logicsim.Simulator, pat cube.Cub
 		if g == f.Net {
 			continue
 		}
-		faulty[g] = evalTritOracle(c, g, faulty)
+		faulty[g] = eval3Region(c.Gates[g].Type, c.Gates[g].Fanin, faulty)
 	}
 	for _, ob := range c.ScanOutputs() {
 		gv, fv := good[ob], faulty[ob]
@@ -402,10 +402,6 @@ func scalarFaultDetect(c *circuit.Circuit, sim *logicsim.Simulator, pat cube.Cub
 		}
 	}
 	return false, nil
-}
-
-func evalTritOracle(c *circuit.Circuit, g int, vals []cube.Trit) cube.Trit {
-	return eval3Region(c.Gates[g].Type, c.Gates[g].Fanin, vals)
 }
 
 func BenchmarkATPGGenerateB04(b *testing.B) {

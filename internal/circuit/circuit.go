@@ -104,6 +104,9 @@ type Circuit struct {
 	topo []int
 	// level[i] is the logic depth of gate i (sources are level 0).
 	level []int
+	// scanIn and scanOut are the cube-pin and observable orders,
+	// computed by Build.
+	scanIn, scanOut []int
 }
 
 // NumGates returns the total node count, including inputs and DFFs.
@@ -238,6 +241,14 @@ func (b *Builder) Build() (*Circuit, error) {
 	if err := c.levelize(); err != nil {
 		return nil, err
 	}
+	c.scanIn = make([]int, 0, len(c.PIs)+len(c.DFFs))
+	c.scanIn = append(c.scanIn, c.PIs...)
+	c.scanIn = append(c.scanIn, c.DFFs...)
+	c.scanOut = make([]int, 0, len(c.POs)+len(c.DFFs))
+	c.scanOut = append(c.scanOut, c.POs...)
+	for _, ff := range c.DFFs {
+		c.scanOut = append(c.scanOut, c.Gates[ff].Fanin[0])
+	}
 	return c, nil
 }
 
@@ -294,22 +305,12 @@ func (c *Circuit) levelize() error {
 // ScanInputs returns the gate IDs addressed by a test cube, in cube pin
 // order: first the PIs, then the DFF outputs (pseudo-PIs). This fixes
 // the cube-pin ↔ net correspondence used across the repository.
-func (c *Circuit) ScanInputs() []int {
-	out := make([]int, 0, len(c.PIs)+len(c.DFFs))
-	out = append(out, c.PIs...)
-	out = append(out, c.DFFs...)
-	return out
-}
+// The slice is shared; callers must not modify it.
+func (c *Circuit) ScanInputs() []int { return c.scanIn }
 
 // ScanOutputs returns the observable nets of the combinational core in
 // a fixed order: POs first, then DFF fanin nets (pseudo-POs).
-func (c *Circuit) ScanOutputs() []int {
-	out := make([]int, 0, len(c.POs)+len(c.DFFs))
-	out = append(out, c.POs...)
-	for _, ff := range c.DFFs {
-		out = append(out, c.Gates[ff].Fanin[0])
-	}
-	return out
-}
+// The slice is shared; callers must not modify it.
+func (c *Circuit) ScanOutputs() []int { return c.scanOut }
 
 func sortInts(a []int) { sort.Ints(a) }

@@ -35,7 +35,7 @@ func (d *DualRail) ApplyCubes(cubes []cube.Cube) error {
 	if len(cubes) > 64 {
 		return fmt.Errorf("logicsim: %d cubes exceed a 64-pattern batch", len(cubes))
 	}
-	width := len(d.c.scanIn)
+	width := d.c.C.NumInputs()
 	one := make([]uint64, width)
 	zero := make([]uint64, width)
 	for pIdx, c := range cubes {
@@ -52,7 +52,7 @@ func (d *DualRail) ApplyCubes(cubes []cube.Cube) error {
 			}
 		}
 	}
-	for k, id := range d.c.scanIn {
+	for k, id := range d.c.C.ScanInputs() {
 		d.One[id], d.Zero[id] = one[k], zero[k]
 	}
 	d.eval()
@@ -66,13 +66,13 @@ func (d *DualRail) ApplyCubes(cubes []cube.Cube) error {
 // value word — one ColumnWord read instead of a per-trit repack.
 // Output is bit-identical to ApplyCubes on the same cubes.
 func (d *DualRail) ApplyPackedRows(pr *cube.PackedRows, base int) error {
-	if pr.Width != len(d.c.scanIn) {
-		return fmt.Errorf("logicsim: packed width %d, want %d", pr.Width, len(d.c.scanIn))
+	if pr.Width != d.c.C.NumInputs() {
+		return fmt.Errorf("logicsim: packed width %d, want %d", pr.Width, d.c.C.NumInputs())
 	}
 	if base < 0 || base >= pr.N {
 		return fmt.Errorf("logicsim: batch base %d out of range [0,%d)", base, pr.N)
 	}
-	for k, id := range d.c.scanIn {
+	for k, id := range d.c.C.ScanInputs() {
 		care, val := pr.ColumnWord(k, base)
 		d.One[id], d.Zero[id] = val, care&^val
 	}

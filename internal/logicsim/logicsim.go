@@ -26,17 +26,15 @@ type Simulator struct {
 	vals []cube.Trit
 }
 
-// Circuit3 caches the per-gate data the simulators need (shared by the
+// Circuit3 is a circuit prepared for simulation (shared by the
 // 3-valued and 64-way engines).
 type Circuit3 struct {
 	C *circuit.Circuit
-	// scanIn is C.ScanInputs() cached.
-	scanIn []int
 }
 
 // Compile prepares a circuit for simulation.
 func Compile(c *circuit.Circuit) *Circuit3 {
-	return &Circuit3{C: c, scanIn: c.ScanInputs()}
+	return &Circuit3{C: c}
 }
 
 // NewSimulator returns a 3-valued simulator over a compiled circuit.
@@ -48,8 +46,8 @@ func NewSimulator(cc *Circuit3) *Simulator {
 // combinational core and leaves net values readable via Value. X inputs
 // propagate pessimistically (standard 3-valued semantics).
 func (s *Simulator) Apply(t cube.Cube) error {
-	if len(t) != len(s.c.scanIn) {
-		return fmt.Errorf("logicsim: cube width %d, want %d", len(t), len(s.c.scanIn))
+	if len(t) != s.c.C.NumInputs() {
+		return fmt.Errorf("logicsim: cube width %d, want %d", len(t), s.c.C.NumInputs())
 	}
 	c := s.c.C
 	// Constants and sources.
@@ -61,7 +59,7 @@ func (s *Simulator) Apply(t cube.Cube) error {
 			s.vals[i] = cube.One
 		}
 	}
-	for k, id := range s.c.scanIn {
+	for k, id := range s.c.C.ScanInputs() {
 		s.vals[id] = t[k]
 	}
 	for _, g := range c.Topo() {
@@ -161,8 +159,8 @@ func NewParallel(cc *Circuit3) *Parallel {
 // p's value for input pin k is bit p of in[k]. Unused high bits are
 // don't-cares for the caller.
 func (p *Parallel) ApplyBatch(in []uint64) error {
-	if len(in) != len(p.c.scanIn) {
-		return fmt.Errorf("logicsim: batch width %d, want %d", len(in), len(p.c.scanIn))
+	if len(in) != p.c.C.NumInputs() {
+		return fmt.Errorf("logicsim: batch width %d, want %d", len(in), p.c.C.NumInputs())
 	}
 	c := p.c.C
 	for i := range c.Gates {
@@ -173,7 +171,7 @@ func (p *Parallel) ApplyBatch(in []uint64) error {
 			p.words[i] = ^uint64(0)
 		}
 	}
-	for k, id := range p.c.scanIn {
+	for k, id := range p.c.C.ScanInputs() {
 		p.words[id] = in[k]
 	}
 	for _, g := range c.Topo() {
@@ -190,8 +188,8 @@ func (p *Parallel) ApplyBatch(in []uint64) error {
 // bit-identical net words on the same cubes). Every covered cube must
 // be fully specified.
 func (p *Parallel) ApplyPackedRows(pr *cube.PackedRows, base int) error {
-	if pr.Width != len(p.c.scanIn) {
-		return fmt.Errorf("logicsim: packed width %d, want %d", pr.Width, len(p.c.scanIn))
+	if pr.Width != p.c.C.NumInputs() {
+		return fmt.Errorf("logicsim: packed width %d, want %d", pr.Width, p.c.C.NumInputs())
 	}
 	if base < 0 || base >= pr.N {
 		return fmt.Errorf("logicsim: batch base %d out of range [0,%d)", base, pr.N)
@@ -209,7 +207,7 @@ func (p *Parallel) ApplyPackedRows(pr *cube.PackedRows, base int) error {
 			p.words[i] = ^uint64(0)
 		}
 	}
-	for k, id := range p.c.scanIn {
+	for k, id := range p.c.C.ScanInputs() {
 		care, val := pr.ColumnWord(k, base)
 		if care&active != active {
 			return fmt.Errorf("logicsim: pin %d has X bits in cubes %d..%d; batch simulation needs specified bits",
@@ -300,7 +298,7 @@ func eval64(t circuit.GateType, fanin []int, w []uint64) uint64 {
 // when non-nil and of length NumGates, receives per-net flags.
 func ToggleCount(cc *Circuit3, a, b cube.Cube, toggled []bool) (int, error) {
 	p := NewParallel(cc)
-	in, err := PackCubes([]cube.Cube{a, b}, len(cc.scanIn))
+	in, err := PackCubes([]cube.Cube{a, b}, cc.C.NumInputs())
 	if err != nil {
 		return 0, err
 	}
