@@ -86,7 +86,6 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("o", "", "write the filled set to this file")
 	ordName := fs.String("order", "tool", "ordering: tool|xstat|i|isa")
 	fillName := fs.String("fill", "dp", "fill: mt|r|0|1|b|adj|xstat|dp")
-	window := fs.Int("window", 0, "dp only: windowed DP-fill window size in vectors (>= 2; 0 = monolithic exact fill)")
 	explain := fs.Bool("explain", false, "dp only: print the fill's explain trace (stage timings, BCP prune counters, arena reuse); with -server, request the server-side record")
 	seed := fs.Int64("seed", 1, "seed for randomized algorithms")
 	grid := fs.Bool("grid", false, "evaluate the full ordering x fill grid instead")
@@ -114,7 +113,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return runPipelineMode(stdout, pipelineOpts{
 			spec: *spec, netlist: *netlist,
-			orderer: *ordName, filler: *fillName, window: *window, seed: *seed,
+			orderer: *ordName, filler: *fillName, seed: *seed,
 			scheme: *scheme, chains: *chains, tiles: *tiles, shards: *shards,
 			server: *serverURL, async: *async, follow: *follow, poll: *poll,
 			out: *out,
@@ -128,21 +127,14 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-async is fill-only; -grid has no async API")
 		}
 	}
-	if *window != 0 {
-		switch {
-		case *window < 2:
-			return fmt.Errorf("-window %d: must be >= 2", *window)
-		case *fillName != "dp":
-			return fmt.Errorf("-window only applies to -fill dp")
-		case *serverURL != "":
-			return fmt.Errorf("-window is local-only; remote fills take the window field of the HTTP fill API")
-		case *grid:
-			return fmt.Errorf("-window is fill-only; -grid has no windowed variant")
-		}
-	}
 	if *explain {
+		// Decide on the resolved filler, so every DP spelling (DP,
+		// dpfill, dp-fill) qualifies.
+		fl, err := fill.ByName(*fillName, *seed, core.Options{})
 		switch {
-		case *fillName != "dp":
+		case err != nil:
+			return err
+		case !fill.IsDP(fl):
 			return fmt.Errorf("-explain only applies to -fill dp: only the fill core emits a trace")
 		case *grid:
 			return fmt.Errorf("-explain is single-fill only; -grid has no explain records")
@@ -174,7 +166,7 @@ func run(args []string, stdout io.Writer) error {
 		case *serverURL != "":
 			return runRemoteBatch(stdout, *serverURL, inputs, *ordName, *fillName, *seed, *outdir)
 		}
-		return runBatch(stdout, inputs, *ordName, *fillName, *window, *seed, *workers, *outdir)
+		return runBatch(stdout, inputs, *ordName, *fillName, *seed, *workers, *outdir)
 	}
 	// A single positional argument is shorthand for -in.
 	if len(inputs) == 1 {
@@ -228,18 +220,13 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fl, err := fill.ByName(*fillName, *seed)
-	if err != nil {
-		return err
-	}
 	var tr *core.Trace
 	if *explain {
 		tr = &core.Trace{}
 	}
-	if *window != 0 {
-		fl = fill.DPWindowed(*window, core.Options{Trace: tr})
-	} else if tr != nil {
-		fl = fill.DPWith(core.Options{Trace: tr})
+	fl, err := fill.ByName(*fillName, *seed, core.Options{Trace: tr})
+	if err != nil {
+		return err
 	}
 	perm, err := ord.Order(set)
 	if err != nil {
@@ -272,7 +259,7 @@ func run(args []string, stdout io.Writer) error {
 
 // printExplain renders a fill-core explain trace: input shape, BCP
 // prune counters, the per-stage wall-time breakdown (which sums to the
-// total by construction) and, for windowed fills, one line per window.
+// total by construction).
 func printExplain(w io.Writer, tr *core.Trace) {
 	fmt.Fprintf(w, "explain: %d pins x %d vectors, shards=%d, arena_reused=%v\n",
 		tr.Rows, tr.Cols, tr.Shards, tr.ArenaReused)
@@ -291,10 +278,6 @@ func printExplain(w io.Writer, tr *core.Trace) {
 	}
 	fmt.Fprintf(tw, "  total\t%.3f\t\t\n", float64(tr.TotalNS)/1e6)
 	tw.Flush()
-	for _, wt := range tr.Windows {
-		fmt.Fprintf(w, "  window [%d,%d): intervals=%d forced=%d peak=%d bound=%d %.3fms\n",
-			wt.Base, wt.Base+wt.Len, wt.Intervals, wt.Forced, wt.Peak, wt.LowerBound, float64(wt.NS)/1e6)
-	}
 }
 
 // readCubes parses r as STIL when the path ends in .stil, plain cube
@@ -320,19 +303,16 @@ func readCubeFile(path string) (*cube.Set, error) {
 // Failing jobs — unreadable inputs included — are reported inline
 // without aborting the rest; the first failure is returned after every
 // job has run.
-func runBatch(stdout io.Writer, inputs []string, ordName, fillName string, window int, seed int64, workers int, outdir string) error {
+func runBatch(stdout io.Writer, inputs []string, ordName, fillName string, seed int64, workers int, outdir string) error {
 	ord, err := order.ByName(ordName, seed)
 	if err != nil {
 		return err
 	}
 	// DP-fill pinned to one shard: the engine's worker pool already
 	// saturates the CPU.
-	fl, err := fill.ByNameSerial(fillName, seed)
+	fl, err := fill.ByName(fillName, seed, core.Options{Shards: 1})
 	if err != nil {
 		return err
-	}
-	if window != 0 {
-		fl = fill.DPWindowed(window, core.Options{Shards: 1})
 	}
 	// Read every input, isolating failures per job: unreadable files
 	// become pre-failed result rows, readable ones engine jobs.
@@ -423,7 +403,7 @@ func writeSet(path string, s *cube.Set) error {
 
 func runGrid(stdout io.Writer, set *cube.Set, seed int64) error {
 	orderers := append(order.All(), order.ISA(seed))
-	fillers := append(fill.All(seed), fill.Adj(), fill.XStat())
+	fillers := append(fill.All(seed, core.Options{}), fill.Adj(), fill.XStat())
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	names := make([]string, len(fillers))
 	for i, fl := range fillers {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/fill"
 	"repro/internal/order"
@@ -48,6 +49,17 @@ func TestRunBasic(t *testing.T) {
 	}
 	if got.Len() != 3 || !got.FullySpecified() {
 		t.Fatalf("written set: %v", got)
+	}
+	// -explain is decided on the resolved filler, so every DP spelling
+	// fill.ByName accepts prints the fill-core trace.
+	for _, name := range []string{"dp", "DP", "dpfill", "dp-fill"} {
+		sb.Reset()
+		if err := run([]string{"-in", in, "-fill", name, "-explain"}, &sb); err != nil {
+			t.Fatalf("-fill %s -explain: %v", name, err)
+		}
+		if !strings.Contains(sb.String(), "DP-fill: peak input toggles") || !strings.Contains(sb.String(), "explain: 4 pins x 3 vectors") {
+			t.Fatalf("-fill %s -explain output: %q", name, sb.String())
+		}
 	}
 }
 
@@ -172,6 +184,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", filepath.Join(dir, "missing")}, &sb); err == nil {
 		t.Error("missing input accepted")
 	}
+	for _, name := range []string{"mt", "xstat", "bogus"} {
+		if err := run([]string{"-in", in, "-fill", name, "-explain"}, &sb); err == nil {
+			t.Errorf("-fill %s -explain accepted", name)
+		}
+	}
+	// -window went with the windowed filler: the flag is unknown.
+	if err := run([]string{"-in", in, "-window", "4"}, &sb); err == nil {
+		t.Error("-window accepted")
+	}
 }
 
 func TestOrdererAndFillerNames(t *testing.T) {
@@ -180,8 +201,8 @@ func TestOrdererAndFillerNames(t *testing.T) {
 			t.Errorf("ordering %q: %v", name, err)
 		}
 	}
-	for _, name := range []string{"mt", "r", "0", "1", "b", "adj", "xstat", "dp"} {
-		if _, err := fill.ByName(name, 1); err != nil {
+	for _, name := range []string{"mt", "r", "0", "1", "b", "adj", "xstat", "dp", "DP", "dpfill", "dp-fill"} {
+		if _, err := fill.ByName(name, 1, core.Options{}); err != nil {
 			t.Errorf("fill %q: %v", name, err)
 		}
 	}

@@ -22,7 +22,6 @@ import (
 type pipelineOpts struct {
 	spec, netlist         string
 	orderer, filler       string
-	window                int
 	seed                  int64
 	scheme                string
 	chains, tiles, shards int
@@ -55,7 +54,6 @@ func buildPipelineRequest(o pipelineOpts) (pipeline.Request, error) {
 	}
 	req.Orderer = o.orderer
 	req.Filler = o.filler
-	req.Window = o.window
 	req.Seed = o.seed
 	req.ATPG.Shards = o.shards
 	req.Power = pipeline.PowerConfig{Scheme: o.scheme, Chains: o.chains, Tiles: o.tiles}

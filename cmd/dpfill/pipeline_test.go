@@ -38,7 +38,7 @@ func TestPipelineModeLocal(t *testing.T) {
 	}
 }
 
-// TestPipelineModeNetlistFile feeds a .bench file and pins the windowed
+// TestPipelineModeNetlistFile feeds a .bench file and pins the fill
 // and scheme flags through to the report.
 func TestPipelineModeNetlistFile(t *testing.T) {
 	c, err := netgen.Generate(netgen.Profile{Name: "tiny", PIs: 4, FFs: 8, Gates: 40, Seed: 3})
@@ -57,10 +57,10 @@ func TestPipelineModeNetlistFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := run([]string{"-pipeline", "-netlist", path, "-window", "4", "-scheme", "loc", "-chains", "2"}, &sb); err != nil {
+	if err := run([]string{"-pipeline", "-netlist", path, "-fill", "dp", "-scheme", "loc", "-chains", "2"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "DP-fill(w4)") || !strings.Contains(sb.String(), "power (LOC, 2 chains)") {
+	if !strings.Contains(sb.String(), "DP-fill") || !strings.Contains(sb.String(), "power (LOC, 2 chains)") {
 		t.Fatalf("summary: %s", sb.String())
 	}
 }

@@ -26,8 +26,7 @@ import (
 // and where its prunings bit, plus wall time split between the bound
 // and the assignment. A nil *Stats costs the hot path nothing; core
 // threads one through SolveStats when a fill runs with a trace sink.
-// Counters accumulate, so one Stats can aggregate several solves
-// (e.g. every window of a windowed fill).
+// Counters accumulate, so one Stats can aggregate several solves.
 type Stats struct {
 	// StartsScanned counts window starts the Algorithm 1 sweep
 	// evaluated; StartsSkipped counts starts pruned outright by the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +106,37 @@ func TestCoordinatorJobJournalSurvivesRestart(t *testing.T) {
 	assertBatchParity(t, got, want, req)
 }
 
+// journalUnsettled leaves each payload in dir's job journal as an
+// accepted job that never ran, the way a coordinator killed before
+// running it (or an older build's queue) leaves one behind: a gated
+// manager accepts and fsyncs the submits, and its workers never start.
+func journalUnsettled(t *testing.T, dir string, payloads ...string) []string {
+	t.Helper()
+	m, err := jobs.Open(jobs.Config{
+		Runner: func(context.Context, json.RawMessage) (json.RawMessage, error) {
+			t.Error("gated manager ran a job")
+			return nil, nil
+		},
+		Dir:   dir,
+		Start: make(chan struct{}), // never released
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(payloads))
+	for i, p := range payloads {
+		st, err := m.Submit(json.RawMessage(p), 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
 // TestReplayedJobWaitsForFleetAdmission pins the startup ordering: a
 // job journaled as unsettled (accepted, never finished — a coordinator
 // killed mid-flight) must not re-run before the first heartbeat sweep
@@ -118,35 +150,15 @@ func TestReplayedJobWaitsForFleetAdmission(t *testing.T) {
 	req := randomBatch(4)
 	want := localExpected(t, req)
 
-	// Journal an accepted-but-unsettled job the way a killed
-	// coordinator leaves one behind: a gated manager accepts (and
-	// fsyncs) the submit but its workers never start.
 	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := jobs.Open(jobs.Config{
-		Runner: func(context.Context, json.RawMessage) (json.RawMessage, error) {
-			t.Error("gated manager ran the job")
-			return nil, nil
-		},
-		Dir:   dir,
-		Start: make(chan struct{}), // never released
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.Submit(payload, len(req.Jobs), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	id := journalUnsettled(t, dir, string(payload))[0]
 
 	co := newTestCoordinator(t, Config{DataDir: dir, DisableFallback: true}, w)
 	c := coordClient(t, co)
-	final, err := c.WaitJob(context.Background(), st.ID, 5*time.Millisecond)
+	final, err := c.WaitJob(context.Background(), id, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +172,33 @@ func TestReplayedJobWaitsForFleetAdmission(t *testing.T) {
 	assertBatchParity(t, got, want, req)
 	if w.batchHits.Load() == 0 {
 		t.Fatal("replayed job never reached the fleet")
+	}
+}
+
+// TestReplayRejectsUnknownFields: a job journaled with a field this
+// build no longer has — "window", from the removed windowed filler —
+// settles failed on the coordinator's replay with an error naming the
+// field, in both the batch and the pipeline payload, instead of being
+// dispatched as an exact fill.
+func TestReplayRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	w := newChaosWorker(t)
+	ids := journalUnsettled(t, dir,
+		`{"jobs":[{"cubes":["0X1","X10","1XX"],"window":4}]}`,
+		`{"pipeline":{"spec":"b01","window":4}}`)
+	co := newTestCoordinator(t, Config{DataDir: dir}, w)
+	c := coordClient(t, co)
+	for _, id := range ids {
+		st, err := c.WaitJob(context.Background(), id, 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "failed" || !strings.Contains(st.Error, `unknown field "window"`) {
+			t.Errorf("job %s settled %s (%q), want failed naming the unknown field", id, st.State, st.Error)
+		}
+	}
+	if w.batchHits.Load() != 0 || w.pipelineHits.Load() != 0 {
+		t.Fatal("a job with an unknown field reached the fleet")
 	}
 }
 

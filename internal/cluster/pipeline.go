@@ -170,20 +170,28 @@ type pipelineEnvelope struct {
 }
 
 // pipelinePayload probes a journaled payload for the pipeline
-// envelope; batch payloads decode with a nil Pipeline.
-func pipelinePayload(payload json.RawMessage) (client.PipelineRequest, bool) {
+// envelope; batch payloads decode with a nil Pipeline. A pipeline
+// payload then decodes strictly: one carrying a field this build does
+// not know reports ok with an error naming it.
+func pipelinePayload(payload json.RawMessage) (client.PipelineRequest, bool, error) {
 	var env pipelineEnvelope
 	if err := json.Unmarshal(payload, &env); err != nil || env.Pipeline == nil {
-		return client.PipelineRequest{}, false
+		return client.PipelineRequest{}, false, nil
 	}
-	return *env.Pipeline, true
+	if err := jobs.DecodeStrict(payload, &env); err != nil {
+		return client.PipelineRequest{}, true, fmt.Errorf("decoding journaled pipeline payload: %w", err)
+	}
+	return *env.Pipeline, true, nil
 }
 
 // runJob is the coordinator's async job runner: a journaled pipeline
 // envelope fans out through pipelineThrough (re-sharding across
 // whatever fleet is alive at replay time), anything else is a batch.
 func (co *Coordinator) runJob(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	if preq, ok := pipelinePayload(payload); ok {
+	if preq, ok, err := pipelinePayload(payload); ok {
+		if err != nil {
+			return nil, err
+		}
 		rep, err := co.pipelineThrough(ctx, preq)
 		if err != nil {
 			return nil, err

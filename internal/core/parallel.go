@@ -15,10 +15,10 @@ type Options struct {
 	// 0 picks GOMAXPROCS; 1 runs the scan inline (no goroutines).
 	Shards int
 	// Trace, when non-nil, receives the fill's explain record:
-	// per-stage wall times, BCP prune counters, arena reuse, and (for
-	// windowed fills) per-window breakdowns. The sink is written by the
-	// fill that receives it and must not be shared across concurrent
-	// fills. nil (the default) skips all timing.
+	// per-stage wall times, BCP prune counters and arena reuse. The
+	// sink is written by the fill that receives it and must not be
+	// shared across concurrent fills. nil (the default) skips all
+	// timing.
 	Trace *Trace
 }
 

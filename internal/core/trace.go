@@ -2,45 +2,24 @@ package core
 
 import "repro/internal/bcp"
 
-// WindowTrace is one window's line in a windowed fill's explain
-// record: where the window sat in the sequence, how many toggle
-// stretches it produced, and what the exact per-window solve achieved.
-type WindowTrace struct {
-	// Base and Len locate the window: vectors [Base, Base+Len).
-	Base int `json:"base"`
-	Len  int `json:"len"`
-	// Intervals and Forced count the window's BCP intervals and the
-	// forced unit toggles among them.
-	Intervals int `json:"intervals"`
-	Forced    int `json:"forced"`
-	// Peak is the window's achieved (optimal-within-window) peak;
-	// LowerBound its Algorithm 1 bound — equal by the paper's theorem.
-	Peak       int `json:"peak"`
-	LowerBound int `json:"lower_bound"`
-	// NS is the window's wall time.
-	NS int64 `json:"ns"`
-}
-
 // Trace is a fill's explain record: per-stage wall time over the
-// packed hot path, the BCP solver's prune counters, arena reuse, and —
-// for windowed fills — one WindowTrace per window. Attach one via
-// Options.Trace; a nil sink costs the hot path only a handful of
-// predictable branches (pinned by the CI bench gate).
+// packed hot path, the BCP solver's prune counters and arena reuse.
+// Attach one via Options.Trace; a nil sink costs the hot path only a
+// handful of predictable branches (pinned by the CI bench gate).
 //
 // The stage timings partition the fill exactly: PackNS + ScanNS +
 // BoundNS + AssignNS + ReconstructNS + UnpackNS + OtherNS == TotalNS,
 // because OtherNS is computed as the remainder (instance validation,
-// seam stitching, result assembly). Downstream explain surfaces and
-// tests rely on that identity.
+// result assembly). Downstream explain surfaces and tests rely on that
+// identity.
 type Trace struct {
 	// Rows and Cols are the input's dimensions (pins × vectors).
 	Rows int `json:"rows"`
 	Cols int `json:"cols"`
-	// Shards is the row-scan fan-out the fill resolved to; for a
-	// windowed fill, the fan-out of its windows' scans.
+	// Shards is the row-scan fan-out the fill resolved to.
 	Shards int `json:"shards"`
 	// ArenaReused reports whether the fill's scratch came warm from the
-	// sync.Pool (for a windowed fill: whether any window's did).
+	// sync.Pool.
 	ArenaReused bool `json:"arena_reused"`
 
 	// Intervals and ForcedUnit mirror Result: total BCP intervals and
@@ -51,7 +30,7 @@ type Trace struct {
 	Peak       int `json:"peak"`
 	LowerBound int `json:"lower_bound"`
 
-	// BCP carries Algorithm 1's prune counters, summed across windows.
+	// BCP carries Algorithm 1's prune counters.
 	BCP bcp.Stats `json:"bcp"`
 
 	// Stage wall times, nanoseconds. They sum (with OtherNS) to TotalNS.
@@ -63,10 +42,6 @@ type Trace struct {
 	UnpackNS      int64 `json:"unpack_ns"`
 	OtherNS       int64 `json:"other_ns"`
 	TotalNS       int64 `json:"total_ns"`
-
-	// Windows is the per-window breakdown of a windowed fill; nil for a
-	// monolithic fill.
-	Windows []WindowTrace `json:"windows,omitempty"`
 }
 
 // StageNS returns the named stage timings in a fixed order, for
@@ -95,17 +70,4 @@ type StageTime struct {
 func (t *Trace) seal(totalNS int64) {
 	t.TotalNS = totalNS
 	t.OtherNS = totalNS - (t.PackNS + t.ScanNS + t.BoundNS + t.AssignNS + t.ReconstructNS + t.UnpackNS)
-}
-
-// merge folds a child fill's trace (one window) into the aggregate.
-func (t *Trace) merge(child *Trace) {
-	t.Shards = child.Shards
-	t.ArenaReused = t.ArenaReused || child.ArenaReused
-	t.BCP.Add(child.BCP)
-	t.PackNS += child.PackNS
-	t.ScanNS += child.ScanNS
-	t.BoundNS += child.BoundNS
-	t.AssignNS += child.AssignNS
-	t.ReconstructNS += child.ReconstructNS
-	t.UnpackNS += child.UnpackNS
 }

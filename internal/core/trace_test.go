@@ -79,9 +79,6 @@ func TestTraceStageSumIdentity(t *testing.T) {
 	if tr.Intervals > 0 && tr.BCP.StartsScanned == 0 {
 		t.Fatal("BCP sweep ran but scanned no starts")
 	}
-	if tr.Windows != nil {
-		t.Fatalf("monolithic fill recorded windows: %d", len(tr.Windows))
-	}
 	if !filled.FullySpecified() {
 		t.Fatal("traced fill left Xs behind")
 	}
@@ -108,45 +105,6 @@ func TestTraceIsByteNeutral(t *testing.T) {
 				t.Fatalf("traced output differs at cube %d pin %d", i, j)
 			}
 		}
-	}
-}
-
-// TestTraceWindowedMerge: a windowed fill's aggregate trace keeps the
-// stage-sum identity, records one WindowTrace per window with the
-// expected seam layout, and its window times are covered by the total.
-func TestTraceWindowedMerge(t *testing.T) {
-	const window = 24
-	s := traceSet(t, 32, 100, 3)
-	tr := &Trace{}
-	filled, _, err := FillWindowedWith(s, window, Options{Shards: 1, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStageSum(t, tr)
-	if len(tr.Windows) == 0 {
-		t.Fatal("windowed fill recorded no windows")
-	}
-	if tr.Windows[0].Base != 0 {
-		t.Fatalf("first window starts at %d", tr.Windows[0].Base)
-	}
-	for i := 1; i < len(tr.Windows); i++ {
-		prev, cur := tr.Windows[i-1], tr.Windows[i]
-		// One vector of seam overlap: each window starts on the last
-		// vector of the previous one.
-		if cur.Base != prev.Base+prev.Len-1 {
-			t.Fatalf("window %d starts at %d, want %d (prev [%d,%d))",
-				i, cur.Base, prev.Base+prev.Len-1, prev.Base, prev.Base+prev.Len)
-		}
-		if cur.Peak < cur.LowerBound {
-			t.Fatalf("window %d peak %d below its bound %d", i, cur.Peak, cur.LowerBound)
-		}
-	}
-	last := tr.Windows[len(tr.Windows)-1]
-	if last.Base+last.Len != s.Len() {
-		t.Fatalf("windows end at %d, want %d", last.Base+last.Len, s.Len())
-	}
-	if !filled.FullySpecified() {
-		t.Fatal("windowed traced fill left Xs behind")
 	}
 }
 

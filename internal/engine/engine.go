@@ -70,8 +70,11 @@ type Result struct {
 	Perm []int
 	// Filled is the fully specified output set.
 	Filled *cube.Set
-	// Peak and Total are the peak and total toggle counts of Filled.
+	// Peak and Total are the peak and total toggle counts of Filled;
+	// Profile is its per-cycle toggle count (nil below two vectors).
+	// All three come from one Filled.ToggleStats pass.
 	Peak, Total int
+	Profile     []int
 	// Duration is the job's wall-clock time inside a worker.
 	Duration time.Duration
 	// Err is the job's failure, if any.
@@ -314,7 +317,7 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job) (res Result) {
 		return res
 	}
 	res.Filled = filled
-	res.Peak, res.Total, _ = filled.ToggleStats()
+	res.Peak, res.Total, res.Profile = filled.ToggleStats()
 	return res
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,6 +85,25 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 			if got[i].Peak != want[i].Peak || got[i].Total != want[i].Total {
 				t.Fatalf("workers=%d job %d: peak/total differ", workers, i)
 			}
+		}
+	}
+}
+
+// TestRunResultProfile: the per-cycle profile a result carries is the
+// filled set's own toggle profile, counted once in the same pass as
+// Peak and Total (nil when a set has fewer than two vectors).
+func TestRunResultProfile(t *testing.T) {
+	jobs := append(dpJobs(t, 5), Job{Name: "single", Set: cube.MustParseSet("0X1"), Filler: fill.DP()})
+	for i, r := range New(2).Run(context.Background(), jobs) {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		want := r.Filled.ToggleProfile()
+		if !slices.Equal(r.Profile, want) || (r.Profile == nil) != (want == nil) {
+			t.Fatalf("job %d: Profile %v, want Filled.ToggleProfile() %v", i, r.Profile, want)
+		}
+		if r.Peak != slices.Max(append([]int{0}, r.Profile...)) {
+			t.Fatalf("job %d: peak %d disagrees with profile %v", i, r.Peak, r.Profile)
 		}
 	}
 }

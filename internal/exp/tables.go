@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/engine"
 	"repro/internal/fill"
@@ -79,7 +80,7 @@ func (r PeakRow) Best() (int, int) {
 func (s *Suite) PeakTable(ord order.Orderer) ([]PeakRow, error) {
 	// DP-fill pinned to one shard: the engine already saturates the CPU
 	// across jobs, so per-fill sharding would only oversubscribe it.
-	fillers := fill.AllSerial(s.Config.Seed)
+	fillers := fill.All(s.Config.Seed, core.Options{Shards: 1})
 	n := len(s.Data)
 
 	// Phase 1: each circuit is ordered exactly once, concurrently
@@ -165,7 +166,7 @@ func (s *Suite) techniqueSets(d *CircuitData) (map[string]*cube.Set, error) {
 	// Tool: tool ordering, best of the six fills (the paper's column 1
 	// is the per-circuit minimum across fills under tool order).
 	var toolBest *cube.Set
-	for _, fl := range fill.All(s.Config.Seed) {
+	for _, fl := range fill.All(s.Config.Seed, core.Options{}) {
 		filled, err := fl.Fill(d.Cubes)
 		if err != nil {
 			return nil, err

@@ -1,11 +1,12 @@
 package fill
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/cube"
 )
+
+// dpName is DP-fill's table name, and how IsDP recognizes it.
+const dpName = "DP-fill"
 
 // DP returns the paper's DP-fill as a Filler, so it can be slotted into
 // the same table harness as the heuristics. The heavy lifting lives in
@@ -21,49 +22,21 @@ func DP() Filler {
 // against the worker pool and oversubscribe the CPU; output is
 // byte-identical either way.
 func DPWith(opt core.Options) Filler {
-	return Func{FillName: "DP-fill", F: func(s *cube.Set) (*cube.Set, error) {
+	return Func{FillName: dpName, F: func(s *cube.Set) (*cube.Set, error) {
 		filled, _, err := core.FillWith(s, opt)
 		return filled, err
 	}}
 }
 
-// DPWindowed returns the streaming windowed variant of DP-fill
-// (core.FillWindowedWith): windows of `window` vectors with one vector
-// of seam overlap, each solved optimally. The peak can exceed the
-// global optimum at seams, so it reports itself as a distinct filler
-// name ("DP-fill(w128)") and is never substituted silently for
-// DP-fill.
-func DPWindowed(window int, opt core.Options) Filler {
-	return Func{FillName: fmt.Sprintf("DP-fill(w%d)", window), F: func(s *cube.Set) (*cube.Set, error) {
-		filled, _, err := core.FillWindowedWith(s, window, opt)
-		return filled, err
-	}}
+// IsDP reports whether fl is DP-fill, the one filler that honours
+// core.Options (and so the only one that writes an explain trace).
+func IsDP(fl Filler) bool {
+	return fl.Name() == dpName
 }
 
 // All returns every filler of Tables II–IV in the paper's column order:
-// MT-fill, R-fill, 0-fill, 1-fill, B-fill, DP-fill.
-func All(seed int64) []Filler {
-	return append(Baselines(seed), DP())
-}
-
-// ByNameSerial is ByName with DP-fill pinned to a single shard, for
-// front-ends whose batch engine already parallelizes across jobs (the
-// dpfill CLI's batch mode, the HTTP fill service): the per-fill
-// fan-out would only oversubscribe their worker pool. Output is
-// byte-identical to ByName's.
-func ByNameSerial(name string, seed int64) (Filler, error) {
-	fl, err := ByName(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	if fl.Name() == "DP-fill" {
-		return DPWith(core.Options{Shards: 1}), nil
-	}
-	return fl, nil
-}
-
-// AllSerial is All with DP-fill pinned to a single shard, for callers
-// that run the fillers concurrently themselves.
-func AllSerial(seed int64) []Filler {
-	return append(Baselines(seed), DPWith(core.Options{Shards: 1}))
+// MT-fill, R-fill, 0-fill, 1-fill, B-fill, DP-fill. The seed fixes
+// R-fill and opt configures DP-fill (see DPWith).
+func All(seed int64, opt core.Options) []Filler {
+	return append(Baselines(seed), DPWith(opt))
 }

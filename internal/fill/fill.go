@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 )
 
@@ -329,9 +330,13 @@ func Baselines(seed int64) []Filler {
 
 // ByName resolves a filler from its CLI/API spelling (case-insensitive):
 // mt, r|random, 0|zero, 1|one, b|backward, adj, xstat|x-stat,
-// dp|dpfill|dp-fill. The seed fixes R-fill. Shared by cmd/dpfill and
-// the HTTP fill service, so the two front-ends accept the same names.
-func ByName(name string, seed int64) (Filler, error) {
+// dp|dpfill|dp-fill; the empty name means DP-fill. The seed fixes
+// R-fill and opt configures DP-fill (see DPWith); the other fillers
+// ignore it. It is the one resolver behind every front-end — the
+// dpfill CLI, the HTTP fill service, the pipeline's fill stage and the
+// experiment tables — so they all accept the same names and build the
+// same filler from them.
+func ByName(name string, seed int64, opt core.Options) (Filler, error) {
 	switch strings.ToLower(name) {
 	case "mt", "mt-fill":
 		return MT(), nil
@@ -347,8 +352,8 @@ func ByName(name string, seed int64) (Filler, error) {
 		return Adj(), nil
 	case "xstat", "x-stat":
 		return XStat(), nil
-	case "dp", "dpfill", "dp-fill":
-		return DP(), nil
+	case "", "dp", "dpfill", "dp-fill":
+		return DPWith(opt), nil
 	default:
 		return nil, fmt.Errorf("fill: unknown fill %q", name)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 )
 
@@ -180,7 +181,7 @@ func TestXStatSingleCube(t *testing.T) {
 
 func TestFillerNames(t *testing.T) {
 	want := []string{"MT-fill", "R-fill", "0-fill", "1-fill", "B-fill", "DP-fill"}
-	all := All(1)
+	all := All(1, core.Options{})
 	if len(all) != len(want) {
 		t.Fatalf("All returned %d fillers", len(all))
 	}
@@ -194,10 +195,48 @@ func TestFillerNames(t *testing.T) {
 	}
 }
 
+// TestByName: every CLI/API spelling resolves to its filler, the empty
+// name means DP-fill, only the DP spellings are IsDP, and the options
+// reach DP-fill (its trace sink is written by the fill).
+func TestByName(t *testing.T) {
+	cases := map[string]string{
+		"": "DP-fill", "dp": "DP-fill", "DP": "DP-fill", "dpfill": "DP-fill", "dp-fill": "DP-fill",
+		"mt": "MT-fill", "r": "R-fill", "random": "R-fill", "0": "0-fill", "zero": "0-fill",
+		"1": "1-fill", "one": "1-fill", "b": "B-fill", "backward": "B-fill",
+		"adj": "Adj-fill", "xstat": "X-Stat", "X-Stat": "X-Stat",
+	}
+	for name, want := range cases {
+		fl, err := ByName(name, 1, core.Options{})
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if fl.Name() != want {
+			t.Errorf("ByName(%q) = %q, want %q", name, fl.Name(), want)
+		}
+		if IsDP(fl) != (want == "DP-fill") {
+			t.Errorf("IsDP(ByName(%q)) = %v", name, IsDP(fl))
+		}
+	}
+	if _, err := ByName("bogus", 1, core.Options{}); err == nil {
+		t.Error("ByName accepted an unknown filler")
+	}
+	tr := &core.Trace{}
+	fl, err := ByName("dp", 1, core.Options{Shards: 1, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Fill(cube.MustParseSet("0X1X", "XX0X", "1XX1")); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Rows != 4 || tr.Cols != 3 || tr.TotalNS <= 0 {
+		t.Fatalf("DP-fill ignored its options: trace %+v", tr)
+	}
+}
+
 // TestPropertyAllFillersProduceCompletions: every filler returns a fully
 // specified set agreeing with the input's care bits.
 func TestPropertyAllFillersProduceCompletions(t *testing.T) {
-	fillers := append(All(5), XStat(), Adj())
+	fillers := append(All(5, core.Options{}), XStat(), Adj())
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 1+r.Intn(10), 1+r.Intn(10), 0.6)
@@ -216,7 +255,7 @@ func TestPropertyAllFillersProduceCompletions(t *testing.T) {
 
 // TestPropertyFillersDoNotMutateInput guards the documented contract.
 func TestPropertyFillersDoNotMutateInput(t *testing.T) {
-	fillers := append(All(5), XStat(), Adj())
+	fillers := append(All(5, core.Options{}), XStat(), Adj())
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 1+r.Intn(8), 1+r.Intn(8), 0.6)

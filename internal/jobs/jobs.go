@@ -22,6 +22,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -113,15 +114,25 @@ func Progress(ctx context.Context) func(done int) {
 	return func(int) {}
 }
 
+// DecodeStrict decodes a journaled payload into v, refusing unknown
+// fields. Replay decodes this way so a job journaled by an older build
+// with a field this build no longer has fails, naming the field,
+// instead of silently running as a different request.
+func DecodeStrict(payload json.RawMessage, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // RunJSON adapts a typed batch executor into a Runner: the journaled
-// payload decodes into Req, run executes it, and the response is
-// re-encoded as the job's result. Both the fill worker and the
-// coordinator wrap their batch paths with it, so the async decode/
-// encode contract lives in exactly one place.
+// payload decodes strictly (DecodeStrict) into Req, run executes it,
+// and the response is re-encoded as the job's result. Both the fill
+// worker and the coordinator wrap their batch paths with it, so the
+// async decode/encode contract lives in exactly one place.
 func RunJSON[Req, Resp any](run func(context.Context, Req) Resp) Runner {
 	return func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
 		var req Req
-		if err := json.Unmarshal(payload, &req); err != nil {
+		if err := DecodeStrict(payload, &req); err != nil {
 			// The payload was validated at submit time; failing to
 			// decode it now means the journal (or a code change) broke it.
 			return nil, fmt.Errorf("decoding journaled job payload: %w", err)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/logx"
 	"repro/internal/reqid"
@@ -32,14 +33,22 @@ func (b *logBuf) String() string {
 }
 
 // settleLine picks the settlement record for the given job out of the
-// structured log.
+// structured log. The worker writes that record just after the job's
+// state flips, so a caller that has seen the final state polls for it
+// briefly; "" means it never appeared.
 func settleLine(buf *logBuf, id string) string {
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.Contains(line, "msg=job") && strings.Contains(line, "id="+id) {
-			return line
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, "msg=job") && strings.Contains(line, "id="+id) {
+				return line
+			}
 		}
+		if time.Now().After(deadline) {
+			return ""
+		}
+		time.Sleep(time.Millisecond)
 	}
-	return ""
 }
 
 // TestJobCompletionLogCarriesRid: a job submitted with a trace ID logs

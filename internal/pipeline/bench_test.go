@@ -29,7 +29,3 @@ func BenchmarkPipelineB09Scaled(b *testing.B) {
 func BenchmarkPipelineSharded4(b *testing.B) {
 	benchRun(b, Request{Spec: "b06", ATPG: ATPGConfig{Shards: 4}})
 }
-
-func BenchmarkPipelineWindowed(b *testing.B) {
-	benchRun(b, Request{Spec: "b06", Window: 8})
-}

@@ -24,7 +24,7 @@ var goldenCases = []struct {
 	{"b01_default.json", Request{Spec: "b01", IncludeCubes: true}},
 	{"b02_sharded_loc.json", Request{Spec: "b02", ATPG: ATPGConfig{Shards: 2},
 		Power: PowerConfig{Scheme: "loc", Chains: 2, Tiles: 2}}},
-	{"b06_windowed.json", Request{Spec: "b06", Orderer: "xstat", Window: 8,
+	{"b06_xstat.json", Request{Spec: "b06", Orderer: "xstat",
 		Power: PowerConfig{Chains: 3}}},
 }
 

@@ -23,8 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
-	"repro/internal/fill"
 	"repro/internal/netgen"
 	"repro/internal/scan"
 )
@@ -70,8 +68,6 @@ type Request struct {
 	// default), with the same spellings as /v1/fill.
 	Orderer string `json:"orderer,omitempty"`
 	Filler  string `json:"filler,omitempty"`
-	// Window, when >= 2, selects the streaming windowed DP-fill.
-	Window int `json:"window,omitempty"`
 	// Seed fixes the randomized algorithms (R-fill, ISA, fault
 	// sampling). Default 1.
 	Seed int64 `json:"seed,omitempty"`
@@ -212,30 +208,4 @@ func ResolveCircuit(req Request) (*circuit.Circuit, error) {
 		return nil, badf("%v", err)
 	}
 	return c, nil
-}
-
-// ResolveFiller resolves a fill-stage filler name exactly the way the
-// fill service does: empty means DP-fill, DP is pinned to one core
-// shard (the serving layer is the concurrency layer), and a window
-// >= 2 selects the streaming windowed DP-fill under its distinct name.
-// Sharing this resolution is what keeps the pipeline's fill stage
-// byte-identical to /v1/fill and /v1/batch for the same cubes.
-func ResolveFiller(name string, window int, seed int64) (fill.Filler, error) {
-	if name == "" {
-		name = "dp"
-	}
-	fl, err := fill.ByNameSerial(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	if window == 0 {
-		return fl, nil
-	}
-	if window < 2 {
-		return nil, fmt.Errorf("window %d: must be >= 2", window)
-	}
-	if fl.Name() != "DP-fill" {
-		return nil, fmt.Errorf("window is only valid with the dp filler, not %q", name)
-	}
-	return fill.DPWindowed(window, core.Options{Shards: 1}), nil
 }

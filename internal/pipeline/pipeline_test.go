@@ -211,9 +211,9 @@ func TestRunOptionsAndSchemes(t *testing.T) {
 		t.Errorf("chains = %d, want 2", loc.Power.Chains)
 	}
 
-	win := mustRun(t, Request{Spec: testSpec, Window: 8})
-	if win.Fill.Filler != "DP-fill(w8)" {
-		t.Errorf("windowed filler = %q", win.Fill.Filler)
+	dp := mustRun(t, Request{Spec: testSpec, Filler: "DP"})
+	if dp.Fill.Filler != "DP-fill" {
+		t.Errorf("dp filler = %q", dp.Fill.Filler)
 	}
 	mt := mustRun(t, Request{Spec: testSpec, Filler: "mt", Orderer: "xstat"})
 	if mt.Fill.Filler != "MT-fill" || mt.Fill.Orderer != "X-Stat" {
@@ -263,8 +263,6 @@ func TestRunBadInputs(t *testing.T) {
 		{Netlist: "OUTPUT(g)\ng = AND(a, b)"}, // undeclared nets
 		{Spec: "b01", Filler: "nosuch"},
 		{Spec: "b01", Orderer: "nosuch"},
-		{Spec: "b01", Window: 1},
-		{Spec: "b01", Filler: "mt", Window: 4},
 	}
 	for _, req := range cases {
 		_, err := Run(context.Background(), req, RunOptions{})

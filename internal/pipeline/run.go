@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/cube"
+	"repro/internal/fill"
 	"repro/internal/order"
 	"repro/internal/power"
 	"repro/internal/scan"
@@ -237,7 +239,10 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 	if err != nil {
 		return nil, badf("%v", err)
 	}
-	fl, err := ResolveFiller(req.Filler, req.Window, seed)
+	// DP-fill is pinned to one core shard (the serving layer is the
+	// concurrency layer), exactly as the fill service resolves it, so
+	// this stage is byte-identical to /v1/fill and /v1/batch.
+	fl, err := fill.ByName(req.Filler, seed, core.Options{Shards: 1})
 	if err != nil {
 		return nil, badf("%v", err)
 	}

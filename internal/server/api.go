@@ -26,12 +26,6 @@ type FillRequest struct {
 	Orderer string `json:"orderer,omitempty"`
 	// Filler names the X-fill: dp (default), mt, r, 0, 1, b, adj, xstat.
 	Filler string `json:"filler,omitempty"`
-	// Window, when >= 2, switches DP-fill to the streaming windowed
-	// variant (core.FillWindowed): windows of Window vectors with one
-	// vector of seam overlap, each solved optimally. Bounds memory and
-	// solve time on very long sequences at the cost of a possibly
-	// non-optimal peak at window seams. Only valid with the dp filler.
-	Window int `json:"window,omitempty"`
 	// Seed fixes the randomized algorithms (R-fill, ISA). Default 1.
 	Seed int64 `json:"seed,omitempty"`
 	// Priority biases dispatch among the jobs of one /v1/batch request

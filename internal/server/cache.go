@@ -43,7 +43,6 @@ func (e *cachedFill) clone() *cachedFill {
 	}
 	if e.Explain != nil {
 		tr := *e.Explain
-		tr.Windows = slices.Clone(e.Explain.Windows)
 		out.Explain = &tr
 	}
 	return out

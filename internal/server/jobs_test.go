@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,6 +156,55 @@ func TestAsyncJobSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBatchItemParity(t, &got, &want)
+}
+
+// journalUnsettled leaves each payload in dir's job journal as an
+// accepted job that never ran, the way a server killed before running
+// it (or an older build's queue) leaves one behind: a gated manager
+// accepts and fsyncs the submits, and its workers never start.
+func journalUnsettled(t *testing.T, dir string, payloads ...string) []string {
+	t.Helper()
+	m, err := jobs.Open(jobs.Config{
+		Runner: func(context.Context, json.RawMessage) (json.RawMessage, error) {
+			t.Error("gated manager ran a job")
+			return nil, nil
+		},
+		Dir:   dir,
+		Start: make(chan struct{}), // never released
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(payloads))
+	for i, p := range payloads {
+		st, err := m.Submit(json.RawMessage(p), 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// TestReplayRejectsUnknownFields: a job journaled with a field this
+// build no longer has — "window", from the removed windowed filler —
+// settles failed on replay with an error naming the field, in both the
+// batch and the pipeline payload, instead of running as an exact fill.
+func TestReplayRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	ids := journalUnsettled(t, dir,
+		`{"jobs":[{"cubes":["0X1","X10","1XX"],"window":4}]}`,
+		`{"pipeline":{"spec":"b01","window":4}}`)
+	_, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	for _, id := range ids {
+		st := waitJobState(t, ts.URL, id, jobs.StateFailed)
+		if !strings.Contains(st.Error, `unknown field "window"`) {
+			t.Errorf("job %s failed with %q, want it to name the unknown field", id, st.Error)
+		}
+	}
 }
 
 // blockingFiller parks every Fill until release is closed, so tests

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -55,7 +56,10 @@ func (s *Server) runPipeline(ctx context.Context, req pipeline.Request) (*pipeli
 // pipeline failure fails the whole job (there are no per-item slots to
 // isolate it into, unlike a batch).
 func (s *Server) runJob(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	if preq, ok := pipelinePayload(payload); ok {
+	if preq, ok, err := pipelinePayload(payload); ok {
+		if err != nil {
+			return nil, err
+		}
 		rep, err := s.runPipeline(ctx, preq)
 		if err != nil {
 			return nil, err
@@ -74,11 +78,15 @@ type pipelineEnvelope struct {
 }
 
 // pipelinePayload probes a journaled payload for the pipeline
-// envelope.
-func pipelinePayload(payload json.RawMessage) (pipeline.Request, bool) {
+// envelope. A pipeline payload then decodes strictly: one carrying a
+// field this build does not know reports ok with an error naming it.
+func pipelinePayload(payload json.RawMessage) (pipeline.Request, bool, error) {
 	var env pipelineEnvelope
 	if err := json.Unmarshal(payload, &env); err != nil || env.Pipeline == nil {
-		return pipeline.Request{}, false
+		return pipeline.Request{}, false, nil
 	}
-	return *env.Pipeline, true
+	if err := jobs.DecodeStrict(payload, &env); err != nil {
+		return pipeline.Request{}, true, fmt.Errorf("decoding journaled pipeline payload: %w", err)
+	}
+	return *env.Pipeline, true, nil
 }

@@ -64,15 +64,15 @@ func TestPipelineEndpointErrors(t *testing.T) {
 }
 
 // differentialCases span the fill algorithms and circuits the
-// differential suite pins: DP monolithic and windowed, a baseline
-// filler, a non-default ordering.
+// differential suite pins: DP under the default and the X-Stat
+// ordering, a baseline filler, a non-default ordering.
 var differentialCases = []struct {
 	name string
 	req  pipeline.Request
 }{
 	{"b01-dp", pipeline.Request{Spec: "b01", IncludeCubes: true}},
 	{"b02-dp-xstat", pipeline.Request{Spec: "b02", Orderer: "xstat", IncludeCubes: true}},
-	{"b06-windowed", pipeline.Request{Spec: "b06", Window: 4, IncludeCubes: true}},
+	{"b06-dp-xstat", pipeline.Request{Spec: "b06", Orderer: "xstat", IncludeCubes: true}},
 	{"b06-mt-iorder", pipeline.Request{Spec: "b06", Orderer: "i", Filler: "mt", IncludeCubes: true}},
 	{"b09-scaled-sharded", pipeline.Request{Spec: "b09@0.25", ATPG: pipeline.ATPGConfig{Shards: 3}, IncludeCubes: true}},
 }
@@ -96,7 +96,6 @@ func TestPipelineFillStageMatchesBatchEndpoint(t *testing.T) {
 				Cubes:   rep.ATPG.Cubes,
 				Orderer: tc.req.Orderer,
 				Filler:  tc.req.Filler,
-				Window:  tc.req.Window,
 				Seed:    tc.req.Seed,
 			}}}, &batch)
 			if code != http.StatusOK || batch.Failed != 0 {

@@ -305,7 +305,7 @@ func (s *Server) resolveFill(req FillRequest) (engine.Job, FillResponse, string,
 	if err != nil {
 		return job, resp, "", nil, badRequestf("%v", err)
 	}
-	fl, tr, err := serverFiller(req.Filler, req.Window, seed)
+	fl, tr, err := serverFiller(req.Filler, seed)
 	if err != nil {
 		return job, resp, "", nil, badRequestf("%v", err)
 	}
@@ -330,35 +330,19 @@ func (s *Server) resolveFill(req FillRequest) (engine.Job, FillResponse, string,
 }
 
 // serverFiller resolves a filler name with DP-fill pinned to a single
-// shard (see resolveFill). An empty name means DP-fill. A window >= 2
-// selects the streaming windowed DP-fill; its distinct filler name
-// ("DP-fill(wN)") flows into the response and the cache digest, so
-// windowed and monolithic results never alias in the cache. DP fillers
-// are built with the returned trace sink attached; each call builds a
-// private filler+sink pair, so concurrent jobs never share one.
-func serverFiller(name string, window int, seed int64) (fill.Filler, *core.Trace, error) {
-	if name == "" {
-		name = "dp"
-	}
-	fl, err := fill.ByNameSerial(name, seed)
+// shard (see resolveFill). DP-fill is built with the returned trace
+// sink attached; each call builds a private filler+sink pair, so
+// concurrent jobs never share one. Other fillers get a nil trace.
+func serverFiller(name string, seed int64) (fill.Filler, *core.Trace, error) {
+	tr := &core.Trace{}
+	fl, err := fill.ByName(name, seed, core.Options{Shards: 1, Trace: tr})
 	if err != nil {
 		return nil, nil, err
 	}
-	if fl.Name() != "DP-fill" {
-		if window != 0 {
-			return nil, nil, fmt.Errorf("window is only valid with the dp filler, not %q", name)
-		}
-		return fl, nil, nil
+	if !fill.IsDP(fl) {
+		tr = nil
 	}
-	tr := &core.Trace{}
-	opt := core.Options{Shards: 1, Trace: tr}
-	if window == 0 {
-		return fill.DPWith(opt), tr, nil
-	}
-	if window < 2 {
-		return nil, nil, fmt.Errorf("window %d: must be >= 2", window)
-	}
-	return fill.DPWindowed(window, opt), tr, nil
+	return fl, tr, nil
 }
 
 // finishFill completes a response from either a cache entry or an
@@ -402,7 +386,7 @@ func (s *Server) runFill(ctx context.Context, req FillRequest) (*FillResponse, e
 		Perm:    r.Perm,
 		Peak:    r.Peak,
 		Total:   r.Total,
-		Profile: r.Filled.ToggleProfile(),
+		Profile: r.Profile,
 		Explain: tr,
 	}
 	s.cache.Put(digest, entry)
@@ -532,7 +516,7 @@ func (s *Server) runBatch(ctx context.Context, req BatchRequest) *BatchResponse 
 			Perm:    res.Perm,
 			Peak:    res.Peak,
 			Total:   res.Total,
-			Profile: res.Filled.ToggleProfile(),
+			Profile: res.Profile,
 			Explain: traces[k],
 		}
 		entries[k] = entry
@@ -597,7 +581,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("%v", err))
 		return
 	}
-	fillers := fill.AllSerial(seed)
+	fillers := fill.All(seed, core.Options{Shards: 1})
 	jobs := make([]engine.Job, len(fillers))
 	for i, fl := range fillers {
 		jobs[i] = engine.Job{

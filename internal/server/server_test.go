@@ -479,49 +479,3 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFillWindowed(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	req := FillRequest{
-		Cubes:  []string{"0XX1", "1XX0", "X10X", "01XX", "XX11", "X0X1"},
-		Window: 3,
-	}
-	var out FillResponse
-	if status := post(t, ts.URL+"/v1/fill", req, &out); status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	if out.Filler != "DP-fill(w3)" {
-		t.Fatalf("filler resolved to %q, want the windowed name", out.Filler)
-	}
-	in, err := cube.ParseSet(req.Cubes...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filled, err := cube.ParseSet(out.Cubes...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Covers(filled) {
-		t.Fatal("windowed response is not a completion of the request")
-	}
-	// The windowed filler must occupy its own cache identity: the same
-	// cubes filled monolithically may answer differently and must not
-	// be served from the windowed entry (or vice versa).
-	var mono FillResponse
-	if status := post(t, ts.URL+"/v1/fill", FillRequest{Cubes: req.Cubes}, &mono); status != http.StatusOK {
-		t.Fatalf("monolithic status %d", status)
-	}
-	if mono.Filler != "DP-fill" || mono.Cached {
-		t.Fatalf("monolithic fill after windowed: filler %q cached %v", mono.Filler, mono.Cached)
-	}
-
-	// Invalid windows answer 400: below 2, or with a non-dp filler.
-	for _, bad := range []FillRequest{
-		{Cubes: req.Cubes, Window: 1},
-		{Cubes: req.Cubes, Window: 3, Filler: "mt"},
-	} {
-		if status := post(t, ts.URL+"/v1/fill", bad, nil); status != http.StatusBadRequest {
-			t.Fatalf("window %d filler %q: status %d, want 400", bad.Window, bad.Filler, status)
-		}
-	}
-}

@@ -195,7 +195,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 // "MT-fill", "R-fill", "0-fill", "1-fill", "B-fill", "DP-fill" via
 // fill.All plus "Adj-fill" and "X-Stat".
 func Fills(seed int64) []Filler {
-	return append(fill.All(seed), fill.Adj(), fill.XStat())
+	return append(fill.All(seed, core.Options{}), fill.Adj(), fill.XStat())
 }
 
 // Orderings returns the orderings of the paper's tables: "Tool",
