@@ -10,8 +10,8 @@ import (
 
 // fillArena holds the reusable per-job scratch of the fill hot path:
 // the two bit-packed row planes (the dominant allocation — 2 × m ×
-// ceil(n/64) words per fill) and the interval lists the scan and the
-// BCP reduction grow. A sync.Pool recycles arenas across fills so a
+// ceil(n/64) words per fill), the interval lists the scan and the
+// BCP reduction grow, and BottleneckOrder's per-pin sweep state. A sync.Pool recycles arenas across fills so a
 // serving process under steady load reaches a fixed working set
 // instead of allocating and collecting planes on every request.
 //
@@ -22,6 +22,10 @@ type fillArena struct {
 	pr     *cube.PackedRows
 	ivs    []ToggleInterval
 	bcpIvs []bcp.Interval
+	// BottleneckOrder: used marks the cubes a permutation has named;
+	// seen, lastVal and lastCol are the sweep's per-pin state.
+	used, seen, lastVal []uint64
+	lastCol             []int
 }
 
 // arenaGets counts arena checkouts and arenaMisses the subset that

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/bcp"
@@ -320,30 +321,99 @@ func fillMapping(mp *Mapping) (*cube.Set, *Result, error) {
 	return filled, res, nil
 }
 
-// Bottleneck computes the optimal peak toggle count of the ordering
-// without materializing the filled set. It is the evaluation primitive
-// Algorithm 3 (I-Ordering) calls once per candidate interleaving; it
-// runs the packed single-shard scan on pooled planes and skips the
-// pre-filled set entirely (callers such as I-Ordering and the batch
-// engine already parallelize at coarser granularity).
+// Bottleneck computes the optimal peak toggle count of the ordered set
+// s without materializing the filled set: BottleneckOrder on a fresh
+// snapshot of s, in the order given.
 func Bottleneck(s *cube.Set) (int, error) {
+	perm := make([]int, s.Len())
+	for i := range perm {
+		perm[i] = i
+	}
+	return BottleneckOrder(cube.Pack(s), perm)
+}
+
+// BottleneckOrder computes the optimal peak toggle count of the cubes
+// of p applied in perm order — what Bottleneck returns for
+// s.Reorder(perm) when p = cube.Pack(s) — without reordering or
+// repacking any trit. It is the evaluation primitive Algorithm 3
+// (I-Ordering) calls once per candidate interleaving: the orderer packs
+// once and every candidate is one sweep over the care bits plus the
+// Algorithm 1 bound.
+//
+// The sweep walks the cubes in perm order and keeps each pin's last
+// care column and value; a pin whose value flips at column t adds the
+// BCP interval [last, t-1]. That is exactly the interval multiset of
+// the row scan FillWith runs (consecutive care bits of a row with
+// unequal values, forced unit toggles included), listed cube-major
+// instead of row-major, and the Algorithm 1 bound does not depend on
+// interval order. Scratch comes from the fill arena pool, so a warm
+// call allocates nothing.
+func BottleneckOrder(p *cube.Packed, perm []int) (int, error) {
+	n := p.Len()
+	if len(perm) != n {
+		return 0, fmt.Errorf("core: order of length %d for %d cubes", len(perm), n)
+	}
 	ar := getArena()
 	defer putArena(ar)
-	bcpIvs := ar.bcpIvs[:0]
-	if s.Width > 0 && s.Len() > 0 {
-		pr := cube.PackRowsInto(ar.pr, s)
-		ar.pr = pr
-		ar.ivs = scanRowsAppend(ar.ivs[:0], pr, 0, s.Width)
-		for _, ti := range ar.ivs {
-			bcpIvs = append(bcpIvs, ti.Interval())
+	ar.used = zeroWords(ar.used, (n+63)/64)
+	for t, c := range perm {
+		if c < 0 || c >= n || ar.used[c/64]&(1<<(c%64)) != 0 {
+			return 0, fmt.Errorf("core: order is not a permutation: entry %d is %d", t, c)
+		}
+		ar.used[c/64] |= 1 << (c % 64)
+	}
+	ar.seen = zeroWords(ar.seen, p.Words)
+	ar.lastVal = zeroWords(ar.lastVal, p.Words)
+	if cap(ar.lastCol) < p.Width {
+		ar.lastCol = make([]int, p.Width)
+	}
+	ar.bcpIvs = sweepOrder(ar.bcpIvs[:0], p, perm, ar.lastCol[:p.Width], ar.seen, ar.lastVal)
+	// Every interval lies in [0, n-2] by construction (0 <= last < t <=
+	// n-1), so the instance needs no validation pass.
+	inst := bcp.Instance{NumColors: maxInt(0, n-1), Intervals: ar.bcpIvs}
+	return inst.LowerBound(), nil
+}
+
+// dpvet:hot
+// sweepOrder appends to dst the BCP intervals of p's cubes applied in
+// perm order. lastCol[pin] is the column of the pin's last care bit and
+// is meaningful only where the pin's bit of seen is set; lastVal holds
+// that care bit's value. seen and lastVal must start zeroed. Value bits
+// are a subset of care bits, so the flip test and the value update are
+// word-parallel; only care bits touch lastCol, and only flips append.
+func sweepOrder(dst []bcp.Interval, p *cube.Packed, perm, lastCol []int, seen, lastVal []uint64) []bcp.Interval {
+	seen = seen[:p.Words]
+	lastVal = lastVal[:p.Words]
+	for t, c := range perm {
+		care, val := p.CubeWords(c)
+		for w, cw := range care {
+			if cw == 0 {
+				continue
+			}
+			vw := val[w]
+			for f := (vw ^ lastVal[w]) & cw & seen[w]; f != 0; f &= f - 1 {
+				pin := w*64 + bits.TrailingZeros64(f)
+				dst = append(dst, bcp.Interval{Start: lastCol[pin], End: t - 1})
+			}
+			for b := cw; b != 0; b &= b - 1 {
+				lastCol[w*64+bits.TrailingZeros64(b)] = t
+			}
+			seen[w] |= cw
+			lastVal[w] = lastVal[w]&^cw | vw
 		}
 	}
-	ar.bcpIvs = bcpIvs
-	inst, err := bcp.NewInstance(maxInt(0, s.Len()-1), bcpIvs)
-	if err != nil {
-		return 0, err
+	return dst
+}
+
+// zeroWords returns buf resized to n zeroed words, reusing its backing
+// array when large enough.
+func zeroWords(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
 	}
-	return inst.LowerBound(), nil
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Reconstruct applies §V-D: given the mapping and a BCP coloring (one

@@ -6,7 +6,8 @@ import "math/bits"
 // queries: each cube becomes a (care-mask, value) pair of uint64 words,
 // so Hamming and expected distances reduce to a handful of popcounts per
 // 64 pins. Orderings that evaluate O(n²) cube pairs (nearest-neighbour
-// chains, simulated annealing) build a Packed once and query it.
+// chains, simulated annealing) or walk the set in candidate orders
+// (I-Ordering's bottleneck bound) build a Packed once and query it.
 //
 // Packed is a snapshot: later mutations of the source Set are not
 // reflected.
@@ -14,34 +15,43 @@ type Packed struct {
 	// Width is the cube width in pins; Words is ceil(Width/64).
 	Width, Words int
 	n            int
-	care         [][]uint64 // care[i][w]: bit set where cube i pin is specified
-	val          [][]uint64 // val[i][w]: bit set where cube i pin is One
-	careCount    []int
+	// care/val are the contiguous planes: cube i occupies words
+	// [i*Words, (i+1)*Words). A care bit is set where the pin is
+	// specified, a val bit where it is One.
+	care, val []uint64
+	careCount []int
 }
 
 // Pack builds the packed snapshot of s.
 func Pack(s *Set) *Packed {
 	words := (s.Width + 63) / 64
+	n := s.Len()
 	p := &Packed{
-		Width: s.Width, Words: words, n: s.Len(),
-		care:      make([][]uint64, s.Len()),
-		val:       make([][]uint64, s.Len()),
-		careCount: make([]int, s.Len()),
+		Width: s.Width, Words: words, n: n,
+		// One backing array per plane keeps each cube's words
+		// contiguous and the whole plane one allocation.
+		care:      make([]uint64, n*words),
+		val:       make([]uint64, n*words),
+		careCount: make([]int, n),
 	}
 	for i, c := range s.Cubes {
-		care := make([]uint64, words)
-		val := make([]uint64, words)
-		for pin, t := range c {
-			if t == X {
-				continue
+		care := p.care[i*words : (i+1)*words]
+		val := p.val[i*words : (i+1)*words]
+		cc := 0
+		for w := range care {
+			lo := w * 64
+			hi := min(lo+64, len(c))
+			var cw, vw uint64
+			// Branch-free on the trit encoding, as in PackRowsInto.
+			for k, t := range c[lo:hi] {
+				tb := uint64(t)
+				cw |= (tb>>1 ^ 1) << uint(k)
+				vw |= (tb & 1) << uint(k)
 			}
-			care[pin/64] |= 1 << (pin % 64)
-			if t == One {
-				val[pin/64] |= 1 << (pin % 64)
-			}
+			care[w], val[w] = cw, vw
+			cc += bits.OnesCount64(cw)
 		}
-		p.care[i], p.val[i] = care, val
-		p.careCount[i] = c.CareCount()
+		p.careCount[i] = cc
 	}
 	return p
 }
@@ -52,28 +62,31 @@ func (p *Packed) Len() int { return p.n }
 // CareCount returns the number of specified bits of cube i.
 func (p *Packed) CareCount(i int) int { return p.careCount[i] }
 
-// dpvet:hot
-// HD returns the guaranteed toggle count between cubes i and j: the
-// number of jointly specified differing pins.
-func (p *Packed) HD(i, j int) int {
-	ci, cj := p.care[i], p.care[j]
-	vi, vj := p.val[i], p.val[j]
-	d := 0
-	for w := 0; w < p.Words; w++ {
-		d += bits.OnesCount64((vi[w] ^ vj[w]) & ci[w] & cj[w])
-	}
-	return d
+// CubeWords returns the care and value words of cube i. The slices alias
+// the snapshot and must not be modified.
+func (p *Packed) CubeWords(i int) (care, val []uint64) {
+	lo, hi := i*p.Words, (i+1)*p.Words
+	return p.care[lo:hi:hi], p.val[lo:hi:hi]
 }
 
 // dpvet:hot
-// XUnion returns the number of pins where at least one of cubes i, j is
-// X — the filler's freedom between the pair.
-func (p *Packed) XUnion(i, j int) int {
-	both := 0
-	for w := 0; w < p.Words; w++ {
-		both += bits.OnesCount64(p.care[i][w] & p.care[j][w])
+// Distance returns, from one pass over the care words of cubes i and
+// j, hd — the guaranteed toggle count, the number of jointly specified
+// differing pins — and both, the number of jointly specified pins.
+// Width-both is the X-union: the pins where at least one cube is X,
+// the filler's freedom between the pair.
+func (p *Packed) Distance(i, j int) (hd, both int) {
+	ci, vi := p.CubeWords(i)
+	cj, vj := p.CubeWords(j)
+	vj = vj[:len(ci)]
+	cj = cj[:len(ci)]
+	vi = vi[:len(ci)]
+	for w, c := range ci {
+		a := c & cj[w]
+		both += bits.OnesCount64(a)
+		hd += bits.OnesCount64((vi[w] ^ vj[w]) & a)
 	}
-	return p.Width - both
+	return hd, both
 }
 
 // dpvet:hot
@@ -81,7 +94,8 @@ func (p *Packed) XUnion(i, j int) int {
 // and j under uniform random filling (doubling keeps it integral:
 // jointly specified differing pins count 2, pins with any X count 1).
 func (p *Packed) Expected2(i, j int) int {
-	return 2*p.HD(i, j) + p.XUnion(i, j)
+	hd, both := p.Distance(i, j)
+	return 2*hd + p.Width - both
 }
 
 // PackedRows is the transpose companion of Packed: the m×n trit matrix A

@@ -6,29 +6,58 @@ import (
 	"testing/quick"
 )
 
+// packMatchesScalar reports whether every packed distance of s equals
+// its per-trit count.
+func packMatchesScalar(s *Set) bool {
+	p := Pack(s)
+	for i := 0; i < s.Len(); i++ {
+		if p.CareCount(i) != s.Cubes[i].CareCount() {
+			return false
+		}
+		care, val := p.CubeWords(i)
+		for pin, tr := range s.Cubes[i] {
+			bit := uint64(1) << (pin % 64)
+			if (care[pin/64]&bit != 0) != tr.IsCare() || (val[pin/64]&bit != 0) != (tr == One) {
+				return false
+			}
+		}
+		for j := 0; j < s.Len(); j++ {
+			a, b := s.Cubes[i], s.Cubes[j]
+			both := 0
+			for pin := range a {
+				if a[pin].IsCare() && b[pin].IsCare() {
+					both++
+				}
+			}
+			hd, gotBoth := p.Distance(i, j)
+			if hd != a.HammingDistance(b) || gotBoth != both {
+				return false
+			}
+			if float64(p.Expected2(i, j)) != 2*a.ExpectedDistance(b) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestPackMatchesScalarDistances(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := randomSet(r, 1+r.Intn(200), 2+r.Intn(8), 0.5)
-		p := Pack(s)
-		for i := 0; i < s.Len(); i++ {
-			if p.CareCount(i) != s.Cubes[i].CareCount() {
-				return false
-			}
-			for j := 0; j < s.Len(); j++ {
-				if p.HD(i, j) != s.Cubes[i].HammingDistance(s.Cubes[j]) {
-					return false
-				}
-				want2 := 2 * s.Cubes[i].ExpectedDistance(s.Cubes[j])
-				if float64(p.Expected2(i, j)) != want2 {
-					return false
-				}
-			}
-		}
-		return true
+		return packMatchesScalar(randomSet(r, 1+r.Intn(200), 2+r.Intn(8), 0.5))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+	// Widths on either side of the word boundary, where the last word
+	// is full, one bit short or one bit into a second word.
+	r := rand.New(rand.NewSource(8))
+	for _, width := range []int{0, 1, 63, 64, 65} {
+		for _, xProb := range []float64{0, 0.5, 1} {
+			if s := randomSet(r, width, 6, xProb); !packMatchesScalar(s) {
+				t.Errorf("width %d, X probability %.1f: packed distances differ from scalar\n%v", width, xProb, s)
+			}
+		}
 	}
 }
 
@@ -36,8 +65,8 @@ func TestPackSnapshotSemantics(t *testing.T) {
 	s := MustParseSet("0X", "11")
 	p := Pack(s)
 	s.Cubes[0][0] = One // mutate after packing
-	if p.HD(0, 1) != 1 {
-		t.Fatalf("packed view changed with source mutation: HD=%d", p.HD(0, 1))
+	if hd, _ := p.Distance(0, 1); hd != 1 {
+		t.Fatalf("packed view changed with source mutation: HD=%d", hd)
 	}
 }
 
@@ -116,11 +145,12 @@ func TestPackWordBoundary(t *testing.T) {
 	if p.Words != 2 {
 		t.Fatalf("Words = %d", p.Words)
 	}
-	if p.HD(0, 1) != 1 {
-		t.Fatalf("HD across word boundary = %d", p.HD(0, 1))
+	hd, both := p.Distance(0, 1)
+	if hd != 1 {
+		t.Fatalf("HD across word boundary = %d", hd)
 	}
-	if p.XUnion(0, 1) != 64 {
-		t.Fatalf("XUnion = %d, want 64", p.XUnion(0, 1))
+	if p.Width-both != 64 {
+		t.Fatalf("XUnion = %d, want 64", p.Width-both)
 	}
 }
 

@@ -22,17 +22,19 @@ func OptimalPeak(s *cube.Set) (int, []int, error) {
 	if n <= 1 {
 		return 0, Identity(n), nil
 	}
+	p := cube.Pack(s)
 	perm := Identity(n)
 	best := -1
 	var bestPerm []int
-	// Heap's algorithm over permutations; the first position can be
-	// fixed only if toggles were symmetric under reversal — they are
-	// (Hamming distance is symmetric), but keep it simple and enumerate
-	// everything: n <= 9 means at most 362880 evaluations.
+	// Swap recursion over permutations: position k takes each remaining
+	// cube in turn. The first position could be fixed, since toggles
+	// are symmetric under reversal, but keep it simple and enumerate
+	// everything: n <= 9 means at most 362880 evaluations, each one
+	// sweep of the packed snapshot.
 	var rec func(k int) error
 	rec = func(k int) error {
 		if k == n {
-			peak, err := core.Bottleneck(s.Reorder(perm))
+			peak, err := core.BottleneckOrder(p, perm)
 			if err != nil {
 				return err
 			}

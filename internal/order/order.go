@@ -10,6 +10,8 @@ package order
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -65,41 +67,76 @@ func Tool() Orderer {
 // overlap (longer don't-care stretches).
 func XStat() Orderer {
 	return Func{OrderName: "X-Stat", F: func(s *cube.Set) ([]int, error) {
-		n := s.Len()
-		if n == 0 {
-			return nil, nil
-		}
-		p := cube.Pack(s)
-		used := make([]bool, n)
-		// Start from the cube with the most specified bits: it anchors
-		// the chain where the least filling freedom exists.
-		start := 0
-		for i := 1; i < n; i++ {
-			if p.CareCount(i) > p.CareCount(start) {
-				start = i
-			}
-		}
-		perm := make([]int, 0, n)
-		perm = append(perm, start)
-		used[start] = true
-		for len(perm) < n {
-			tail := perm[len(perm)-1]
-			best, bestHD, bestOverlap := -1, 0, -1
-			for i := 0; i < n; i++ {
-				if used[i] {
-					continue
-				}
-				hd := p.HD(tail, i)
-				overlap := p.XUnion(tail, i)
-				if best == -1 || hd < bestHD || (hd == bestHD && overlap > bestOverlap) {
-					best, bestHD, bestOverlap = i, hd, overlap
-				}
-			}
-			perm = append(perm, best)
-			used[best] = true
-		}
-		return perm, nil
+		return xstat(cube.Pack(s)), nil
 	}}
+}
+
+// xstat builds the X-Stat chain over a packed snapshot.
+func xstat(p *cube.Packed) []int {
+	n := p.Len()
+	if n == 0 {
+		return nil
+	}
+	// Start from the cube with the most specified bits: it anchors the
+	// chain where the least filling freedom exists.
+	start := 0
+	for i := 1; i < n; i++ {
+		if p.CareCount(i) > p.CareCount(start) {
+			start = i
+		}
+	}
+	// rest lists the unused cubes in ascending index order; removal
+	// keeps that order, so the first of equally good candidates is the
+	// lowest index.
+	rest := make([]int, 0, n-1)
+	for i := 0; i < n; i++ {
+		if i != start {
+			rest = append(rest, i)
+		}
+	}
+	perm := make([]int, 0, n)
+	perm = append(perm, start)
+	for len(rest) > 0 {
+		at := nearest(p, perm[len(perm)-1], rest)
+		perm = append(perm, rest[at])
+		rest = append(rest[:at], rest[at+1:]...)
+	}
+	return perm
+}
+
+// dpvet:hot
+// nearest returns the position in rest of the cube closest to tail: the
+// lowest guaranteed toggle count, then the largest X-union (the fewest
+// jointly specified pins), then the lowest position. rest is non-empty.
+func nearest(p *cube.Packed, tail int, rest []int) int {
+	ct, vt := p.CubeWords(tail)
+	best, bestHD, bestBoth := 0, math.MaxInt, math.MaxInt
+next:
+	for at, i := range rest {
+		ci, vi := p.CubeWords(i)
+		ci, vi = ci[:len(ct)], vi[:len(ct)]
+		hd, both := 0, 0
+		for w, c := range ct {
+			a := c & ci[w]
+			both += bits.OnesCount64(a)
+			hd += bits.OnesCount64((vt[w] ^ vi[w]) & a)
+			// Exact prune: hd and both only grow over the remaining
+			// words, so once the partial (hd, both) is lexicographically
+			// >= the best pair, the final pair is too, and a candidate
+			// must be strictly smaller to win. A pruned candidate can
+			// never be chosen; the first candidate never prunes against
+			// the MaxInt sentinel.
+			if hd > bestHD || (hd == bestHD && both >= bestBoth) {
+				continue next
+			}
+		}
+		// Reached without a prune, the pair is strictly smaller unless
+		// there were no words at all (zero width).
+		if hd < bestHD || (hd == bestHD && both < bestBoth) {
+			best, bestHD, bestBoth = at, hd, both
+		}
+	}
+	return best
 }
 
 // ISA returns the ISA ordering, standing in for Girard et al. [20]
@@ -293,11 +330,13 @@ func InterleavedTrace(s *cube.Set) ([]int, []Trace, error) {
 	if n <= 2 {
 		return Identity(n), nil, nil
 	}
-	// T': indices sorted by ascending X count (stable so equal-X cubes
-	// keep tool order, making the ordering deterministic).
+	p := cube.Pack(s)
+	// T': indices sorted by ascending X count, i.e. descending care
+	// count (stable so equal-X cubes keep tool order, making the
+	// ordering deterministic).
 	tp := Identity(n)
 	sort.SliceStable(tp, func(a, b int) bool {
-		return s.Cubes[tp[a]].XCount() < s.Cubes[tp[b]].XCount()
+		return p.CareCount(tp[a]) > p.CareCount(tp[b])
 	})
 
 	var traces []Trace
@@ -305,8 +344,7 @@ func InterleavedTrace(s *cube.Set) ([]int, []Trace, error) {
 	var bestPerm []int
 	for k := 1; k < n; k++ {
 		perm := interleave(tp, k)
-		reordered := s.Reorder(perm)
-		peak, err := core.Bottleneck(reordered)
+		peak, err := core.BottleneckOrder(p, perm)
 		if err != nil {
 			return nil, nil, fmt.Errorf("order: evaluating k=%d: %w", k, err)
 		}
