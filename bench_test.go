@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -299,7 +300,7 @@ func BenchmarkAblationPhase1(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			totalGap += xs.PeakToggles() - opt
+			totalGap += xs.Peak - opt
 		}
 	}
 	b.ReportMetric(float64(totalGap)/float64(len(sets)), "avg_gap_vs_optimal")
@@ -376,7 +377,7 @@ func verifyEngineGold(b *testing.B, jobs []engine.Job) {
 			if serial[i].Err != nil || parallel[i].Err != nil {
 				b.Fatalf("gold run failed: %v / %v", serial[i].Err, parallel[i].Err)
 			}
-			if serial[i].Filled.String() != parallel[i].Filled.String() {
+			if !slices.Equal(serial[i].Filled.Strings(), parallel[i].Filled.Strings()) {
 				b.Fatalf("job %d: parallel batch output differs from serial", i)
 			}
 		}

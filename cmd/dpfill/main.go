@@ -236,9 +236,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	peak, total, _ := filled.ToggleStats()
 	fmt.Fprintf(stdout, "%s + %s: peak input toggles = %d (total %d)\n",
-		ord.Name(), fl.Name(), peak, total)
+		ord.Name(), fl.Name(), filled.Peak, filled.Total)
 	if tr != nil {
 		printExplain(stdout, tr)
 	}
@@ -249,7 +248,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		if err := filled.Write(f); err != nil {
+		if err := filled.Set().Write(f); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *out)
@@ -360,7 +359,7 @@ func runBatch(stdout io.Writer, inputs []string, ordName, fillName string, seed 
 		if outdir != "" {
 			base := strings.TrimSuffix(filepath.Base(r.Name), filepath.Ext(r.Name))
 			dst := filepath.Join(outdir, base+".filled")
-			if err := writeSet(dst, r.Filled); err != nil {
+			if err := writeSet(dst, r.Filled.Unpack()); err != nil {
 				failures++
 				results[i].Err = err
 				status = err.Error()
@@ -422,7 +421,7 @@ func runGrid(stdout io.Writer, set *cube.Set, seed int64) error {
 			if err != nil {
 				return err
 			}
-			cells[i] = fmt.Sprintf("%d", filled.PeakToggles())
+			cells[i] = fmt.Sprintf("%d", filled.Peak)
 		}
 		fmt.Fprintf(tw, "%s\t%s\n", ord.Name(), strings.Join(cells, "\t"))
 	}

@@ -63,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		show("tool + "+fl.Name(), filled)
+		show("tool + "+fl.Name(), filled.Set())
 	}
 	perm, err := order.Interleaved().Order(cubes)
 	if err != nil {
@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	show("I-Order + DP-fill", dp)
+	show("I-Order + DP-fill", dp.Set())
 	if err := tw.Flush(); err != nil {
 		log.Fatal(err)
 	}

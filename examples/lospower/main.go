@@ -74,13 +74,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("tool order + 0-fill:", cubes, zeroFilled)
+	report("tool order + 0-fill:", cubes, zeroFilled.Set())
 
 	bFilled, err := fill.Backward().Fill(cubes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("tool order + B-fill:", cubes, bFilled)
+	report("tool order + B-fill:", cubes, bFilled.Set())
 
 	perm, err := order.Interleaved().Order(cubes)
 	if err != nil {

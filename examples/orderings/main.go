@@ -62,7 +62,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Fprintf(tw, "\t%d", filled.PeakToggles())
+			fmt.Fprintf(tw, "\t%d", filled.Peak)
 		}
 		fmt.Fprintf(tw, "\t%.1f\n", stats.Stretches(re).Mean)
 	}

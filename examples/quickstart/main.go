@@ -51,10 +51,10 @@ func main() {
 			log.Fatal(err)
 		}
 		marker := ""
-		if out.PeakToggles() == res.Peak {
+		if out.Peak == res.Peak {
 			marker = "  <- matches optimum"
 		}
-		fmt.Printf("  %-8s peak %d%s\n", fl.Name(), out.PeakToggles(), marker)
+		fmt.Printf("  %-8s peak %d%s\n", fl.Name(), out.Peak, marker)
 	}
 
 	// The paper's full proposal also reorders the cubes first.

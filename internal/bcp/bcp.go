@@ -312,6 +312,12 @@ func (h *endHeap) pop() int {
 // optimal. Assign nevertheless verifies legality and returns an error if
 // the capacity was too small (which indicates caller misuse, not an
 // algorithmic failure).
+//
+// The start buckets are a counting sort into one flat index array, and
+// the heap's index slice comes from the same pool as the buckets, so
+// the returned coloring is the call's only steady-state allocation.
+// Each bucket lists its intervals in ascending index order, the order
+// the heap admits them in, so ties break exactly as they always have.
 func (inst *Instance) Assign(capacity int) ([]int, error) {
 	k := len(inst.Intervals)
 	if k == 0 {
@@ -320,20 +326,34 @@ func (inst *Instance) Assign(capacity int) ([]int, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("bcp: capacity %d must be positive", capacity)
 	}
-	// Bucket interval indices by start color (counting sort — the
-	// "sort by starting time" of Algorithm 2 line 1).
-	byStart := make([][]int, inst.NumColors)
+	sc := getAssignScratch(inst.NumColors, k)
+	defer putAssignScratch(sc)
+	// Counting sort by start color (the "sort by starting time" of
+	// Algorithm 2 line 1): offsets[c] counts, then becomes the start of
+	// bucket c, then — after placement — its end.
+	offsets, byStart := sc.offsets, sc.byStart
+	for _, iv := range inst.Intervals {
+		offsets[iv.Start]++
+	}
+	sum := 0
+	for c, n := range offsets {
+		offsets[c] = sum
+		sum += n
+	}
 	for i, iv := range inst.Intervals {
-		byStart[iv.Start] = append(byStart[iv.Start], i)
+		byStart[offsets[iv.Start]] = i
+		offsets[iv.Start]++
 	}
 
 	colors := make([]int, k)
-	h := &endHeap{intervals: inst.Intervals, idx: make([]int, 0, k)}
-	assigned := 0
+	h := endHeap{intervals: inst.Intervals, idx: sc.heap}
+	assigned, lo := 0, 0
 	for c := 0; c < inst.NumColors; c++ {
-		for _, i := range byStart[c] {
+		hi := offsets[c]
+		for _, i := range byStart[lo:hi] {
 			h.push(i)
 		}
+		lo = hi
 		for picked := 0; picked < capacity && len(h.idx) > 0; picked++ {
 			i := h.pop()
 			if inst.Intervals[i].End < c {

@@ -1,0 +1,5 @@
+//go:build race
+
+package bcp
+
+const raceEnabled = true

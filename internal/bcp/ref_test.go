@@ -1,6 +1,9 @@
 package bcp
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // lowerBoundRef is the unpruned Algorithm 1 sweep exactly as it stood
 // before the windowed prunings landed in LowerBound: the full O(C²+k)
@@ -44,4 +47,46 @@ func (inst *Instance) lowerBoundRef() int {
 		}
 	}
 	return lb
+}
+
+// refAssign is Algorithm 2 as Assign stood before its scratch was
+// pooled: a fresh [][]int of per-start buckets grown by append, and a
+// fresh heap. The differential and fuzz tests pin Assign to it,
+// coloring for coloring.
+func (inst *Instance) refAssign(capacity int) ([]int, error) {
+	k := len(inst.Intervals)
+	if k == 0 {
+		return nil, nil
+	}
+	if capacity <= 0 {
+		return nil, fmt.Errorf("bcp: capacity %d must be positive", capacity)
+	}
+	// Bucket interval indices by start color (counting sort — the
+	// "sort by starting time" of Algorithm 2 line 1).
+	byStart := make([][]int, inst.NumColors)
+	for i, iv := range inst.Intervals {
+		byStart[iv.Start] = append(byStart[iv.Start], i)
+	}
+
+	colors := make([]int, k)
+	h := &endHeap{intervals: inst.Intervals, idx: make([]int, 0, k)}
+	assigned := 0
+	for c := 0; c < inst.NumColors; c++ {
+		for _, i := range byStart[c] {
+			h.push(i)
+		}
+		for picked := 0; picked < capacity && len(h.idx) > 0; picked++ {
+			i := h.pop()
+			if inst.Intervals[i].End < c {
+				return nil, fmt.Errorf("bcp: interval [%d,%d] missed its deadline at color %d (capacity %d too small)",
+					inst.Intervals[i].Start, inst.Intervals[i].End, c, capacity)
+			}
+			colors[i] = c
+			assigned++
+		}
+	}
+	if assigned != k {
+		return nil, fmt.Errorf("bcp: %d of %d intervals left unassigned", k-assigned, k)
+	}
+	return colors, nil
 }

@@ -41,3 +41,37 @@ func putLBScratch(sc *lbScratch) {
 	}
 	lbPool.Put(sc)
 }
+
+// assignScratch is the reusable working memory of Assign: the
+// counting-sort offsets (one per color), the flat start-bucketed index
+// array and the deadline heap's index slice (one slot per interval).
+// At rest offsets is all zero, so a checkout only re-slices; the other
+// two are fully overwritten by each use.
+type assignScratch struct {
+	offsets, byStart, heap []int
+}
+
+var assignPool = sync.Pool{New: func() any { return new(assignScratch) }}
+
+// getAssignScratch checks out scratch for c colors and k intervals:
+// offsets has length c and is zeroed, byStart length k, heap length 0
+// and capacity k.
+func getAssignScratch(c, k int) *assignScratch {
+	sc := assignPool.Get().(*assignScratch)
+	if cap(sc.offsets) < c {
+		sc.offsets = make([]int, c)
+	}
+	sc.offsets = sc.offsets[:c]
+	if cap(sc.byStart) < k {
+		sc.byStart = make([]int, k)
+		sc.heap = make([]int, 0, k)
+	}
+	sc.byStart = sc.byStart[:k]
+	sc.heap = sc.heap[:0]
+	return sc
+}
+
+func putAssignScratch(sc *assignScratch) {
+	clear(sc.offsets)
+	assignPool.Put(sc)
+}

@@ -263,24 +263,11 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decode reads a size-limited, strict JSON body into v, answering the
-// error itself (and returning false) on failure.
+// decode reads a size-limited, strict JSON body into v with the fill
+// tier's decoder, answering the error itself (and returning false) on
+// failure.
 func (co *Coordinator) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		// dpvet:ignore errwrap decode-error detail is the 400 contract: callers debug their own malformed bodies
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed JSON: " + err.Error()})
-		return false
-	}
-	return true
+	return server.DecodeJSON(w, r, co.cfg.MaxBodyBytes, v)
 }
 
 // coordJobSubmit is the coordinator's POST /v1/jobs body: either a

@@ -5,21 +5,19 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bcp"
-	"repro/internal/cube"
 )
 
 // fillArena holds the reusable per-job scratch of the fill hot path:
-// the two bit-packed row planes (the dominant allocation — 2 × m ×
-// ceil(n/64) words per fill), the interval lists the scan and the
-// BCP reduction grow, and BottleneckOrder's per-pin sweep state. A sync.Pool recycles arenas across fills so a
-// serving process under steady load reaches a fixed working set
-// instead of allocating and collecting planes on every request.
+// the interval lists the scan and the BCP reduction grow, and
+// BottleneckOrder's per-pin sweep state. A sync.Pool recycles arenas
+// across fills and bounds so a serving process under steady load
+// reaches a fixed working set instead of regrowing them on every
+// request.
 //
-// Nothing reachable from a returned value may live in the arena:
-// output sets, Result.Profile and BCP colorings are always freshly
+// Nothing reachable from a returned value may live in the arena: the
+// filled planes, Result.Profile and BCP colorings are always freshly
 // allocated.
 type fillArena struct {
-	pr     *cube.PackedRows
 	ivs    []ToggleInterval
 	bcpIvs []bcp.Interval
 	// BottleneckOrder: used marks the cubes a permutation has named;
@@ -31,7 +29,7 @@ type fillArena struct {
 // arenaGets counts arena checkouts and arenaMisses the subset that
 // found the pool empty (a fresh allocation); hits = gets - misses.
 // They feed the dpfill_go_arena_* metric families, making the pool's
-// steady-state claim ("serving load reuses planes") observable.
+// steady-state claim ("serving load reuses scratch") observable.
 var (
 	arenaGets   atomic.Uint64
 	arenaMisses atomic.Uint64

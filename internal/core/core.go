@@ -142,6 +142,8 @@ func mapRow(rowIdx int, row []cube.Trit, m *Mapping) {
 type Result struct {
 	// Peak is the achieved peak toggle count — optimal for the ordering.
 	Peak int
+	// Total is the filled set's total toggle count over all cycles.
+	Total int
 	// LowerBound is the Algorithm 1 bound; always equals Peak.
 	LowerBound int
 	// NumIntervals is the number of BCP intervals, counting forced unit
@@ -164,11 +166,10 @@ type Result struct {
 // the machine; use FillWith to pin the shard count), the §V-D
 // reconstruction (two word-OR spans per interval instead of a per-trit
 // loop over a cloned set), and the toggle-profile verification
-// (XOR-shift + popcount). The planes themselves come from a sync.Pool
-// arena, so steady serving load reuses buffers instead of allocating
-// two m×⌈n/64⌉ planes per fill. Every schedule produces byte-identical
-// output, pinned against the per-trit reference path by differential
-// tests.
+// (XOR-shift + popcount). The interval scratch comes from a sync.Pool
+// arena, so steady serving load reuses it instead of regrowing it per
+// fill. Every schedule produces byte-identical output, pinned against
+// the per-trit reference path by differential tests.
 func Fill(s *cube.Set) (*cube.Set, *Result, error) {
 	return FillWith(s, Options{})
 }
@@ -177,7 +178,41 @@ func Fill(s *cube.Set) (*cube.Set, *Result, error) {
 // set, the run's per-stage wall times, BCP prune counters and arena
 // reuse land in the sink; each stage's clock reads sit behind a nil
 // check so the untraced hot path stays branch-predictable.
+//
+// It is the unpacking edge over FillPlanes: the kernel's planes are
+// decoded into a fresh set, which the trace records as the unpack
+// stage.
 func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
+	tr := opt.Trace
+	var start time.Time
+	if tr != nil {
+		start = time.Now()
+	}
+	pr, res, err := FillPlanes(s, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	var mark time.Time
+	if tr != nil {
+		mark = time.Now()
+	}
+	out := newColumnSet(pr.Width, pr.N)
+	unpackColumns(pr, out, resolveShards(opt.Shards, pr.Width, pr.Width*pr.N))
+	if tr != nil {
+		tr.UnpackNS += time.Since(mark).Nanoseconds()
+		tr.seal(time.Since(start).Nanoseconds())
+	}
+	return out, res, nil
+}
+
+// FillPlanes is the DP-fill kernel without the unpack: it packs s,
+// runs the scan, the BCP solve and the §V-D reconstruction on the
+// planes, and returns the filled matrix as packed row planes (cube j
+// is column j) together with the run statistics, whose Peak, Total
+// and Profile are counted once, on those planes. The planes are
+// freshly allocated and owned by the caller; the interval scratch
+// comes from the arena pool. The trace's unpack stage stays zero.
+func FillPlanes(s *cube.Set, opt Options) (*cube.PackedRows, *Result, error) {
 	tr := opt.Trace
 	var start, mark time.Time
 	if tr != nil {
@@ -188,9 +223,8 @@ func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
 	rows := s.Width
 	ar := getArena()
 	defer putArena(ar)
-	reused := ar.pr != nil
-	pr := cube.PackRowsInto(ar.pr, s)
-	ar.pr = pr
+	reused := cap(ar.bcpIvs) > 0
+	pr := cube.PackRows(s)
 	if tr != nil {
 		now := time.Now()
 		tr.PackNS += now.Sub(mark).Nanoseconds()
@@ -244,19 +278,17 @@ func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
 	}
 
 	profile := pr.ToggleProfile()
-	peak := 0
+	peak, total := 0, 0
 	for _, v := range profile {
-		if v > peak {
-			peak = v
-		}
+		peak = max(peak, v)
+		total += v
 	}
 	if tr != nil {
-		now := time.Now()
-		tr.ReconstructNS += now.Sub(mark).Nanoseconds()
-		mark = now
+		tr.ReconstructNS += time.Since(mark).Nanoseconds()
 	}
 	res := &Result{
 		Peak:         peak,
+		Total:        total,
 		LowerBound:   sol.LowerBound,
 		NumIntervals: len(bcpIvs),
 		ForcedUnit:   forced,
@@ -268,10 +300,7 @@ func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
 		return nil, nil, fmt.Errorf("core: reconstruction peak %d != lower bound %d",
 			res.Peak, sol.LowerBound)
 	}
-	out := newColumnSet(rows, n)
-	unpackColumns(pr, out, shards)
 	if tr != nil {
-		tr.UnpackNS += time.Since(mark).Nanoseconds()
 		tr.Rows = rows
 		tr.Cols = n
 		tr.Shards = shards
@@ -282,7 +311,7 @@ func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
 		tr.LowerBound = res.LowerBound
 		tr.seal(time.Since(start).Nanoseconds())
 	}
-	return out, res, nil
+	return pr, res, nil
 }
 
 // fillMapping solves and reconstructs a completed reduction on the
@@ -307,12 +336,14 @@ func fillMapping(mp *Mapping) (*cube.Set, *Result, error) {
 		return nil, nil, fmt.Errorf("core: solving BCP: %w", err)
 	}
 	filled := Reconstruct(mp, sol.Colors)
+	peak, total, profile := filled.ToggleStats()
 	res := &Result{
-		Peak:         filled.PeakToggles(),
+		Peak:         peak,
+		Total:        total,
 		LowerBound:   sol.LowerBound,
 		NumIntervals: len(intervals),
 		ForcedUnit:   forced,
-		Profile:      filled.ToggleProfile(),
+		Profile:      profile,
 	}
 	if res.Peak != sol.LowerBound {
 		return nil, nil, fmt.Errorf("core: reconstruction peak %d != lower bound %d",

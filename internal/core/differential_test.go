@@ -17,7 +17,7 @@ func fillReference(s *cube.Set) (*cube.Set, *Result, error) {
 
 func sameResult(t *testing.T, got, want *Result) {
 	t.Helper()
-	if got.Peak != want.Peak || got.LowerBound != want.LowerBound ||
+	if got.Peak != want.Peak || got.Total != want.Total || got.LowerBound != want.LowerBound ||
 		got.NumIntervals != want.NumIntervals || got.ForcedUnit != want.ForcedUnit {
 		t.Fatalf("result mismatch: got %+v want %+v", got, want)
 	}

@@ -16,8 +16,7 @@ func refBottleneck(s *cube.Set) (int, error) {
 	defer putArena(ar)
 	bcpIvs := ar.bcpIvs[:0]
 	if s.Width > 0 && s.Len() > 0 {
-		pr := cube.PackRowsInto(ar.pr, s)
-		ar.pr = pr
+		pr := cube.PackRows(s)
 		ar.ivs = scanRowsAppend(ar.ivs[:0], pr, 0, s.Width)
 		for _, ti := range ar.ivs {
 			bcpIvs = append(bcpIvs, ti.Interval())

@@ -11,7 +11,8 @@ package cube
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"unsafe"
 )
 
 // Trit is a three-valued logic symbol: 0, 1 or don't-care (X).
@@ -29,15 +30,59 @@ const (
 func (t Trit) IsCare() bool { return t != X }
 
 // Rune returns the canonical character for t: '0', '1' or 'X'.
-func (t Trit) Rune() rune {
-	switch t {
-	case Zero:
-		return '0'
-	case One:
-		return '1'
-	default:
-		return 'X'
+func (t Trit) Rune() rune { return rune(tritChar[t]) }
+
+// tritChar maps every Trit value to its canonical character: '0', '1',
+// and 'X' for X and any out-of-range value, as Rune always has. It is
+// the one encoder behind Rune, Cube.String and the packed renderer.
+var tritChar = func() (tab [256]byte) {
+	for i := range tab {
+		tab[i] = 'X'
 	}
+	tab[Zero], tab[One] = '0', '1'
+	return tab
+}()
+
+// badTrit marks a byte charTrit does not decode; it is the only table
+// value with the high bit set, so a decoder can OR every decoded byte
+// together and test once.
+const badTrit Trit = 0x80
+
+// charTrit is ParseTrit on single bytes: the accepted ASCII characters
+// map to their trit, every other byte (including each byte of a
+// multi-byte UTF-8 sequence) to badTrit.
+var charTrit = func() (tab [256]Trit) {
+	for i := range tab {
+		tab[i] = badTrit
+	}
+	tab['0'], tab['1'] = Zero, One
+	tab['x'], tab['X'], tab['-'] = X, X, X
+	return tab
+}()
+
+// decodeASCII decodes s into dst, which must have length len(s),
+// through charTrit. It reports false when some byte is not an accepted
+// trit character; dst is then partly written and must be discarded.
+func decodeASCII(dst Cube, s string) bool {
+	dst = dst[:len(s)]
+	var acc Trit
+	for i := range dst {
+		t := charTrit[s[i]]
+		acc |= t
+		dst[i] = t
+	}
+	return acc&badTrit == 0
+}
+
+// firstTritError returns the error ParseTrit gives for the first rune
+// of s it rejects, or nil if it accepts them all.
+func firstTritError(s string) error {
+	for _, r := range s {
+		if _, err := ParseTrit(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Neg returns the complement of a care trit; X stays X.
@@ -84,15 +129,13 @@ func New(width int) Cube {
 
 // Parse builds a cube from a string such as "01XX0". It accepts the same
 // characters as ParseTrit and ignores nothing: the cube width equals the
-// rune count.
+// rune count. Every accepted character is one byte, so the decode runs
+// bytewise through a table; any other input is rejected with the error
+// ParseTrit gives for its first offending rune.
 func Parse(s string) (Cube, error) {
-	c := make(Cube, 0, len(s))
-	for _, r := range s {
-		t, err := ParseTrit(r)
-		if err != nil {
-			return nil, err
-		}
-		c = append(c, t)
+	c := make(Cube, len(s))
+	if !decodeASCII(c, s) {
+		return nil, firstTritError(s)
 	}
 	return c, nil
 }
@@ -108,12 +151,26 @@ func MustParse(s string) Cube {
 
 // String renders the cube with '0', '1' and 'X' characters.
 func (c Cube) String() string {
-	var b strings.Builder
-	b.Grow(len(c))
-	for _, t := range c {
-		b.WriteRune(t.Rune())
+	if len(c) == 0 {
+		return ""
 	}
-	return b.String()
+	b := c.AppendTo(make([]byte, 0, len(c)))
+	// b is never written again, so the string may share its bytes (the
+	// strings.Builder idiom).
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendTo appends the cube's canonical '0'/'1'/'X' rendering to dst
+// and returns the extended slice: String without the allocation, for
+// callers that stream many cubes through one buffer.
+func (c Cube) AppendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(c))[:n+len(c)]
+	out := dst[n:]
+	for i, t := range c {
+		out[i] = tritChar[t]
+	}
+	return dst
 }
 
 // Clone returns an independent copy of c.

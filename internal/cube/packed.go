@@ -1,6 +1,10 @@
 package cube
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+	"unsafe"
+)
 
 // Packed is a bit-packed view of a Set for fast pairwise distance
 // queries: each cube becomes a (care-mask, value) pair of uint64 words,
@@ -149,17 +153,8 @@ func PackRowsInto(p *PackedRows, s *Set) *PackedRows {
 		p.careBuf = p.careBuf[:need]
 		p.valBuf = p.valBuf[:need]
 	}
-	if cap(p.care) < s.Width || cap(p.val) < s.Width {
-		p.care = make([][]uint64, s.Width)
-		p.val = make([][]uint64, s.Width)
-	} else {
-		p.care = p.care[:s.Width]
-		p.val = p.val[:s.Width]
-	}
-	for i := 0; i < s.Width; i++ {
-		p.care[i] = p.careBuf[i*words : (i+1)*words : (i+1)*words]
-		p.val[i] = p.valBuf[i*words : (i+1)*words : (i+1)*words]
-	}
+	p.care = rowViews(p.care, p.careBuf, s.Width, words)
+	p.val = rowViews(p.val, p.valBuf, s.Width, words)
 	// Tiled transpose, mirroring UnpackCubes: accumulate one 64-cube
 	// word block × tileRows rows in scratch, then flush — the flush is
 	// the only strided traffic.
@@ -196,6 +191,19 @@ func PackRowsInto(p *PackedRows, s *Set) *PackedRows {
 		}
 	}
 	return p
+}
+
+// rowViews slices buf into rows views of words words each, reusing
+// dst's backing array when it is large enough.
+func rowViews(dst [][]uint64, buf []uint64, rows, words int) [][]uint64 {
+	if cap(dst) < rows {
+		dst = make([][]uint64, rows)
+	}
+	dst = dst[:rows]
+	for i := range dst {
+		dst[i] = buf[i*words : (i+1)*words : (i+1)*words]
+	}
+	return dst
 }
 
 // transposeTile is the row-tile height of the cache-blocked
@@ -325,6 +333,67 @@ func (p *PackedRows) UnpackCubes(s *Set, lo, hi int) {
 			}
 		}
 	}
+}
+
+// Unpack decodes the matrix into a fresh Set. The cubes slice one
+// backing array, so the allocator is hit once for all trits.
+func (p *PackedRows) Unpack() *Set {
+	out := &Set{Width: p.Width, Cubes: make([]Cube, p.N)}
+	buf := make(Cube, p.Width*p.N)
+	for j := range out.Cubes {
+		out.Cubes[j] = buf[j*p.Width : (j+1)*p.Width : (j+1)*p.Width]
+	}
+	p.UnpackCubes(out, 0, p.N)
+	return out
+}
+
+// Strings renders cube j (column j) as the j-th string, in the
+// canonical '0'/'1'/'X' characters of Cube.String. It is UnpackCubes
+// writing characters instead of trits: the same tiled transpose, into
+// one byte buffer that every returned string slices, so a whole set
+// costs two allocations however many cubes it holds.
+func (p *PackedRows) Strings() []string {
+	out := make([]string, p.N)
+	m := p.Width
+	if m == 0 || p.N == 0 {
+		return out
+	}
+	buf := make([]byte, m*p.N)
+	var careW, valW [transposeTile]uint64
+	for w := 0; w < p.Words; w++ {
+		jlo, jhi := w*64, min((w+1)*64, p.N)
+		for i0 := 0; i0 < m; i0 += transposeTile {
+			i1 := min(i0+transposeTile, m)
+			for i := i0; i < i1; i++ {
+				careW[i-i0] = p.careBuf[i*p.Words+w]
+				valW[i-i0] = p.valBuf[i*p.Words+w]
+			}
+			for j := jlo; j < jhi; j++ {
+				shift := uint(j % 64)
+				line := buf[j*m+i0 : j*m+i1]
+				for k := range line {
+					cb := (careW[k] >> shift) & 1
+					vb := (valW[k] >> shift) & 1
+					line[k] = tritChar[((cb^1)<<1)|(cb&vb)]
+				}
+			}
+		}
+	}
+	// buf is never written again, so the strings may share its bytes.
+	all := unsafe.String(unsafe.SliceData(buf), len(buf))
+	for j := range out {
+		out[j] = all[j*m : (j+1)*m]
+	}
+	return out
+}
+
+// Clone returns an independent deep copy of the snapshot.
+func (p *PackedRows) Clone() *PackedRows {
+	out := &PackedRows{Width: p.Width, N: p.N, Words: p.Words,
+		careBuf: slices.Clone(p.careBuf), valBuf: slices.Clone(p.valBuf)}
+	out.care = rowViews(nil, out.careBuf, p.Width, p.Words)
+	out.val = rowViews(nil, out.valBuf, p.Width, p.Words)
+	return out
 }
 
 // UnpackTo writes every row back into s, which must have matching shape.

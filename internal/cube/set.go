@@ -293,11 +293,35 @@ func ReadSet(r io.Reader) (*Set, error) {
 }
 
 // ParseSet builds a set from whitespace-separated cube strings, a
-// convenience for tests and examples.
+// convenience for tests and examples. When every cube is the same
+// number of bytes, all of them decode through the byte table into one
+// backing array (each cube a capacity-capped window of it); anything
+// else takes the per-cube Parse path, which reports today's error.
 func ParseSet(cubes ...string) (*Set, error) {
 	if len(cubes) == 0 {
 		return nil, fmt.Errorf("cube: ParseSet needs at least one cube")
 	}
+	width := len(cubes[0])
+	for _, s := range cubes {
+		if len(s) != width {
+			return parseSetEach(cubes)
+		}
+	}
+	buf := make(Cube, len(cubes)*width)
+	set := &Set{Width: width, Cubes: make([]Cube, len(cubes))}
+	for i, s := range cubes {
+		c := buf[i*width : (i+1)*width : (i+1)*width]
+		if !decodeASCII(c, s) {
+			return parseSetEach(cubes)
+		}
+		set.Cubes[i] = c
+	}
+	return set, nil
+}
+
+// parseSetEach is ParseSet one cube at a time: the path that owns the
+// error messages for bad characters and ragged widths.
+func parseSetEach(cubes []string) (*Set, error) {
 	var set *Set
 	for _, s := range cubes {
 		c, err := Parse(s)

@@ -26,7 +26,7 @@ func TestRunMidBatchCancelPartialResults(t *testing.T) {
 	inner := jobs[2].Filler
 	jobs[2].Filler = fill.Func{FillName: "cancelling", F: func(s *cube.Set) (*cube.Set, error) {
 		cancel()
-		return inner.Fill(s)
+		return fillSet(inner, s)
 	}}
 	res := New(1).Run(ctx, jobs)
 	if len(res) != len(jobs) {
@@ -40,7 +40,7 @@ func TestRunMidBatchCancelPartialResults(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("pre-cancel job %d lost its result: %v", i, r.Err)
 			}
-			if r.Filled == nil || !r.Filled.FullySpecified() {
+			if r.Filled == nil || !r.Filled.Unpack().FullySpecified() {
 				t.Fatalf("pre-cancel job %d has no filled set", i)
 			}
 			continue
@@ -112,7 +112,7 @@ func TestRunPriorityOrder(t *testing.T) {
 			mu.Lock()
 			started = append(started, name)
 			mu.Unlock()
-			return fill.Zero().Fill(s)
+			return fillSet(fill.Zero(), s)
 		}}
 	}
 	set := cube.MustParseSet("0X", "X1")
@@ -158,7 +158,7 @@ func TestRunSharedWorkerBound(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 		running.Add(-1)
-		return fill.Zero().Fill(s)
+		return fillSet(fill.Zero(), s)
 	}}
 	set := cube.MustParseSet("0X", "X1")
 	batch := func() []Job {

@@ -68,13 +68,22 @@ type Result struct {
 	// Perm is the applied ordering permutation; nil when no Orderer was
 	// set.
 	Perm []int
-	// Filled is the fully specified output set.
-	Filled *cube.Set
+	// Filled is the fully specified output in the applied order, as the
+	// filler's packed row planes (Filled.Unpack gives the cube set).
+	Filled *cube.PackedRows
 	// Peak and Total are the peak and total toggle counts of Filled;
 	// Profile is its per-cycle toggle count (nil below two vectors).
-	// All three come from one Filled.ToggleStats pass.
+	// All three are the filler's own count (fill.Result); the engine
+	// does not recount.
 	Peak, Total int
 	Profile     []int
+	// QueueWait is the time from Run's start until a worker slot took
+	// the job up (or, for a job shed before it ran, until it was shed).
+	QueueWait time.Duration
+	// Order and Fill split Duration at one shared clock read, so
+	// Order+Fill == Duration exactly: Order covers the ordering and the
+	// reorder, Fill the filler plus verification.
+	Order, Fill time.Duration
 	// Duration is the job's wall-clock time inside a worker.
 	Duration time.Duration
 	// Err is the job's failure, if any.
@@ -222,11 +231,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 				select {
 				case sem <- struct{}{}:
 					e.running.Add(1)
-					results[i] = e.runJob(jctx, i, jobs[i])
+					results[i] = e.runJob(jctx, i, jobs[i], runStart)
 					e.running.Add(-1)
 					<-sem
 				case <-jctx.Done():
-					results[i] = Result{Job: i, Name: jobs[i].Name, Err: jctx.Err()}
+					results[i] = Result{Job: i, Name: jobs[i].Name, Err: jctx.Err(), QueueWait: time.Since(runStart)}
 				}
 				e.pending.Add(-1)
 				if cancel != nil {
@@ -255,10 +264,11 @@ func ctxErr(ctx context.Context) error {
 }
 
 // runJob executes one job, translating panics and context cancellation
-// into the job's error slot.
+// into the job's error slot. runStart is Run's start, the origin of
+// the job's queue wait.
 //
 // dpvet:hot
-func (e *Engine) runJob(ctx context.Context, idx int, job Job) (res Result) {
+func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Time) (res Result) {
 	res = Result{Job: idx, Name: job.Name}
 	defer func() {
 		if r := recover(); r != nil {
@@ -266,12 +276,24 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job) (res Result) {
 			res.Err = fmt.Errorf("engine: job %d (%s) panicked: %v", idx, job.Name, r)
 		}
 	}()
+	start := time.Now()
+	res.QueueWait = start.Sub(runStart)
 	if err := ctxErr(ctx); err != nil {
 		res.Err = err
 		return res
 	}
-	start := time.Now()
-	defer func() { res.Duration = time.Since(start) }()
+	// ordered is the clock read between the two stages; a job that
+	// stops before filling charges all of its time to Order.
+	var ordered time.Time
+	defer func() {
+		end := time.Now()
+		if ordered.IsZero() {
+			ordered = end
+		}
+		res.Order = ordered.Sub(start)
+		res.Fill = end.Sub(ordered)
+		res.Duration = end.Sub(start)
+	}()
 
 	switch {
 	case job.Set == nil:
@@ -292,6 +314,7 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job) (res Result) {
 		res.Perm = perm
 		set = set.Reorder(perm)
 	}
+	ordered = time.Now()
 	// Cancellation is stage-granular: a deadline that fires mid-stage
 	// lets the stage finish, then stops the job here.
 	if err := ctxErr(ctx); err != nil {
@@ -311,13 +334,13 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job) (res Result) {
 		res.Err = err
 		return res
 	}
-	if e.Verify && !set.Covers(filled) {
+	if e.Verify && !set.Covers(filled.Set()) {
 		res.Err = fmt.Errorf("engine: job %d (%s): %s output is not a completion of its input",
 			idx, job.Name, job.Filler.Name())
 		return res
 	}
-	res.Filled = filled
-	res.Peak, res.Total, res.Profile = filled.ToggleStats()
+	res.Filled = filled.Rows
+	res.Peak, res.Total, res.Profile = filled.Peak, filled.Total, filled.Profile
 	return res
 }
 

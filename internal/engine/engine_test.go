@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cube"
 	"repro/internal/fill"
@@ -31,6 +32,16 @@ func randomSet(r *rand.Rand, width, n int, xProb float64) *cube.Set {
 		s.Append(c)
 	}
 	return s
+}
+
+// fillSet runs fl and unpacks its result, for test fillers that wrap
+// another filler inside a fill.Func.
+func fillSet(fl fill.Filler, s *cube.Set) (*cube.Set, error) {
+	r, err := fl.Fill(s)
+	if err != nil {
+		return nil, err
+	}
+	return r.Set(), nil
 }
 
 func dpJobs(t *testing.T, n int) []Job {
@@ -79,7 +90,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 			if got[i].Job != i || got[i].Name != jobs[i].Name {
 				t.Fatalf("workers=%d: result %d out of order: %+v", workers, i, got[i])
 			}
-			if !got[i].Filled.Equal(want[i].Filled) {
+			if !got[i].Filled.Unpack().Equal(want[i].Filled.Unpack()) {
 				t.Fatalf("workers=%d job %d: filled set differs from serial run", workers, i)
 			}
 			if got[i].Peak != want[i].Peak || got[i].Total != want[i].Total {
@@ -131,7 +142,7 @@ func TestRunJobErrorIsolated(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("job %d failed alongside job 2: %v", i, r.Err)
 		}
-		if r.Filled == nil || !r.Filled.FullySpecified() {
+		if r.Filled == nil || !r.Filled.Unpack().FullySpecified() {
 			t.Fatalf("job %d did not complete", i)
 		}
 	}
@@ -186,7 +197,7 @@ func TestRunWithOrderer(t *testing.T) {
 			t.Fatalf("job %d: perm length %d, want %d", i, len(r.Perm), jobs[i].Set.Len())
 		}
 		// The filled set must complete the reordered input.
-		if !jobs[i].Set.Reorder(r.Perm).Covers(r.Filled) {
+		if !jobs[i].Set.Reorder(r.Perm).Covers(r.Filled.Unpack()) {
 			t.Fatalf("job %d: output does not cover reordered input", i)
 		}
 	}
@@ -237,5 +248,48 @@ func TestRunRecordsDurations(t *testing.T) {
 		if r.Duration <= 0 {
 			t.Fatalf("job %d: non-positive duration %v", i, r.Duration)
 		}
+	}
+}
+
+// TestRunTimingSplit pins the timing fields: Order and Fill come from
+// one shared clock read, so they sum to Duration exactly, and a job
+// that waited for the single worker reports that wait as QueueWait.
+func TestRunTimingSplit(t *testing.T) {
+	slowOrder := order.Func{OrderName: "slow", F: func(s *cube.Set) ([]int, error) {
+		time.Sleep(5 * time.Millisecond)
+		return order.Tool().Order(s)
+	}}
+	slowFill := fill.Func{FillName: "slow", F: func(s *cube.Set) (*cube.Set, error) {
+		time.Sleep(5 * time.Millisecond)
+		return fillSet(fill.DP(), s)
+	}}
+	set := cube.MustParseSet("0XX1", "X1X0", "1X0X")
+	jobs := []Job{
+		{Name: "a", Set: set, Orderer: slowOrder, Filler: slowFill},
+		{Name: "b", Set: set, Orderer: slowOrder, Filler: slowFill},
+		{Name: "nil-set", Filler: fill.DP()},
+	}
+	res := New(1).Run(context.Background(), jobs)
+	for i, r := range res {
+		if r.Order+r.Fill != r.Duration {
+			t.Fatalf("job %d: order %v + fill %v != duration %v", i, r.Order, r.Fill, r.Duration)
+		}
+		if r.QueueWait < 0 {
+			t.Fatalf("job %d: negative queue wait %v", i, r.QueueWait)
+		}
+	}
+	for i, r := range res[:2] {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		if r.Order < 5*time.Millisecond || r.Fill < 5*time.Millisecond {
+			t.Fatalf("job %d: order %v / fill %v miss their 5ms stages", i, r.Order, r.Fill)
+		}
+	}
+	if res[1].QueueWait < res[0].Duration {
+		t.Fatalf("second job waited %v behind a first job that ran %v", res[1].QueueWait, res[0].Duration)
+	}
+	if r := res[2]; r.Err == nil || r.Fill != 0 || r.Order != r.Duration {
+		t.Fatalf("job failing before the fill: err %v, order %v, fill %v, duration %v", r.Err, r.Order, r.Fill, r.Duration)
 	}
 }

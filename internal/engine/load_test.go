@@ -21,7 +21,7 @@ func TestLoadReportsQueueAndInflight(t *testing.T) {
 	blocking := fill.Func{FillName: "blocking", F: func(s *cube.Set) (*cube.Set, error) {
 		started <- struct{}{}
 		<-release
-		return fill.Zero().Fill(s)
+		return fillSet(fill.Zero(), s)
 	}}
 	jobs := []Job{
 		{Name: "a", Set: set, Filler: blocking},

@@ -63,10 +63,10 @@ func Fig1() (*Fig1Result, error) {
 	}
 	return &Fig1Result{
 		Input:       s,
-		XStatFilled: xs,
-		DPFilled:    dp,
-		XStatPeak:   xs.PeakToggles(),
-		DPPeak:      dp.PeakToggles(),
+		XStatFilled: xs.Set(),
+		DPFilled:    dp.Set(),
+		XStatPeak:   xs.Peak,
+		DPPeak:      dp.Peak,
 	}, nil
 }
 

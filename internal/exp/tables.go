@@ -165,24 +165,30 @@ func (s *Suite) techniqueSets(d *CircuitData) (map[string]*cube.Set, error) {
 
 	// Tool: tool ordering, best of the six fills (the paper's column 1
 	// is the per-circuit minimum across fills under tool order).
-	var toolBest *cube.Set
+	var toolBest *fill.Result
 	for _, fl := range fill.All(s.Config.Seed, core.Options{}) {
 		filled, err := fl.Fill(d.Cubes)
 		if err != nil {
 			return nil, err
 		}
-		if toolBest == nil || filled.PeakToggles() < toolBest.PeakToggles() {
+		if toolBest == nil || filled.Peak < toolBest.Peak {
 			toolBest = filled
 		}
 	}
-	out["Tool"] = toolBest
+	// The power models simulate trits, so each technique's winner is
+	// unpacked once.
+	out["Tool"] = toolBest.Set()
 
 	apply := func(ord order.Orderer, fl fill.Filler) (*cube.Set, error) {
 		perm, err := ord.Order(d.Cubes)
 		if err != nil {
 			return nil, err
 		}
-		return fl.Fill(d.Cubes.Reorder(perm))
+		filled, err := fl.Fill(d.Cubes.Reorder(perm))
+		if err != nil {
+			return nil, err
+		}
+		return filled.Set(), nil
 	}
 	var err error
 	// ISA [20] orders fully specified vectors for low transition counts;

@@ -22,10 +22,23 @@ func DP() Filler {
 // against the worker pool and oversubscribe the CPU; output is
 // byte-identical either way.
 func DPWith(opt core.Options) Filler {
-	return Func{FillName: dpName, F: func(s *cube.Set) (*cube.Set, error) {
-		filled, _, err := core.FillWith(s, opt)
-		return filled, err
-	}}
+	return dpFiller{opt: opt}
+}
+
+// dpFiller is DP-fill as a Filler: the core kernel's planes and the
+// toggle statistics it counted pass through without an unpack.
+type dpFiller struct{ opt core.Options }
+
+// Name implements Filler.
+func (dpFiller) Name() string { return dpName }
+
+// Fill implements Filler.
+func (d dpFiller) Fill(s *cube.Set) (*Result, error) {
+	pr, res, err := core.FillPlanes(s, d.opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Rows: pr, Peak: res.Peak, Total: res.Total, Profile: res.Profile}, nil
 }
 
 // IsDP reports whether fl is DP-fill, the one filler that honours

@@ -5,9 +5,10 @@
 // and the two-phase statistical X-Stat fill ([22], the best prior
 // heuristic and the paper's Fig. 1 foil).
 //
-// Every filler consumes an ordered cube set and returns a fully
-// specified set that completes it (same care bits, no X left); see
-// cube.Set.Covers. Fillers never modify their input.
+// Every filler consumes an ordered cube set and returns a Result: a
+// fully specified matrix that completes it (same care bits, no X left;
+// see cube.Set.Covers), held as packed row planes, with its toggle
+// statistics counted once. Fillers never modify their input.
 package fill
 
 import (
@@ -24,10 +25,40 @@ type Filler interface {
 	// Name returns the short name used in tables ("0-fill", "DP-fill"...).
 	Name() string
 	// Fill returns a fully specified completion of s.
-	Fill(s *cube.Set) (*cube.Set, error)
+	Fill(s *cube.Set) (*Result, error)
 }
 
-// Func adapts a function to the Filler interface.
+// Result is one fill's outcome: the filled matrix as packed row planes
+// (cube j is column j), owned by the result, and the toggle statistics
+// the filler counted on it. Every consumer reads Peak, Total and
+// Profile from here instead of recounting; Set unpacks the trits for
+// the few that need them.
+type Result struct {
+	// Rows is the fully specified matrix in the filled set's order.
+	Rows *cube.PackedRows
+	// Peak and Total are the peak and total toggle counts; Profile is
+	// the per-cycle count (nil below two vectors).
+	Peak, Total int
+	Profile     []int
+}
+
+// Set unpacks the filled matrix into a fresh cube set.
+func (r *Result) Set() *cube.Set { return r.Rows.Unpack() }
+
+// count packs a filled set once and counts its toggles once, on the
+// planes.
+func count(s *cube.Set) *Result {
+	r := &Result{Rows: cube.PackRows(s)}
+	r.Profile = r.Rows.ToggleProfile()
+	for _, v := range r.Profile {
+		r.Peak = max(r.Peak, v)
+		r.Total += v
+	}
+	return r
+}
+
+// Func adapts a set-to-set function to the Filler interface: Fill
+// packs and counts the set F returns.
 type Func struct {
 	FillName string
 	F        func(*cube.Set) (*cube.Set, error)
@@ -37,7 +68,13 @@ type Func struct {
 func (f Func) Name() string { return f.FillName }
 
 // Fill implements Filler.
-func (f Func) Fill(s *cube.Set) (*cube.Set, error) { return f.F(s) }
+func (f Func) Fill(s *cube.Set) (*Result, error) {
+	out, err := f.F(s)
+	if err != nil {
+		return nil, err
+	}
+	return count(out), nil
+}
 
 // Constant fills every X with the given care value (0-fill / 1-fill).
 func Constant(v cube.Trit) Filler {

@@ -1,7 +1,9 @@
 package fill
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,16 +30,33 @@ func randomSet(r *rand.Rand, width, n int, xProb float64) *cube.Set {
 	return s
 }
 
+// fillSet runs fl on s and returns the unpacked filled set. It also
+// pins the count-once contract: the statistics the filler returned
+// must equal a fresh ToggleStats recount of its planes.
+func fillSet(fl Filler, s *cube.Set) (*cube.Set, error) {
+	res, err := fl.Fill(s)
+	if err != nil {
+		return nil, err
+	}
+	out := res.Set()
+	peak, total, profile := out.ToggleStats()
+	if res.Peak != peak || res.Total != total || !slices.Equal(res.Profile, profile) {
+		return nil, fmt.Errorf("%s counted peak %d total %d profile %v; recount gives %d %d %v",
+			fl.Name(), res.Peak, res.Total, res.Profile, peak, total, profile)
+	}
+	return out, nil
+}
+
 func TestConstantFills(t *testing.T) {
 	s := cube.MustParseSet("0X1", "XXX")
-	z, err := Zero().Fill(s)
+	z, err := fillSet(Zero(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if z.Cubes[0].String() != "001" || z.Cubes[1].String() != "000" {
 		t.Fatalf("0-fill = %v", z.Cubes)
 	}
-	o, err := One().Fill(s)
+	o, err := fillSet(One(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,25 +66,25 @@ func TestConstantFills(t *testing.T) {
 }
 
 func TestConstantRejectsX(t *testing.T) {
-	if _, err := Constant(cube.X).Fill(cube.MustParseSet("X")); err == nil {
+	if _, err := fillSet(Constant(cube.X), cube.MustParseSet("X")); err == nil {
 		t.Error("Constant(X) accepted")
 	}
 }
 
 func TestRandomFillDeterministic(t *testing.T) {
 	s := cube.MustParseSet("XXXXXXXXXX", "XXXXXXXXXX")
-	a, err := Random(42).Fill(s)
+	a, err := fillSet(Random(42), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Random(42).Fill(s)
+	b, err := fillSet(Random(42), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Equal(b) {
 		t.Error("same seed produced different fills")
 	}
-	c, err := Random(43).Fill(s)
+	c, err := fillSet(Random(43), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +103,7 @@ func TestMTFillVector(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := cube.MustParseSet(c.in)
-		got, err := MT().Fill(s)
+		got, err := fillSet(MT(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +125,7 @@ func TestAdjFillVector(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := cube.MustParseSet(c.in)
-		got, err := Adj().Fill(s)
+		got, err := fillSet(Adj(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +137,7 @@ func TestAdjFillVector(t *testing.T) {
 
 func TestBackwardFillCopiesPrevious(t *testing.T) {
 	s := cube.MustParseSet("01", "XX", "XX")
-	got, err := Backward().Fill(s)
+	got, err := fillSet(Backward(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +152,7 @@ func TestBackwardFillCopiesPrevious(t *testing.T) {
 }
 
 func TestBackwardFillEmptySet(t *testing.T) {
-	got, err := Backward().Fill(cube.NewSet(4))
+	got, err := fillSet(Backward(), cube.NewSet(4))
 	if err != nil || got.Len() != 0 {
 		t.Fatalf("B-fill empty: %v %v", got, err)
 	}
@@ -142,7 +161,7 @@ func TestBackwardFillEmptySet(t *testing.T) {
 func TestXStatPhase1EvenStretchCommitsMiddle(t *testing.T) {
 	// Row 0XX1 across 4 vectors: phase 1 fills to 0011 (toggle at cycle 1).
 	s := cube.MustParseSet("0", "X", "X", "1")
-	got, err := XStat().Fill(s)
+	got, err := fillSet(XStat(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +178,7 @@ func TestXStatPhase2BalancesToggles(t *testing.T) {
 	// 0,1). Pin 1 has stretch 0X1 whose surviving X can place its toggle
 	// at cycle 0 or 1; the statistical phase must choose cycle 1.
 	s := cube.MustParseSet("00", "1X", "11")
-	got, err := XStat().Fill(s)
+	got, err := fillSet(XStat(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +189,7 @@ func TestXStatPhase2BalancesToggles(t *testing.T) {
 }
 
 func TestXStatSingleCube(t *testing.T) {
-	got, err := XStat().Fill(cube.MustParseSet("0XX1X"))
+	got, err := fillSet(XStat(), cube.MustParseSet("0XX1X"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +244,7 @@ func TestByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fl.Fill(cube.MustParseSet("0X1X", "XX0X", "1XX1")); err != nil {
+	if _, err := fillSet(fl, cube.MustParseSet("0X1X", "XX0X", "1XX1")); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Rows != 4 || tr.Cols != 3 || tr.TotalNS <= 0 {
@@ -241,7 +260,7 @@ func TestPropertyAllFillersProduceCompletions(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 1+r.Intn(10), 1+r.Intn(10), 0.6)
 		for _, fl := range fillers {
-			out, err := fl.Fill(s)
+			out, err := fillSet(fl, s)
 			if err != nil || !s.Covers(out) {
 				return false
 			}
@@ -261,7 +280,7 @@ func TestPropertyFillersDoNotMutateInput(t *testing.T) {
 		s := randomSet(r, 1+r.Intn(8), 1+r.Intn(8), 0.6)
 		orig := s.Clone()
 		for _, fl := range fillers {
-			if _, err := fl.Fill(s); err != nil {
+			if _, err := fillSet(fl, s); err != nil {
 				return false
 			}
 			if !s.Equal(orig) {
@@ -282,12 +301,12 @@ func TestPropertyDPNeverWorse(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 1+r.Intn(12), 2+r.Intn(12), 0.65)
-		dp, err := DP().Fill(s)
+		dp, err := fillSet(DP(), s)
 		if err != nil {
 			return false
 		}
 		for _, fl := range others {
-			out, err := fl.Fill(s)
+			out, err := fillSet(fl, s)
 			if err != nil {
 				return false
 			}
@@ -307,11 +326,11 @@ func TestPropertyDPNeverWorse(t *testing.T) {
 // cycles while DP-fill spreads them, achieving a strictly lower peak.
 func TestFig1Suboptimality(t *testing.T) {
 	s := fig1Set()
-	xs, err := XStat().Fill(s)
+	xs, err := fillSet(XStat(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := DP().Fill(s)
+	dp, err := fillSet(DP(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestDPFillOptimalityProperty(t *testing.T) {
 		xProb := []float64{0.2, 0.5, 0.8, 0.95}[trial%4]
 		s := randomCubeSet(r, width, n, xProb)
 
-		filled, err := dp.Fill(s)
+		filled, err := fillSet(dp, s)
 		if err != nil {
 			t.Fatalf("trial %d (%dx%d): DP-fill: %v", trial, n, width, err)
 		}
@@ -69,7 +69,7 @@ func TestDPFillOptimalityProperty(t *testing.T) {
 			if bl.Name() == "DP-fill" {
 				continue
 			}
-			bf, err := bl.Fill(s)
+			bf, err := fillSet(bl, s)
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v", trial, bl.Name(), err)
 			}
@@ -94,7 +94,7 @@ func TestDPFillOptimalUnderEveryOrderingProperty(t *testing.T) {
 		s := randomCubeSet(r, 4+r.Intn(24), 4+r.Intn(16), 0.7)
 		perm := r.Perm(s.Len())
 		re := s.Reorder(perm)
-		filled, err := dp.Fill(re)
+		filled, err := fillSet(dp, re)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -73,14 +73,6 @@ func reportName(req Request, c *circuit.Circuit) string {
 	return c.Name
 }
 
-func cubeStrings(set *cube.Set) []string {
-	out := make([]string, set.Len())
-	for i, cb := range set.Cubes {
-		out[i] = cb.String()
-	}
-	return out
-}
-
 // addStats folds one shard's generation counters into the aggregate.
 func addStats(agg *ATPGReport, st atpg.Stats) {
 	agg.TotalFaults += st.TotalFaults
@@ -170,7 +162,7 @@ func runShard(ctx context.Context, req Request, c *circuit.Circuit, stages []Sta
 			Patterns: set.Len(),
 			Coverage: st.Coverage(),
 			XPercent: set.XPercent(),
-			Cubes:    cubeStrings(set),
+			Cubes:    cube.PackRows(set).Strings(),
 		},
 		Stages: stages,
 	}
@@ -262,12 +254,13 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 		agg.Curve[i] = CurvePoint(pt)
 	}
 	if req.IncludeCubes {
-		agg.Cubes = cubeStrings(set)
+		agg.Cubes = cube.PackRows(set).Strings()
 	}
 	stages = append(stages, StageTiming{Stage: "curve", DurationMillis: millis(time.Since(t0))})
 
-	// Fill stage: order, reorder, fill, count — the exact sequence the
-	// batch engine runs for /v1/fill and /v1/batch.
+	// Fill stage: order, reorder, fill — the exact sequence the batch
+	// engine runs for /v1/fill and /v1/batch, reporting the filler's
+	// own toggle count.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -281,7 +274,6 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: %w", fl.Name(), err)
 	}
-	peak, total, profile := filled.ToggleStats()
 	fillRep := &FillReport{
 		Orderer:  ord.Name(),
 		Filler:   fl.Name(),
@@ -289,12 +281,12 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 		Width:    set.Width,
 		XPercent: set.XPercent(),
 		Perm:     perm,
-		Peak:     peak,
-		Total:    total,
-		Profile:  profile,
+		Peak:     filled.Peak,
+		Total:    filled.Total,
+		Profile:  filled.Profile,
 	}
 	if req.IncludeCubes {
-		fillRep.Cubes = cubeStrings(filled)
+		fillRep.Cubes = filled.Rows.Strings()
 	}
 	stages = append(stages, StageTiming{Stage: "fill", DurationMillis: millis(time.Since(t0))})
 	opt.progress(base + 1)
@@ -305,12 +297,13 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 		return nil, err
 	}
 	t0 = time.Now()
-	powRep, err := evalPower(req, c, filled)
+	// The power models simulate trits, so the filled planes unpack here.
+	powRep, err := evalPower(req, c, filled.Set())
 	if err != nil {
 		return nil, err
 	}
 	if powRep.StatePreserving {
-		powRep.CapturePeakToggles = peak
+		powRep.CapturePeakToggles = filled.Peak
 	}
 	stages = append(stages, StageTiming{Stage: "power", DurationMillis: millis(time.Since(t0))})
 	opt.progress(base + 2)

@@ -212,17 +212,17 @@ func TestInputTogglesCorrelateWithPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpPeak, err := m.PeakCapturePowerUW(dp)
+	dpPeak, err := m.PeakCapturePowerUW(dp.Set())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rndPeak, err := m.PeakCapturePowerUW(rnd)
+	rndPeak, err := m.PeakCapturePowerUW(rnd.Set())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp.PeakToggles() > rnd.PeakToggles() {
-		t.Fatalf("DP-fill input peak %d above R-fill %d", dp.PeakToggles(), rnd.PeakToggles())
+	if dp.Peak > rnd.Peak {
+		t.Fatalf("DP-fill input peak %d above R-fill %d", dp.Peak, rnd.Peak)
 	}
 	t.Logf("peak power: DP-fill %.3g µW vs R-fill %.3g µW (input toggles %d vs %d)",
-		dpPeak, rndPeak, dp.PeakToggles(), rnd.PeakToggles())
+		dpPeak, rndPeak, dp.Peak, rnd.Peak)
 }

@@ -216,12 +216,3 @@ func (s *Server) clampTimeout(millis int64) time.Duration {
 	}
 	return d
 }
-
-// cubeStrings renders a set one string per cube, the inline JSON form.
-func cubeStrings(set *cube.Set) []string {
-	out := make([]string, set.Len())
-	for i, c := range set.Cubes {
-		out[i] = c.String()
-	}
-	return out
-}

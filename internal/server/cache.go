@@ -14,11 +14,15 @@ import (
 
 // cachedFill is one memoized fill outcome. The cache owns its entries
 // outright: Put stores a deep copy and Get hands one back, so no live
-// *cube.Set or slice pointer is ever shared between the cache and a
+// plane or slice pointer is ever shared between the cache and a
 // response being served — a handler (present or future) mutating what
 // it serializes cannot poison the answer every later request gets.
+//
+// The filled matrix stays in the filler's packed row planes, two bits
+// per trit: a quarter of the one-byte-per-trit cube set, and rendered
+// to strings only for a response that carries cubes.
 type cachedFill struct {
-	Filled  *cube.Set
+	Filled  *cube.PackedRows
 	Perm    []int
 	Peak    int
 	Total   int
@@ -53,12 +57,16 @@ func (e *cachedFill) clone() *cachedFill {
 // (R-fill and ISA are seed-dependent). Two requests with the same
 // digest are guaranteed the same fully-specified output, so repeated
 // pattern sets skip recomputation entirely.
+//
+// Each cube is hashed as its canonical text plus a newline, rendered
+// into one reused line buffer.
 func fillDigest(s *cube.Set, orderer, filler string, seed int64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", s.Width, s.Len(), orderer, filler, seed)
+	line := make([]byte, 0, s.Width+1)
 	for _, c := range s.Cubes {
-		h.Write([]byte(c.String()))
-		h.Write([]byte{'\n'})
+		line = append(c.AppendTo(line[:0]), '\n')
+		h.Write(line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cube"
@@ -42,7 +46,7 @@ func TestLRUCacheEviction(t *testing.T) {
 func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	c := newLRUCache(4)
 	entry := &cachedFill{
-		Filled:  cube.MustParseSet("0101", "1010"),
+		Filled:  cube.PackRows(cube.MustParseSet("0101", "1010")),
 		Perm:    []int{1, 0},
 		Peak:    4,
 		Total:   4,
@@ -50,27 +54,34 @@ func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	}
 	c.Put("k", entry)
 	// Mutating what the caller passed to Put must not reach the cache.
-	entry.Filled.Cubes[0][0] = cube.One
+	flip(entry.Filled, 0, 0)
 	entry.Perm[0] = 99
 	entry.Profile[0] = 99
 	served, ok := c.Get("k")
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	if served.Filled.Cubes[0][0] != cube.Zero || served.Perm[0] != 1 || served.Profile[0] != 4 {
+	if served.Filled.At(0, 0) != cube.Zero || served.Perm[0] != 1 || served.Profile[0] != 4 {
 		t.Fatalf("Put aliased the caller's data: %+v", served)
 	}
 	// Mutating a served response must not reach the cache either.
-	served.Filled.Cubes[1][1] = cube.One
+	flip(served.Filled, 1, 1)
 	served.Perm[1] = 99
 	served.Profile[0] = 99
 	again, ok := c.Get("k")
 	if !ok {
 		t.Fatal("entry missing on second get")
 	}
-	if again.Filled.Cubes[1][1] != cube.Zero || again.Perm[1] != 0 || again.Profile[0] != 4 {
+	if again.Filled.At(1, 1) != cube.Zero || again.Perm[1] != 0 || again.Profile[0] != 4 {
 		t.Fatalf("Get handed out a live pointer into the cache: %+v", again)
 	}
+}
+
+// flip inverts the value bit of pin i in cube j, writing through the
+// plane slices the way a careless holder of the entry could.
+func flip(p *cube.PackedRows, i, j int) {
+	_, val := p.RowWords(i)
+	val[j/64] ^= 1 << (j % 64)
 }
 
 func TestCachedFillCloneHandlesNilFields(t *testing.T) {
@@ -122,6 +133,49 @@ func TestLRUCacheStress(t *testing.T) {
 		c.Get(fmt.Sprintf("k%d", (i*7)%16))
 		if c.Len() > 8 {
 			t.Fatalf("cache grew past capacity: %d", c.Len())
+		}
+	}
+}
+
+// TestFillDigestMatchesFormula pins the cache key byte for byte to the
+// formula it has always had: a header line, then every cube as its
+// 0/1/X text plus a newline, rendered here trit by trit with no shared
+// table — so cached entries and any digest a client kept stay valid.
+func TestFillDigestMatchesFormula(t *testing.T) {
+	formula := func(s *cube.Set, orderer, filler string, seed int64) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", s.Width, s.Len(), orderer, filler, seed)
+		for _, c := range s.Cubes {
+			var line strings.Builder
+			for _, tr := range c {
+				switch tr {
+				case cube.Zero:
+					line.WriteByte('0')
+				case cube.One:
+					line.WriteByte('1')
+				default:
+					line.WriteByte('X')
+				}
+			}
+			line.WriteByte('\n')
+			h.Write([]byte(line.String()))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	r := rand.New(rand.NewSource(11))
+	for _, shape := range []struct{ w, n int }{{0, 2}, {1, 1}, {5, 9}, {64, 3}, {130, 40}} {
+		s := cube.NewSet(shape.w)
+		for j := 0; j < shape.n; j++ {
+			c := make(cube.Cube, shape.w)
+			for i := range c {
+				c[i] = cube.Trit(r.Intn(3))
+			}
+			s.Append(c)
+		}
+		for _, seed := range []int64{1, 42} {
+			if got, want := fillDigest(s, "I-Order", "DP-fill", seed), formula(s, "I-Order", "DP-fill", seed); got != want {
+				t.Fatalf("%dx%d seed %d: digest %s, formula %s", shape.w, shape.n, seed, got, want)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/engine"
+	"repro/internal/fill"
 	"repro/internal/jobs"
 )
 
@@ -212,9 +213,9 @@ func TestReplayRejectsUnknownFields(t *testing.T) {
 type blockingFiller struct{ release chan struct{} }
 
 func (f blockingFiller) Name() string { return "block" }
-func (f blockingFiller) Fill(s *cube.Set) (*cube.Set, error) {
+func (f blockingFiller) Fill(s *cube.Set) (*fill.Result, error) {
 	<-f.release
-	return s.Clone(), nil
+	return &fill.Result{Rows: cube.PackRows(s)}, nil
 }
 
 // blockEngine occupies every worker slot of a 1-worker engine and

@@ -353,7 +353,7 @@ func finishFill(resp *FillResponse, entry *cachedFill, omitCubes, cached bool, e
 	resp.Total = entry.Total
 	resp.Profile = entry.Profile
 	if !omitCubes {
-		resp.Cubes = cubeStrings(entry.Filled)
+		resp.Cubes = entry.Filled.Strings()
 	}
 	resp.Cached = cached
 	// Nanoseconds in float64: microsecond flooring would zero out
@@ -646,21 +646,41 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // decode reads a size-limited, strict JSON body into v, answering the
 // error itself (and returning false) on failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	return DecodeJSON(w, r, s.cfg.MaxBodyBytes, v)
+}
+
+// DecodeJSON is the request-body decoder both serving tiers share: it
+// reads at most limit bytes, rejects unknown fields, and requires the
+// body to end after its one JSON value (trailing whitespace aside). On
+// failure it answers the request itself — 413 past the limit, 400 for
+// anything malformed — and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		// One value per body: whatever follows it is malformed, a
+		// second value included.
+		if _, next := dec.Token(); next != io.EOF {
+			err = next
+			if err == nil {
+				err = errors.New("body continues after the first JSON value")
+			}
 		}
-		// dpvet:ignore errwrap decode-error detail is the 400 contract: callers debug their own malformed bodies
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed JSON: " + err.Error()})
+	}
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
 		return false
 	}
-	return true
+	// dpvet:ignore errwrap decode-error detail is the 400 contract: callers debug their own malformed bodies
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed JSON: " + err.Error()})
+	return false
 }
 
 // writeError maps an error to its HTTP status: validation failures are

@@ -230,7 +230,7 @@ func (p Pipeline) Run(s *CubeSet) (*CubeSet, []int, int, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return filled, perm, filled.PeakToggles(), nil
+	return filled.Set(), perm, filled.Peak, nil
 }
 
 // RunPipeline executes one full workload in-process: resolve the
