@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestAssignMatchesRef pins the pooled counting-sort Assign to the
-// append-bucket reference, coloring for coloring, across instance
-// shapes that shrink and regrow the pooled scratch between calls.
+// TestAssignMatchesRef pins the pooled counting-sort Assign and its
+// inline-End hole heap to the append-bucket, index-heap reference,
+// coloring for coloring, across instance shapes that shrink and regrow
+// the pooled scratch between calls.
 func TestAssignMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 400; trial++ {
@@ -69,8 +70,9 @@ func TestAssignAllocatesOnlyColors(t *testing.T) {
 
 // FuzzBCP decodes an instance from bytes — the first picks the color
 // count, each following pair one interval — and checks Solve against
-// the reference bound, the reference assignment and, when the instance
-// is small enough, the exhaustive optimum.
+// the reference bound (value and prune counters), the reference
+// assignment and, when the instance is small enough, the exhaustive
+// optimum.
 func FuzzBCP(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 1, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0})
@@ -92,6 +94,7 @@ func FuzzBCP(f *testing.F) {
 		if ref := inst.lowerBoundRef(); sol.LowerBound != ref || sol.Bottleneck != ref {
 			t.Fatalf("bound %d, bottleneck %d, reference bound %d\nintervals %v", sol.LowerBound, sol.Bottleneck, ref, inst.Intervals)
 		}
+		checkBoundStats(t, inst)
 		if len(inst.Intervals) > 0 {
 			checkAssign(t, inst, sol.LowerBound)
 		}
@@ -101,4 +104,34 @@ func FuzzBCP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDeadlineHeapMatchesEndHeap drives the hole heap and the
+// reference index heap through the same random push/pop interleaving,
+// with Ends drawn from a tiny range so ties are everywhere: every pop
+// must return the same interval.
+func TestDeadlineHeapMatchesEndHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + r.Intn(300)
+		ivs := make([]Interval, k)
+		for i := range ivs {
+			ivs[i].End = r.Intn(1 + r.Intn(8))
+		}
+		ref := &endHeap{intervals: ivs, idx: make([]int, 0, k)}
+		h := make(deadlineHeap, 0, k)
+		next := 0
+		for next < k || len(h) > 0 {
+			if next < k && (len(h) == 0 || r.Intn(3) > 0) {
+				ref.push(next)
+				h.push(entry{end: int32(ivs[next].End), idx: int32(next)})
+				next++
+				continue
+			}
+			want, got := ref.pop(), h.pop()
+			if int(got.idx) != want || int(got.end) != ivs[want].End {
+				t.Fatalf("trial %d: pop gave interval %d (End %d), reference %d (End %d)", trial, got.idx, got.end, want, ivs[want].End)
+			}
+		}
+	}
 }

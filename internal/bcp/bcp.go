@@ -18,7 +18,6 @@ package bcp
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -77,10 +76,15 @@ type Instance struct {
 }
 
 // NewInstance validates and builds an instance. It returns an error if
-// any interval falls outside the color range or is inverted.
+// any interval falls outside the color range or is inverted, or if the
+// instance has 2³¹-1 or more colors or intervals.
 func NewInstance(numColors int, intervals []Interval) (*Instance, error) {
 	if numColors < 0 {
 		return nil, fmt.Errorf("bcp: negative color count %d", numColors)
+	}
+	if numColors >= maxKernel || len(intervals) >= maxKernel {
+		return nil, fmt.Errorf("bcp: %d colors and %d intervals exceed the solver's limit %d",
+			numColors, len(intervals), maxKernel-1)
 	}
 	for i, iv := range intervals {
 		if !iv.Valid(numColors) {
@@ -162,50 +166,56 @@ func (inst *Instance) CheckColoring(colors []int) (int, error) {
 //     break) lies strictly inside that horizon.
 //
 // Worst case stays O(C²+k); with a large bound lb the sweep per start is
-// O(k/lb). The bucket-and-row scratch comes from a sync.Pool so the
+// O(k/lb). The start buckets and the row come from a sync.Pool, so the
 // serving path's per-fill bound costs no steady-state allocation.
+//
+// inst must be valid: built by NewInstance, or valid by construction
+// (every interval inside the color range, fewer than 2³¹-1 colors and
+// intervals).
 func (inst *Instance) LowerBound() int {
 	return inst.lowerBound(nil)
 }
 
-// lowerBound is LowerBound with an optional explain sink. Counters are
-// kept in locals through the sweep and flushed once at the end, so the
-// traced and untraced paths run the same inner loops.
+// lowerBound is LowerBound with an optional explain sink.
 func (inst *Instance) lowerBound(st *Stats) int {
 	k := len(inst.Intervals)
 	if k == 0 {
 		return 0
 	}
-	startsScanned, startsSkipped, windows, suffixBreaks := 0, 0, 0, 0
-	c := inst.NumColors
-	sc := getLBScratch(c)
-	defer putLBScratch(sc)
-	// endsByStart[s] lists the End values of intervals starting at s,
-	// sorted ascending so a forward pointer can count "End <= j" cheaply.
-	endsByStart := sc.ends
-	for _, iv := range inst.Intervals {
-		endsByStart[iv.Start] = append(endsByStart[iv.Start], iv.End)
-	}
-	for s := range endsByStart {
-		if len(endsByStart[s]) > 1 {
-			sort.Ints(endsByStart[s])
-		}
-	}
+	sc := getScratch(inst.NumColors, k)
+	defer putScratch(sc)
+	sc.bucket(inst.Intervals)
+	return sc.lowerBound(st)
+}
 
+// dpvet:hot
+// lowerBound is the Algorithm 1 sweep over the bucketed intervals.
+// Counters are kept in locals through the sweep and flushed once at
+// the end, so the traced and untraced paths run the same inner loops.
+//
+// T(i,j) = T(i+1,j) + |{Start == i, End <= j}|. The second term is a
+// running count p: the start's Ends are tallied per color into delta,
+// and the j sweep adds delta[j] as it passes color j (zeroing it on
+// the way), so no bucket is ever sorted.
+func (sc *scratch) lowerBound(st *Stats) int {
+	startsScanned, startsSkipped, windows, suffixBreaks := 0, 0, 0, 0
+	off, byStart, t, delta := sc.offsets, sc.byStart, sc.t, sc.delta
+	c, k := len(t), len(byStart)
 	lb := 0
 	suffix := 0 // number of intervals with Start >= i
 	// t[j] carries T(i,j) for the current window start i. Iterating i
-	// downward lets us reuse T(i+1,j) and add the intervals with
-	// Start == i and End <= j via the sorted ends pointer.
-	t := sc.t
+	// downward lets us reuse T(i+1,j).
 	for i := c - 1; i >= 0; i-- {
-		ends := endsByStart[i]
-		if len(ends) == 0 {
+		bucket := byStart[off[i]:off[i+1]]
+		if len(bucket) == 0 {
 			startsSkipped++
 			continue // dominated by the window starting at the next start
 		}
 		startsScanned++
-		suffix += len(ends)
+		suffix += len(bucket)
+		for _, e := range bucket {
+			delta[e.end]++
+		}
 		// Evaluate windows [i,j] and fold the Start == i intervals
 		// into t in the same sweep: count = T(i,j) = T(i+1,j) + p is
 		// exactly the folded value the next (smaller) start needs, so
@@ -222,10 +232,9 @@ func (inst *Instance) lowerBound(st *Stats) int {
 				break // ceil(T/window) <= ceil(suffix/window) <= lb from here on
 			}
 			windows++
-			for p < len(ends) && ends[p] <= j {
-				p++
-			}
-			count := t[j] + p // T(i,j) = T(i+1,j) + |{Start==i, End<=j}|
+			p += int(delta[j])
+			delta[j] = 0
+			count := t[j] + p
 			t[j] = count
 			if count > lb*window {
 				lb = (count + window - 1) / window
@@ -237,12 +246,18 @@ func (inst *Instance) lowerBound(st *Stats) int {
 			if lb*(j-i+1) >= k {
 				break
 			}
-			for p < len(ends) && ends[p] <= j {
-				p++
-			}
+			p += int(delta[j])
+			delta[j] = 0
 			t[j] += p
 		}
+		if j < c {
+			// Ends past the horizon were tallied but never swept.
+			for _, e := range bucket {
+				delta[e.end] = 0
+			}
+		}
 	}
+	clear(t)
 	if st != nil {
 		st.StartsScanned += startsScanned
 		st.StartsSkipped += startsSkipped
@@ -250,55 +265,6 @@ func (inst *Instance) lowerBound(st *Stats) int {
 		st.SuffixBreaks += suffixBreaks
 	}
 	return lb
-}
-
-// endHeap is a hand-rolled min-heap of interval indices ordered by
-// interval End — the "deadline" heap of Algorithm 2. It reproduces
-// container/heap's sift order exactly (so EDF tie-breaks, and with
-// them the assigned colors, are unchanged) without heap.Interface's
-// boxed Push/Pop values and indirect Less calls, which dominated the
-// solver's profile.
-type endHeap struct {
-	idx       []int
-	intervals []Interval
-}
-
-func (h *endHeap) less(i, j int) bool {
-	return h.intervals[h.idx[i]].End < h.intervals[h.idx[j]].End
-}
-
-func (h *endHeap) push(v int) {
-	h.idx = append(h.idx, v)
-	for i := len(h.idx) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.idx[i], h.idx[parent] = h.idx[parent], h.idx[i]
-		i = parent
-	}
-}
-
-func (h *endHeap) pop() int {
-	n := len(h.idx) - 1
-	h.idx[0], h.idx[n] = h.idx[n], h.idx[0]
-	v := h.idx[n]
-	h.idx = h.idx[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h.less(j2, j) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-		i = j
-	}
-	return v
 }
 
 // Assign implements Algorithm 2: process colors in increasing order,
@@ -313,11 +279,9 @@ func (h *endHeap) pop() int {
 // the capacity was too small (which indicates caller misuse, not an
 // algorithmic failure).
 //
-// The start buckets are a counting sort into one flat index array, and
-// the heap's index slice comes from the same pool as the buckets, so
-// the returned coloring is the call's only steady-state allocation.
-// Each bucket lists its intervals in ascending index order, the order
-// the heap admits them in, so ties break exactly as they always have.
+// The start buckets and the heap come from the same pool as
+// LowerBound's, so the returned coloring is the call's only
+// steady-state allocation. inst must be valid, as for LowerBound.
 func (inst *Instance) Assign(capacity int) ([]int, error) {
 	k := len(inst.Intervals)
 	if k == 0 {
@@ -326,48 +290,99 @@ func (inst *Instance) Assign(capacity int) ([]int, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("bcp: capacity %d must be positive", capacity)
 	}
-	sc := getAssignScratch(inst.NumColors, k)
-	defer putAssignScratch(sc)
-	// Counting sort by start color (the "sort by starting time" of
-	// Algorithm 2 line 1): offsets[c] counts, then becomes the start of
-	// bucket c, then — after placement — its end.
-	offsets, byStart := sc.offsets, sc.byStart
-	for _, iv := range inst.Intervals {
-		offsets[iv.Start]++
-	}
-	sum := 0
-	for c, n := range offsets {
-		offsets[c] = sum
-		sum += n
-	}
-	for i, iv := range inst.Intervals {
-		byStart[offsets[iv.Start]] = i
-		offsets[iv.Start]++
-	}
-
+	sc := getScratch(inst.NumColors, k)
+	defer putScratch(sc)
+	sc.bucket(inst.Intervals)
 	colors := make([]int, k)
-	h := endHeap{intervals: inst.Intervals, idx: sc.heap}
-	assigned, lo := 0, 0
-	for c := 0; c < inst.NumColors; c++ {
-		hi := offsets[c]
-		for _, i := range byStart[lo:hi] {
-			h.push(i)
+	if err := sc.assign(inst.Intervals, capacity, colors); err != nil {
+		return nil, err
+	}
+	return colors, nil
+}
+
+// dpvet:hot
+// assign is the Algorithm 2 sweep over the bucketed intervals: it
+// writes the color of ivs[i] to colors[i]. Each bucket admits its
+// intervals in ascending index order, the order EDF ties break in.
+func (sc *scratch) assign(ivs []Interval, capacity int, colors []int) error {
+	h := deadlineHeap(sc.heap)
+	off, byStart := sc.offsets, sc.byStart
+	assigned := 0
+	for c := 0; c+1 < len(off); c++ {
+		for _, e := range byStart[off[c]:off[c+1]] {
+			h.push(e)
 		}
-		lo = hi
-		for picked := 0; picked < capacity && len(h.idx) > 0; picked++ {
-			i := h.pop()
-			if inst.Intervals[i].End < c {
-				return nil, fmt.Errorf("bcp: interval [%d,%d] missed its deadline at color %d (capacity %d too small)",
-					inst.Intervals[i].Start, inst.Intervals[i].End, c, capacity)
+		for picked := 0; picked < capacity && len(h) > 0; picked++ {
+			e := h.pop()
+			if int(e.end) < c {
+				iv := ivs[e.idx]
+				return fmt.Errorf("bcp: interval [%d,%d] missed its deadline at color %d (capacity %d too small)",
+					iv.Start, iv.End, c, capacity)
 			}
-			colors[i] = c
+			colors[e.idx] = c
 			assigned++
 		}
 	}
-	if assigned != k {
-		return nil, fmt.Errorf("bcp: %d of %d intervals left unassigned", k-assigned, k)
+	if k := len(ivs); assigned != k {
+		return fmt.Errorf("bcp: %d of %d intervals left unassigned", k-assigned, k)
 	}
-	return colors, nil
+	return nil
+}
+
+// deadlineHeap is the min-heap of Algorithm 2, keyed by End. Its sift
+// order is container/heap's exactly — a child moves up only when
+// strictly smaller, and sift-down takes the right child only when it
+// is strictly smaller than the left — so EDF ties break as they would
+// under container/heap. Both sifts move a hole instead of swapping,
+// which leaves the same final layout.
+type deadlineHeap []entry
+
+// dpvet:hot
+// push adds e. The append never grows: the heap's capacity is the
+// instance's interval count.
+func (h *deadlineHeap) push(e entry) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if e.end >= s[parent].end {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
+	*h = s
+}
+
+// dpvet:hot
+// pop removes and returns the entry with the least End. The last entry
+// moves to the root's hole and sifts down; the slot it vacated, just
+// past the shrunk heap, holds a math.MaxInt32 sentinel, so the child
+// select can read the right child unconditionally: a missing right
+// child is never strictly smaller than the left one.
+func (h *deadlineHeap) pop() entry {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0], s[n]
+	s[n].end = maxKernel
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		// j+1 <= n always; r < l exactly when r-l is negative.
+		j += int(uint64(int64(s[j+1].end)-int64(s[j].end)) >> 63)
+		if s[j].end >= x.end {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = x
+	*h = s[:n]
+	return top
 }
 
 // Solve runs Algorithm 1 followed by Algorithm 2 and returns the optimal
@@ -386,19 +401,25 @@ func (inst *Instance) SolveStats(st *Stats) (*Solution, error) {
 	if st != nil {
 		t0 = time.Now()
 	}
-	lb := inst.lowerBound(st)
-	if st != nil {
-		st.BoundNS += time.Since(t0).Nanoseconds()
-	}
-	if len(inst.Intervals) == 0 {
+	k := len(inst.Intervals)
+	if k == 0 {
+		if st != nil {
+			st.BoundNS += time.Since(t0).Nanoseconds()
+		}
 		return &Solution{Colors: nil, Bottleneck: 0, LowerBound: 0}, nil
 	}
+	// One bucketing serves both algorithms.
+	sc := getScratch(inst.NumColors, k)
+	defer putScratch(sc)
+	sc.bucket(inst.Intervals)
+	lb := sc.lowerBound(st)
 	var t1 time.Time
 	if st != nil {
 		t1 = time.Now()
+		st.BoundNS += t1.Sub(t0).Nanoseconds()
 	}
-	colors, err := inst.Assign(lb)
-	if err != nil {
+	colors := make([]int, k)
+	if err := sc.assign(inst.Intervals, lb, colors); err != nil {
 		return nil, err
 	}
 	bn, err := inst.CheckColoring(colors)

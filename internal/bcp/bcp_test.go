@@ -1,6 +1,7 @@
 package bcp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,14 @@ func TestNewInstanceValidation(t *testing.T) {
 	}
 	if _, err := NewInstance(0, nil); err != nil {
 		t.Error("empty instance rejected")
+	}
+	// The kernel stores Ends and indices as int32 and keeps MaxInt32
+	// as the heap's sentinel End.
+	if _, err := NewInstance(math.MaxInt32, nil); err == nil {
+		t.Error("color count beyond the int32 kernel accepted")
+	}
+	if _, err := NewInstance(math.MaxInt32-1, nil); err != nil {
+		t.Errorf("largest kernel color count rejected: %v", err)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 // skip, suffix break, fold horizon, pooled scratch) to the unpruned
 // reference sweep over a spread of instance shapes: dense and sparse
 // starts, unit intervals, full-range intervals, and empty instances.
+// It pins the flat-bucket sweep to the sorted-bucket one on every
+// Stats counter too: the traversal, not only the bound, is unchanged.
 func TestLowerBoundMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 400; trial++ {
@@ -29,6 +31,33 @@ func TestLowerBoundMatchesRef(t *testing.T) {
 			t.Fatalf("trial %d (C=%d, k=%d): pruned LowerBound = %d, ref = %d\nintervals: %v",
 				trial, inst.NumColors, len(inst.Intervals), got, want, inst.Intervals)
 		}
+		checkBoundStats(t, inst)
+	}
+}
+
+// checkBoundStats requires lowerBound and refLowerBound to agree on
+// the bound and on every prune counter.
+func checkBoundStats(t *testing.T, inst *Instance) {
+	t.Helper()
+	var got, want Stats
+	gotLB, wantLB := inst.lowerBound(&got), inst.refLowerBound(&want)
+	if gotLB != wantLB || got != want {
+		t.Fatalf("C=%d k=%d: bound %d with %+v, reference %d with %+v\nintervals: %v",
+			inst.NumColors, len(inst.Intervals), gotLB, got, wantLB, want, inst.Intervals)
+	}
+}
+
+// TestLowerBoundAllocatesNothing: with warm pooled scratch, the bound
+// allocates nothing. Under -race sync.Pool drops items at random, so
+// the count is not stable there.
+func TestLowerBoundAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	inst := randomInstance(rand.New(rand.NewSource(7)), 500, 4000)
+	inst.LowerBound()
+	if allocs := testing.AllocsPerRun(50, func() { inst.LowerBound() }); allocs != 0 {
+		t.Fatalf("LowerBound allocates %.1f times per call, want 0", allocs)
 	}
 }
 

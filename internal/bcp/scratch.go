@@ -1,77 +1,88 @@
 package bcp
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
-// lbScratch is the reusable working memory of LowerBound: the
-// start-bucketed end lists and the rolling T(i,j) row, both sized by
-// the color range. Pooled because the fill hot path computes one bound
-// per fill (plus one per Solve) and the buckets dominate its transient
-// allocation.
+// maxKernel bounds the color count and interval count the kernel
+// accepts: entries store Ends and indices as int32, and the deadline
+// heap uses math.MaxInt32 as a sentinel End no real interval reaches.
+const maxKernel = math.MaxInt32
+
+// entry is one interval as both algorithms see it: its End inline
+// beside its index, 8 bytes like a plain int index, so the deadline
+// heap compares without loading the interval it names.
+type entry struct{ end, idx int32 }
+
+// scratch is the pooled working memory of one solve, shared by
+// Algorithm 1 and Algorithm 2 so SolveStats buckets the intervals by
+// Start only once:
 //
-// Invariant at rest (in the pool): every entry of ends[:cap] has
-// length 0 and every entry of t[:cap] is 0, so getLBScratch only has
-// to re-slice. putLBScratch restores the invariant for the entries the
-// last use touched; entries beyond the current length were already
-// reset by the put that last used them.
-type lbScratch struct {
-	ends [][]int
-	t    []int
+//   - offsets and byStart are a counting sort by Start: bucket s is
+//     byStart[offsets[s]:offsets[s+1]], in ascending interval index.
+//   - t is Algorithm 1's rolling T(i,j) row and delta its per-color
+//     count of the current start's Ends not yet swept.
+//   - heap is Algorithm 2's deadline heap.
+//
+// Invariant at rest (in the pool): every entry of t[:cap] and
+// delta[:cap] is 0, so getScratch only has to re-slice. The sweep
+// leaves delta zero and clears t before returning; offsets and byStart
+// are fully rewritten by bucket, heap by its pushes.
+type scratch struct {
+	offsets []int
+	byStart []entry
+	t       []int
+	delta   []int32
+	heap    []entry
 }
 
-var lbPool = sync.Pool{New: func() any { return new(lbScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getLBScratch(c int) *lbScratch {
-	sc := lbPool.Get().(*lbScratch)
-	if cap(sc.ends) < c || cap(sc.t) < c {
-		sc.ends = make([][]int, c)
+// getScratch checks out scratch for c colors and k intervals: offsets
+// of length c+1, byStart of length k, t and delta of length c and
+// zeroed, heap of length 0 and capacity k.
+func getScratch(c, k int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if cap(sc.offsets) < c+1 {
+		sc.offsets = make([]int, c+1)
 		sc.t = make([]int, c)
-	} else {
-		sc.ends = sc.ends[:c]
-		sc.t = sc.t[:c]
+		sc.delta = make([]int32, c)
 	}
-	return sc
-}
-
-func putLBScratch(sc *lbScratch) {
-	for s := range sc.ends {
-		sc.ends[s] = sc.ends[s][:0]
-	}
-	for j := range sc.t {
-		sc.t[j] = 0
-	}
-	lbPool.Put(sc)
-}
-
-// assignScratch is the reusable working memory of Assign: the
-// counting-sort offsets (one per color), the flat start-bucketed index
-// array and the deadline heap's index slice (one slot per interval).
-// At rest offsets is all zero, so a checkout only re-slices; the other
-// two are fully overwritten by each use.
-type assignScratch struct {
-	offsets, byStart, heap []int
-}
-
-var assignPool = sync.Pool{New: func() any { return new(assignScratch) }}
-
-// getAssignScratch checks out scratch for c colors and k intervals:
-// offsets has length c and is zeroed, byStart length k, heap length 0
-// and capacity k.
-func getAssignScratch(c, k int) *assignScratch {
-	sc := assignPool.Get().(*assignScratch)
-	if cap(sc.offsets) < c {
-		sc.offsets = make([]int, c)
-	}
-	sc.offsets = sc.offsets[:c]
+	sc.offsets = sc.offsets[:c+1]
+	sc.t = sc.t[:c]
+	sc.delta = sc.delta[:c]
 	if cap(sc.byStart) < k {
-		sc.byStart = make([]int, k)
-		sc.heap = make([]int, 0, k)
+		sc.byStart = make([]entry, k)
+		sc.heap = make([]entry, 0, k)
 	}
 	sc.byStart = sc.byStart[:k]
 	sc.heap = sc.heap[:0]
 	return sc
 }
 
-func putAssignScratch(sc *assignScratch) {
-	clear(sc.offsets)
-	assignPool.Put(sc)
+func putScratch(sc *scratch) { scratchPool.Put(sc) }
+
+// dpvet:hot
+// bucket counting-sorts ivs by Start (the "sort by starting time" of
+// Algorithm 2 line 1) into offsets and byStart. offsets[s+1] first
+// counts bucket s, then becomes its start, then — after placement —
+// its end, which is where bucket s+1 begins. Placement walks ivs in
+// index order, so each bucket lists its intervals by ascending index.
+func (sc *scratch) bucket(ivs []Interval) {
+	off := sc.offsets
+	clear(off)
+	for _, iv := range ivs {
+		off[iv.Start+1]++
+	}
+	sum := 0
+	for s, n := range off[1:] {
+		off[s+1] = sum
+		sum += n
+	}
+	for i, iv := range ivs {
+		p := off[iv.Start+1]
+		sc.byStart[p] = entry{end: int32(iv.End), idx: int32(i)}
+		off[iv.Start+1] = p + 1
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -333,6 +334,46 @@ func BenchmarkCoreFillWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Fill(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fillColdSet draws an m-pin × n-cube set the way the fill-cold
+// benchmark workload does: each cube's care fraction is exponential
+// around 1-x (capped at 0.95), so a few care-dense cubes lead a long
+// X-rich tail, and care bits are 0 or 1 with equal odds.
+func fillColdSet(r *rand.Rand, m, n int, x float64) *cube.Set {
+	s := cube.NewSet(m)
+	for range n {
+		care := math.Min((1-x)*r.ExpFloat64(), 0.95)
+		c := make(cube.Cube, m)
+		for p := range c {
+			switch u := r.Float64(); {
+			case u >= care:
+				c[p] = cube.X
+			case u < care/2:
+				c[p] = cube.Zero
+			default:
+				c[p] = cube.One
+			}
+		}
+		s.Append(c)
+	}
+	return s
+}
+
+// BenchmarkCoreFillColdShape runs the served DP-fill kernel (one
+// shard, as the server runs it) on one fill-cold-shaped request: 768
+// pins × 1250 cubes at 85% X with skewed per-cube care. The skew puts
+// more intervals behind each busy color than BenchmarkBCPAssign's
+// uniform instance does, so the deadline heap carries its real weight.
+func BenchmarkCoreFillColdShape(b *testing.B) {
+	s := fillColdSet(rand.New(rand.NewSource(1250)), 768, 1250, 0.85)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := FillPlanes(s, Options{Shards: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

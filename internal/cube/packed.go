@@ -26,7 +26,8 @@ type Packed struct {
 	careCount []int
 }
 
-// Pack builds the packed snapshot of s.
+// Pack builds the packed snapshot of s. Every trit of s must be Zero,
+// One or X.
 func Pack(s *Set) *Packed {
 	words := (s.Width + 63) / 64
 	n := s.Len()
@@ -40,22 +41,10 @@ func Pack(s *Set) *Packed {
 	}
 	for i, c := range s.Cubes {
 		care := p.care[i*words : (i+1)*words]
-		val := p.val[i*words : (i+1)*words]
-		cc := 0
-		for w := range care {
-			lo := w * 64
-			hi := min(lo+64, len(c))
-			var cw, vw uint64
-			// Branch-free on the trit encoding, as in PackRowsInto.
-			for k, t := range c[lo:hi] {
-				tb := uint64(t)
-				cw |= (tb>>1 ^ 1) << uint(k)
-				vw |= (tb & 1) << uint(k)
-			}
-			care[w], val[w] = cw, vw
-			cc += bits.OnesCount64(cw)
+		packCubeWords(c, care, p.val[i*words:(i+1)*words])
+		for _, w := range care {
+			p.careCount[i] += bits.OnesCount64(w)
 		}
-		p.careCount[i] = cc
 	}
 	return p
 }
@@ -134,10 +123,10 @@ func PackRows(s *Set) *PackedRows {
 // PackRowsInto is PackRows reusing the backing arrays of a previous
 // snapshot: when p is non-nil and its buffers are large enough they
 // are repacked in place (every word is overwritten, so no clearing is
-// needed), otherwise fresh arrays are allocated. The per-job arenas of
-// the fill hot path recycle snapshots through a sync.Pool so serving
-// load does not hammer the GC with two m×ceil(n/64) planes per fill.
-// It returns p (reshaped) or a new snapshot when p is nil.
+// needed), otherwise fresh arrays are allocated, so a caller packing
+// many sets of similar shape pays for two m×ceil(n/64) planes once.
+// It returns p (reshaped) or a new snapshot when p is nil. Every trit
+// of s must be Zero, One or X.
 func PackRowsInto(p *PackedRows, s *Set) *PackedRows {
 	words := (s.Len() + 63) / 64
 	if p == nil {
@@ -155,42 +144,37 @@ func PackRowsInto(p *PackedRows, s *Set) *PackedRows {
 	}
 	p.care = rowViews(p.care, p.careBuf, s.Width, words)
 	p.val = rowViews(p.val, p.valBuf, s.Width, words)
-	// Tiled transpose, mirroring UnpackCubes: accumulate one 64-cube
-	// word block × tileRows rows in scratch, then flush — the flush is
-	// the only strided traffic.
-	var careW, valW [transposeTile]uint64
+	// Tiled transpose: decode a 64-cube × 64-row tile cube-major, one
+	// word per cube, transpose it into one word per row, and flush —
+	// the flush is the only strided traffic.
+	var careT, valT [64]uint64
 	for w := 0; w < words; w++ {
-		jlo, jhi := w*64, (w+1)*64
-		if jhi > p.N {
-			jhi = p.N
-		}
-		for i0 := 0; i0 < p.Width; i0 += transposeTile {
-			i1 := i0 + transposeTile
-			if i1 > p.Width {
-				i1 = p.Width
-			}
-			for k := range careW[:i1-i0] {
-				careW[k], valW[k] = 0, 0
-			}
-			for j := jlo; j < jhi; j++ {
-				sh := uint(j % 64)
-				c := s.Cubes[j][i0:i1]
-				// Branch-free on the trit encoding (Zero=0, One=1,
-				// X=2): care = t>>1 ^ 1, val = t&1 — random X
-				// patterns would defeat the branch predictor here.
-				for k, t := range c {
-					tb := uint64(t)
-					careW[k] |= (tb>>1 ^ 1) << sh
-					valW[k] |= (tb & 1) << sh
-				}
-			}
+		cubes := s.Cubes[w*64 : min(w*64+64, p.N)]
+		for i0 := 0; i0 < p.Width; i0 += 64 {
+			i1 := min(i0+64, p.Width)
+			packTile(&careT, &valT, cubes, i0, i1)
 			for i := i0; i < i1; i++ {
-				p.careBuf[i*words+w] = careW[i-i0]
-				p.valBuf[i*words+w] = valW[i-i0]
+				p.careBuf[i*words+w] = careT[i-i0]
+				p.valBuf[i*words+w] = valT[i-i0]
 			}
 		}
 	}
 	return p
+}
+
+// dpvet:hot
+// packTile fills care[r] and val[r] with rows i0+r of cubes (at most
+// 64 of each): bit j of a row word is cube j. Rows past i1 and cubes
+// past len(cubes) read as X.
+func packTile(care, val *[64]uint64, cubes []Cube, i0, i1 int) {
+	for j, c := range cubes {
+		care[j], val[j] = packWord(c[i0:i1])
+	}
+	for j := len(cubes); j < 64; j++ {
+		care[j], val[j] = 0, 0
+	}
+	transpose64(care)
+	transpose64(val)
 }
 
 // rowViews slices buf into rows views of words words each, reusing
@@ -207,7 +191,7 @@ func rowViews(dst [][]uint64, buf []uint64, rows, words int) [][]uint64 {
 }
 
 // transposeTile is the row-tile height of the cache-blocked
-// pack/unpack transposes (tile footprint: 2 planes × 128 words = 2 KiB,
+// unpack transposes (tile footprint: 2 planes × 128 words = 2 KiB,
 // comfortably L1-resident).
 const transposeTile = 128
 

@@ -200,16 +200,11 @@ func (s *Set) toggleScan(profile []int) (peak, total int) {
 	return peak, total
 }
 
-// packCubeWords packs one cube into care/value bit words (branchless;
-// the word slices are fully overwritten).
+// packCubeWords packs one cube into care/value bit words (the word
+// slices are fully overwritten).
 func packCubeWords(c Cube, care, val []uint64) {
 	for w := range care {
-		care[w], val[w] = 0, 0
-	}
-	for i, t := range c {
-		cb := uint64((t>>1)^1) & 1 // 0/1 → 1, X → 0
-		care[i/64] |= cb << (i % 64)
-		val[i/64] |= (uint64(t) & cb) << (i % 64)
+		care[w], val[w] = packWord(c[w*64 : min(w*64+64, len(c))])
 	}
 }
 
