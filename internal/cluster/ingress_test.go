@@ -1,0 +1,172 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/server"
+)
+
+// ingressTiers stands up both serving tiers in process with small shape
+// limits: a dpfilld handler, and a coordinator without a fleet, whose
+// local in-process service answers every dispatch.
+func ingressTiers(tb testing.TB, limit int64) map[string]http.Handler {
+	tb.Helper()
+	cfg := server.Config{Workers: 1, MaxRows: 16, MaxCols: 16, MaxBodyBytes: limit, DefaultTimeout: time.Minute}
+	srv, err := server.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	co, err := New(Config{Local: cfg, MaxBodyBytes: limit})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { co.Close() })
+	return map[string]http.Handler{"dpfilld": srv.Handler(), "dpfill-coord": co.Handler()}
+}
+
+// TestIngressEdges runs the body-decoding edge cases through both
+// tiers: an over-limit body answers 413 with the limit; an over-limit
+// body that is malformed from its first byte keeps the 400 it has
+// always had; bytes after the value are a 400; a Content-Length
+// claiming a terabyte in front of a short body costs no more than the
+// limit; and one declaring exactly the limit in front of a short body
+// costs a small fraction of it, since the buffer grows only as bytes
+// arrive.
+func TestIngressEdges(t *testing.T) {
+	const limit = 1 << 20
+	long := strings.Repeat("0", limit)
+	cases := []struct {
+		name, path, body string
+		declared         int64 // Content-Length when non-zero
+		maxAlloc         uint64
+		status           int
+		errBody          string
+	}{
+		{"fill over the limit", "/v1/fill", `{"cubes":["` + long + `"]}`, 0, 0, http.StatusRequestEntityTooLarge,
+			`{"error":"request body exceeds 1048576 bytes"}`},
+		{"batch over the limit", "/v1/batch", `{"jobs":[{"cubes":["` + long + `"]}]}`, 0, 0, http.StatusRequestEntityTooLarge,
+			`{"error":"request body exceeds 1048576 bytes"}`},
+		{"over the limit, malformed from byte one", "/v1/fill", "x" + long, 0, 0, http.StatusBadRequest,
+			`{"error":"malformed JSON: invalid character 'x' looking for beginning of value"}`},
+		{"over the limit in trailing whitespace", "/v1/fill", `{"cubes":["01"]}` + strings.Repeat(" ", limit), 0, 0,
+			http.StatusRequestEntityTooLarge, `{"error":"request body exceeds 1048576 bytes"}`},
+		{"bytes after the value", "/v1/fill", `{"cubes":["01"]} 1`, 0, 0, http.StatusBadRequest,
+			`{"error":"malformed JSON: body continues after the first JSON value"}`},
+		{"batch bytes after the value", "/v1/batch", `{"jobs":[{"cubes":["01"]}]}]`, 0, 0, http.StatusBadRequest,
+			`{"error":"malformed JSON: invalid character ']' looking for beginning of value"}`},
+		{"terabyte Content-Length, short body", "/v1/fill", `{"cubes":["0X","X1"]}`, 1 << 40, limit, http.StatusOK, ""},
+		{"Content-Length at the limit, short body", "/v1/fill", `{"cubes":["0X","X1"]}`, limit, limit / 8, http.StatusOK, ""},
+	}
+	for tier, h := range ingressTiers(t, limit) {
+		for _, tc := range cases {
+			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+			if tc.declared != 0 {
+				req.ContentLength = tc.declared
+			}
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != tc.status {
+				t.Errorf("%s %s: status %d %.200s, want %d", tier, tc.name, rec.Code, rec.Body.String(), tc.status)
+				continue
+			}
+			if tc.errBody != "" && strings.TrimSpace(rec.Body.String()) != tc.errBody {
+				t.Errorf("%s %s: answered %s, want %s", tier, tc.name, rec.Body.String(), tc.errBody)
+			}
+			if tc.maxAlloc != 0 {
+				if alloc := after.TotalAlloc - before.TotalAlloc; alloc > tc.maxAlloc {
+					t.Errorf("%s %s: allocated %d bytes, more than %d", tier, tc.name, alloc, tc.maxAlloc)
+				}
+			}
+		}
+	}
+}
+
+// checkServed requires a 2xx or 4xx answer. The one 5xx an arbitrary
+// body may earn is a 504, and only when it asks for a deadline of its
+// own (timeout_ms in any spelling encoding/json matches).
+func checkServed(t *testing.T, tier, path string, body []byte, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	code := rec.Code
+	if code/100 == 2 || code/100 == 4 {
+		return
+	}
+	if code == http.StatusGatewayTimeout && setsTimeout(body) {
+		return
+	}
+	t.Fatalf("%s %s %.300q: answered %d %s", tier, path, body, code, rec.Body.String())
+}
+
+func setsTimeout(body []byte) bool {
+	var fill client.FillRequest
+	var batch client.BatchRequest
+	if json.Unmarshal(body, &fill) == nil && fill.TimeoutMillis != 0 {
+		return true
+	}
+	if json.Unmarshal(body, &batch) == nil {
+		for _, j := range batch.Jobs {
+			if j.TimeoutMillis != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// fuzzServe sends every fuzzed body to path on both tiers.
+func fuzzServe(f *testing.F, path string, seeds []string) {
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	tiers := ingressTiers(f, 64<<10)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for tier, h := range tiers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			checkServed(t, tier, path, body, rec)
+		}
+	})
+}
+
+// FuzzServeFill sends arbitrary bodies through POST /v1/fill on
+// dpfilld and on the coordinator: no panic, no 5xx but a requested
+// deadline's 504.
+func FuzzServeFill(f *testing.F) {
+	fuzzServe(f, "/v1/fill", []string{
+		`{"cubes":["0X1X","1XX0","X01X"],"orderer":"xstat","filler":"dp","omit_cubes":true}`,
+		`{"cubes":["0X","X1"],"orderer":"isa","filler":"r","seed":-9223372036854775808}`,
+		`{"cubes":[""]}`,
+		`{"cubes":["0X"],"stil":"x"}`,
+		`{"stil":"STIL 1.0;\nSignals { \"a\" In; }\nPattern p { V { all = 0N; } }\n"}`,
+		`{"cubes":["0X"],"timeout_ms":1}`,
+		`{"cubes":["0X"],"timeout_ms":18446744073710}`,
+		`{"cubes":["0X"],"priority":-9223372036854775808,"debug":true}`,
+		`{"cubes":["01234567890123456789"]}`,
+		`{"Cubes":["01"],"cubes":["10"]}`,
+		`null`,
+	})
+}
+
+// FuzzServeBatch is FuzzServeFill for POST /v1/batch.
+func FuzzServeBatch(f *testing.F) {
+	fuzzServe(f, "/v1/batch", []string{
+		`{"jobs":[{"cubes":["0X1","1X0"]},{"cubes":["0z"]}],"debug":true}`,
+		`{"jobs":[{"cubes":["0X"],"timeout_ms":1},{"cubes":["0X"],"timeout_ms":1}]}`,
+		`{"jobs":[{"cubes":["0X"],"filler":"nope"},{"stil":"bad"}]}`,
+		`{"jobs":[]}`,
+		`{"jobs":null}`,
+		`{"jobs":[{}]}`,
+		`{"jobs":[{"cubes":["0X"],"seed":1},{"cubes":["0X"],"seed":1},{"cubes":["0X"],"seed":1}]}`,
+	})
+}

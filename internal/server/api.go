@@ -205,14 +205,16 @@ func (s *Server) parseSet(cubes []string, stil string) (*cube.Set, error) {
 }
 
 // clampTimeout resolves a request's timeout_ms against the server's
-// default and ceiling.
+// default and ceiling. It clamps in milliseconds before converting, so
+// a huge timeout_ms cannot wrap the Duration multiply into a tiny or
+// negative deadline.
 func (s *Server) clampTimeout(millis int64) time.Duration {
-	d := time.Duration(millis) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
-	}
-	if d > s.cfg.MaxTimeout {
+	d := s.cfg.DefaultTimeout
+	if millis > 0 {
 		d = s.cfg.MaxTimeout
+		if millis <= s.cfg.MaxTimeout.Milliseconds() {
+			d = time.Duration(millis) * time.Millisecond
+		}
 	}
-	return d
+	return min(d, s.cfg.MaxTimeout)
 }

@@ -649,40 +649,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return DecodeJSON(w, r, s.cfg.MaxBodyBytes, v)
 }
 
-// DecodeJSON is the request-body decoder both serving tiers share: it
-// reads at most limit bytes, rejects unknown fields, and requires the
-// body to end after its one JSON value (trailing whitespace aside). On
-// failure it answers the request itself — 413 past the limit, 400 for
-// anything malformed — and returns false.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		// One value per body: whatever follows it is malformed, a
-		// second value included.
-		if _, next := dec.Token(); next != io.EOF {
-			err = next
-			if err == nil {
-				err = errors.New("body continues after the first JSON value")
-			}
-		}
-	}
-	if err == nil {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-		return false
-	}
-	// dpvet:ignore errwrap decode-error detail is the 400 contract: callers debug their own malformed bodies
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed JSON: " + err.Error()})
-	return false
-}
-
 // writeError maps an error to its HTTP status: validation failures are
 // 400, deadline overruns 504, client disconnects 499 (nginx's
 // convention), anything else 422 (the job itself failed).
