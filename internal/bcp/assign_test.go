@@ -1,8 +1,10 @@
 package bcp
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -30,6 +32,92 @@ func TestAssignMatchesRef(t *testing.T) {
 			checkAssign(t, inst, lb-1)
 		}
 	}
+	// One solve through both paths: colors where capacity binds sift,
+	// the sparse colors after them drain.
+	for trial := 0; trial < 100; trial++ {
+		inst := congestedThenSparse(r)
+		lb := inst.LowerBound()
+		checkAssign(t, inst, lb)
+		if lb > 1 {
+			checkAssign(t, inst, lb-1)
+		}
+	}
+	// One capacity short, the first missed deadline falls at a color
+	// whose bucket would fit: a leftover late entry must still take the
+	// sifting path and fail with refAssign's error.
+	for trial := 0; trial < 100; trial++ {
+		inst, late := lateAtFittingColor(r)
+		capacity := inst.LowerBound() - 1
+		_, err := inst.refAssign(capacity)
+		if want := fmt.Sprintf("at color %d ", late); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("trial %d: reference error %v, want one %q\nintervals %v", trial, err, want, inst.Intervals)
+		}
+		if n := pendingAt(inst, capacity, late); n > capacity {
+			t.Fatalf("trial %d: %d entries pending at color %d, capacity %d: the drain test never fits", trial, n, late, capacity)
+		}
+		checkAssign(t, inst, capacity)
+	}
+}
+
+// pendingAt counts the heap and bucket entries Algorithm 2 holds at
+// color c at the given capacity, assuming no deadline is missed
+// before c.
+func pendingAt(inst *Instance, capacity, c int) int {
+	buckets := make([]int, inst.NumColors)
+	for _, iv := range inst.Intervals {
+		buckets[iv.Start]++
+	}
+	pending := 0
+	for x := range c {
+		pending += buckets[x]
+		pending -= min(capacity, pending)
+	}
+	return pending + buckets[c]
+}
+
+// congestedThenSparse builds an instance whose first colors are
+// crowded, every interval there starting at color 0, so capacity binds,
+// and whose remaining colors hold at most one short interval each.
+func congestedThenSparse(r *rand.Rand) *Instance {
+	prefix := 2 + r.Intn(12)
+	inst := &Instance{NumColors: prefix + 1 + r.Intn(60)}
+	for range prefix + 1 + r.Intn(6*prefix) {
+		inst.Intervals = append(inst.Intervals, Interval{Start: 0, End: r.Intn(prefix)})
+	}
+	for c := prefix; c < inst.NumColors; c++ {
+		if r.Intn(2) == 0 {
+			inst.Intervals = append(inst.Intervals, Interval{Start: c, End: min(c+r.Intn(3), inst.NumColors-1)})
+		}
+	}
+	r.Shuffle(len(inst.Intervals), func(i, j int) {
+		inst.Intervals[i], inst.Intervals[j] = inst.Intervals[j], inst.Intervals[i]
+	})
+	return inst
+}
+
+// lateAtFittingColor builds an instance with a burst of m >= 5 unit
+// intervals at one color c0 among a few sparse long ones. At capacity
+// m-1 one burst interval is left over, so EDF first misses a deadline
+// at c0+1, where the leftover and at most two sparse intervals fit in
+// capacity. It returns the instance and c0+1.
+func lateAtFittingColor(r *rand.Rand) (*Instance, int) {
+	c := 4 + r.Intn(80)
+	c0 := r.Intn(c - 1)
+	m := 5 + r.Intn(6)
+	inst := &Instance{NumColors: c}
+	for range m {
+		inst.Intervals = append(inst.Intervals, Interval{Start: c0, End: c0})
+	}
+	// One sparse interval starts every 8 colors and spans at most 15,
+	// so at most two are pending at any color and the burst alone sets
+	// the bound.
+	for s := r.Intn(8); s < c; s += 8 {
+		inst.Intervals = append(inst.Intervals, Interval{Start: s, End: min(s+7+r.Intn(8), c-1)})
+	}
+	r.Shuffle(len(inst.Intervals), func(i, j int) {
+		inst.Intervals[i], inst.Intervals[j] = inst.Intervals[j], inst.Intervals[i]
+	})
+	return inst, c0 + 1
 }
 
 // checkAssign compares Assign and refAssign at one capacity: the same
@@ -69,10 +157,8 @@ func TestAssignAllocatesOnlyColors(t *testing.T) {
 }
 
 // FuzzBCP decodes an instance from bytes — the first picks the color
-// count, each following pair one interval — and checks Solve against
-// the reference bound (value and prune counters), the reference
-// assignment and, when the instance is small enough, the exhaustive
-// optimum.
+// count, each following pair one interval — and checks it with
+// checkSolve.
 func FuzzBCP(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 1, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0})
@@ -87,23 +173,31 @@ func FuzzBCP(f *testing.F) {
 			e := s + int(b[1])%(inst.NumColors-s)
 			inst.Intervals = append(inst.Intervals, Interval{Start: s, End: e})
 		}
-		sol, err := inst.Solve()
-		if err != nil {
-			t.Fatalf("Solve: %v\nintervals %v", err, inst.Intervals)
-		}
-		if ref := inst.lowerBoundRef(); sol.LowerBound != ref || sol.Bottleneck != ref {
-			t.Fatalf("bound %d, bottleneck %d, reference bound %d\nintervals %v", sol.LowerBound, sol.Bottleneck, ref, inst.Intervals)
-		}
-		checkBoundStats(t, inst)
-		if len(inst.Intervals) > 0 {
-			checkAssign(t, inst, sol.LowerBound)
-		}
-		if len(inst.Intervals) <= 7 && inst.NumColors <= 8 {
-			if bf := inst.BruteForce(); bf != sol.Bottleneck {
-				t.Fatalf("bottleneck %d, exhaustive optimum %d\nintervals %v", sol.Bottleneck, bf, inst.Intervals)
-			}
-		}
+		checkSolve(t, inst)
 	})
+}
+
+// checkSolve is FuzzBCP's oracle: Solve against the unpruned
+// reference bound, the bound's traversal limit, the reference
+// assignment and, when the instance is small enough, the exhaustive
+// optimum.
+func checkSolve(t *testing.T, inst *Instance) {
+	t.Helper()
+	sol, err := inst.Solve()
+	if err != nil {
+		t.Fatalf("Solve: %v\nintervals %v", err, inst.Intervals)
+	}
+	if ref := checkBoundStats(t, inst); sol.LowerBound != ref || sol.Bottleneck != ref {
+		t.Fatalf("bound %d, bottleneck %d, reference bound %d\nintervals %v", sol.LowerBound, sol.Bottleneck, ref, inst.Intervals)
+	}
+	if len(inst.Intervals) > 0 {
+		checkAssign(t, inst, sol.LowerBound)
+	}
+	if len(inst.Intervals) <= 7 && inst.NumColors <= 8 {
+		if bf := inst.BruteForce(); bf != sol.Bottleneck {
+			t.Fatalf("bottleneck %d, exhaustive optimum %d\nintervals %v", sol.Bottleneck, bf, inst.Intervals)
+		}
+	}
 }
 
 // TestDeadlineHeapMatchesEndHeap drives the hole heap and the

@@ -27,9 +27,11 @@ import (
 // threads one through SolveStats when a fill runs with a trace sink.
 // Counters accumulate, so one Stats can aggregate several solves.
 type Stats struct {
-	// StartsScanned counts window starts the Algorithm 1 sweep
-	// evaluated; StartsSkipped counts starts pruned outright by the
-	// empty-start domination rule.
+	// The four counters sum over Algorithm 1's two passes, the seed
+	// pass over short windows and the density-pruned full pass.
+	// StartsScanned counts window starts a pass evaluated;
+	// StartsSkipped counts starts pruned outright, by the empty-start
+	// domination rule or, in the full pass, by the density bound.
 	StartsScanned int `json:"starts_scanned"`
 	StartsSkipped int `json:"starts_skipped"`
 	// WindowsScanned counts inner bound evaluations (one per [i,j]
@@ -150,10 +152,20 @@ func (inst *Instance) CheckColoring(colors []int) (int, error) {
 //
 // The paper states the T recurrence as an O(k²) table over interval
 // endpoints; we compute the equivalent window maximization with a rolling
-// row over colors in O(C+k) memory for C colors and k intervals. Three
-// exact prunings cut the naive O(C²) window sweep down on the instances
-// DP-fill produces (lb well above 1, starts sparse in the color range):
+// row over colors in O(C+k) memory for C colors and k intervals. The
+// sweep runs twice, and exact prunings cut the naive O(C²) window count
+// down to about O(k+C) on the instances DP-fill produces:
 //
+//   - Seed pass: the sweep over windows at most seedSpan colors wide,
+//     the exact maximum over short windows. With ceil(k/C), the bound
+//     of the full range, it seeds lb0, a valid lower bound.
+//   - Density prune: T(i,j) <= S(i,j), the intervals that start in
+//     [i,j]. A window can beat any lb >= lb0 only if S(i,j) > lb0·(j-i+1),
+//     so the second, full pass evaluates start i only out to the last
+//     such j, and folds it only as far as the smaller starts that read
+//     its row reach (see densityHorizon). At every start its running lb
+//     is at least a single pass's, so it visits a subset of the windows
+//     one pass under the other prunings would.
 //   - Empty starts: a window [i,j] with no interval starting at i
 //     contains the same intervals as [i+1,j] over one more color, so its
 //     bound is dominated and i is skipped outright.
@@ -165,9 +177,9 @@ func (inst *Instance) CheckColoring(colors []int) (int, error) {
 //     future read of t[j] (from a smaller i', before its own suffix
 //     break) lies strictly inside that horizon.
 //
-// Worst case stays O(C²+k); with a large bound lb the sweep per start is
-// O(k/lb). The start buckets and the row come from a sync.Pool, so the
-// serving path's per-fill bound costs no steady-state allocation.
+// Worst case stays O(C²+k). The start buckets, the row and the horizons
+// come from a sync.Pool, so the serving path's per-fill bound costs no
+// steady-state allocation.
 //
 // inst must be valid: built by NewInstance, or valid by construction
 // (every interval inside the color range, fewer than 2³¹-1 colors and
@@ -188,33 +200,111 @@ func (inst *Instance) lowerBound(st *Stats) int {
 	return sc.lowerBound(st)
 }
 
+// seedSpan is the widest window, in colors, the seed pass evaluates.
+const seedSpan = 16
+
 // dpvet:hot
-// lowerBound is the Algorithm 1 sweep over the bucketed intervals.
-// Counters are kept in locals through the sweep and flushed once at
-// the end, so the traced and untraced paths run the same inner loops.
+// lowerBound is Algorithm 1 over the bucketed intervals, of which
+// there must be at least one: the seed pass over short windows, then
+// the full pass under the density prune it licenses. Counters sum over
+// both passes.
+func (sc *scratch) lowerBound(st *Stats) int {
+	c, k := len(sc.t), len(sc.byStart)
+	for i := range c {
+		sc.hz[i] = int64(min(i+seedSpan-1, c-1))
+	}
+	var cnt Stats
+	// The seed pass starts from ceil(k/C), so its suffix breaks bite
+	// from the first start; it returns lb0.
+	lb := sc.sweep((k+c-1)/c, &cnt)
+	sc.densityHorizon(lb)
+	lb = sc.sweep(lb, &cnt)
+	if st != nil {
+		st.Add(cnt)
+	}
+	return lb
+}
+
+// dpvet:hot
+// densityHorizon fills hz[i], for each start i, with how far the full
+// pass must evaluate and fold start i once lb0 is known.
+//
+// With g(x) = offsets[x] - lb0·x, S(i,j) > lb0·(j-i+1) exactly when
+// g(j+1) > g(i), so reach(i), the last j at which a window from i can
+// beat lb0, is one less than the last x > i with g(x) > g(i). The
+// suffix maxima of g never increase with x, so one pass computing them
+// turns that into a binary search per non-empty start. A smaller start
+// i' reads the row out to reach(i'), so start i must fold out to hz(i),
+// the largest reach over the non-empty starts <= i; hz(i) < i means no
+// start at or below i reads a color start i contributes to, and the
+// pass skips it.
+//
+// hz holds the suffix maxima at indices 1..C first. The forward pass
+// overwrites hz[i] with the horizon only after its own search, which
+// reads indices above i, and later searches read higher still. g is
+// computed in int64: lb0·x can pass 2³¹ where int is 32 bits.
+func (sc *scratch) densityHorizon(lb0 int) {
+	off, hz := sc.offsets, sc.hz
+	c := len(off) - 1
+	g := func(x int) int64 { return int64(off[x]) - int64(lb0)*int64(x) }
+	best := g(c)
+	for x := c; x >= 1; x-- {
+		best = max(best, g(x))
+		hz[x] = best
+	}
+	far := int64(-1)
+	for i := range c {
+		if off[i+1] > off[i] {
+			gi := g(i)
+			// lo becomes the first x in (i, C] whose suffix max is at
+			// most g(i), or C+1 if there is none.
+			lo, hi := i+1, c+1
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if hz[mid] > gi {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			far = max(far, int64(lo-2))
+		}
+		hz[i] = far
+	}
+}
+
+// dpvet:hot
+// sweep is one pass of the rolling-row maximization, evaluating and
+// folding each start i only out to hz[i], from a running bound lb >= 1
+// that is already a valid lower bound. It returns the raised bound,
+// adds its counters to cnt once at the end so the traced and untraced
+// paths run the same inner loops, and leaves t zero and delta zero.
 //
 // T(i,j) = T(i+1,j) + |{Start == i, End <= j}|. The second term is a
 // running count p: the start's Ends are tallied per color into delta,
 // and the j sweep adds delta[j] as it passes color j (zeroing it on
 // the way), so no bucket is ever sorted.
-func (sc *scratch) lowerBound(st *Stats) int {
+func (sc *scratch) sweep(lb int, cnt *Stats) int {
 	startsScanned, startsSkipped, windows, suffixBreaks := 0, 0, 0, 0
-	off, byStart, t, delta := sc.offsets, sc.byStart, sc.t, sc.delta
+	off, byStart, t, delta, hz := sc.offsets, sc.byStart, sc.t, sc.delta, sc.hz
 	c, k := len(t), len(byStart)
-	lb := 0
-	suffix := 0 // number of intervals with Start >= i
 	// t[j] carries T(i,j) for the current window start i. Iterating i
 	// downward lets us reuse T(i+1,j).
 	for i := c - 1; i >= 0; i-- {
 		bucket := byStart[off[i]:off[i+1]]
-		if len(bucket) == 0 {
+		end := int(hz[i])
+		if len(bucket) == 0 || end < i {
+			// An empty start is dominated by the window starting at the
+			// next start; a start past its horizon feeds no later read.
 			startsSkipped++
-			continue // dominated by the window starting at the next start
+			continue
 		}
 		startsScanned++
-		suffix += len(bucket)
+		suffix := k - off[i] // number of intervals with Start >= i
 		for _, e := range bucket {
-			delta[e.end]++
+			if int(e.end) <= end {
+				delta[e.end]++
+			}
 		}
 		// Evaluate windows [i,j] and fold the Start == i intervals
 		// into t in the same sweep: count = T(i,j) = T(i+1,j) + p is
@@ -225,9 +315,9 @@ func (sc *scratch) lowerBound(st *Stats) int {
 		// suffix(i) <= k.
 		p := 0
 		j := i
-		for ; j < c; j++ {
+		for ; j <= end; j++ {
 			window := j - i + 1
-			if lb > 0 && lb*window >= suffix {
+			if lb*window >= suffix {
 				suffixBreaks++
 				break // ceil(T/window) <= ceil(suffix/window) <= lb from here on
 			}
@@ -242,7 +332,7 @@ func (sc *scratch) lowerBound(st *Stats) int {
 		}
 		// Keep folding out to the fold horizon, which can extend past
 		// the evaluation break.
-		for ; j < c; j++ {
+		for ; j <= end; j++ {
 			if lb*(j-i+1) >= k {
 				break
 			}
@@ -250,20 +340,18 @@ func (sc *scratch) lowerBound(st *Stats) int {
 			delta[j] = 0
 			t[j] += p
 		}
-		if j < c {
-			// Ends past the horizon were tallied but never swept.
+		if j <= end {
+			// Ends up to hz[i] were tallied but not all swept.
 			for _, e := range bucket {
 				delta[e.end] = 0
 			}
 		}
 	}
 	clear(t)
-	if st != nil {
-		st.StartsScanned += startsScanned
-		st.StartsSkipped += startsSkipped
-		st.WindowsScanned += windows
-		st.SuffixBreaks += suffixBreaks
-	}
+	cnt.StartsScanned += startsScanned
+	cnt.StartsSkipped += startsSkipped
+	cnt.WindowsScanned += windows
+	cnt.SuffixBreaks += suffixBreaks
 	return lb
 }
 
@@ -278,6 +366,12 @@ func (sc *scratch) lowerBound(st *Stats) int {
 // optimal. Assign nevertheless verifies legality and returns an error if
 // the capacity was too small (which indicates caller misuse, not an
 // algorithmic failure).
+//
+// A color whose heap and bucket together fit in capacity, with no heap
+// entry already late, is drained: EDF would pop every entry there, so
+// all of them take the color and the heap empties without a sift. The
+// heap every later color sees is the one popping would leave, so the
+// coloring is container/heap's, tie for tie.
 //
 // The start buckets and the heap come from the same pool as
 // LowerBound's, so the returned coloring is the call's only
@@ -309,7 +403,22 @@ func (sc *scratch) assign(ivs []Interval, capacity int, colors []int) error {
 	off, byStart := sc.offsets, sc.byStart
 	assigned := 0
 	for c := 0; c+1 < len(off); c++ {
-		for _, e := range byStart[off[c]:off[c+1]] {
+		bucket := byStart[off[c]:off[c+1]]
+		if len(h)+len(bucket) <= capacity && (len(h) == 0 || int(h[0].end) >= c) {
+			// EDF would pop every entry at c, none late: color them all
+			// and empty the heap, as popping everything would, with no
+			// sifting.
+			for _, e := range h {
+				colors[e.idx] = c
+			}
+			for _, e := range bucket {
+				colors[e.idx] = c
+			}
+			assigned += len(h) + len(bucket)
+			h = h[:0]
+			continue
+		}
+		for _, e := range bucket {
 			h.push(e)
 		}
 		for picked := 0; picked < capacity && len(h) > 0; picked++ {

@@ -278,3 +278,59 @@ func BenchmarkBCPAssign(b *testing.B) {
 		}
 	}
 }
+
+// coldShapeInstance builds the BCP instance DP-fill solves for one
+// fill-cold-shaped request in its given order: m pins × n cubes at a
+// mean X fraction x with skewed per-cube care, as core's benchmarks
+// draw them. Each pin contributes one interval [a, b-1] per pair of
+// consecutive care bits at cubes a < b with different values, over the
+// n-1 boundaries between cubes.
+func coldShapeInstance(r *rand.Rand, m, n int, x float64) *Instance {
+	lastCol := make([]int, m)
+	lastVal := make([]int8, m) // 0 = no care bit yet, else ±1
+	inst := &Instance{NumColors: n - 1}
+	for col := range n {
+		care := math.Min((1-x)*r.ExpFloat64(), 0.95)
+		for p := range m {
+			u := r.Float64()
+			if u >= care {
+				continue
+			}
+			v := int8(1)
+			if u < care/2 {
+				v = -1
+			}
+			if lastVal[p] != 0 && lastVal[p] != v {
+				inst.Intervals = append(inst.Intervals, Interval{Start: lastCol[p], End: col - 1})
+			}
+			lastCol[p], lastVal[p] = col, v
+		}
+	}
+	return inst
+}
+
+// BenchmarkBCPColdShapeBound runs Algorithm 1 on the instance of one
+// fill-cold-shaped request, 768 pins × 1250 cubes at 85% X, where
+// intervals are skewed across colors rather than uniform.
+func BenchmarkBCPColdShapeBound(b *testing.B) {
+	inst := coldShapeInstance(rand.New(rand.NewSource(1250)), 768, 1250, 0.85)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst.LowerBound()
+	}
+}
+
+// BenchmarkBCPColdShapeAssign runs Algorithm 2 at the bound on the
+// same fill-cold-shaped instance.
+func BenchmarkBCPColdShapeAssign(b *testing.B) {
+	inst := coldShapeInstance(rand.New(rand.NewSource(1250)), 768, 1250, 0.85)
+	lb := inst.LowerBound()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := inst.Assign(lb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

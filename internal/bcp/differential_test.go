@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestLowerBoundMatchesRef pins the pruned LowerBound (empty-start
-// skip, suffix break, fold horizon, pooled scratch) to the unpruned
-// reference sweep over a spread of instance shapes: dense and sparse
-// starts, unit intervals, full-range intervals, and empty instances.
-// It pins the flat-bucket sweep to the sorted-bucket one on every
-// Stats counter too: the traversal, not only the bound, is unchanged.
+// TestLowerBoundMatchesRef pins the pruned LowerBound (seed pass,
+// density prune, empty-start skip, suffix break, fold horizon, pooled
+// scratch) to the unpruned reference sweep over a spread of instance
+// shapes: dense and sparse starts, unit intervals, full-range
+// intervals, and empty instances. It also bounds the traversal by the
+// sorted-bucket sweep's (see checkBoundStats).
 func TestLowerBoundMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 400; trial++ {
@@ -35,16 +35,24 @@ func TestLowerBoundMatchesRef(t *testing.T) {
 	}
 }
 
-// checkBoundStats requires lowerBound and refLowerBound to agree on
-// the bound and on every prune counter.
-func checkBoundStats(t *testing.T, inst *Instance) {
+// checkBoundStats requires lowerBound to agree with refLowerBound and
+// lowerBoundRef on the bound, and to scan at most refLowerBound's
+// windows plus seedSpan per color: the full pass visits a subset of
+// the single-pass sweep's windows, and the seed pass adds at most
+// seedSpan windows per color. It returns the bound.
+func checkBoundStats(t *testing.T, inst *Instance) int {
 	t.Helper()
 	var got, want Stats
 	gotLB, wantLB := inst.lowerBound(&got), inst.refLowerBound(&want)
-	if gotLB != wantLB || got != want {
-		t.Fatalf("C=%d k=%d: bound %d with %+v, reference %d with %+v\nintervals: %v",
-			inst.NumColors, len(inst.Intervals), gotLB, got, wantLB, want, inst.Intervals)
+	if full := inst.lowerBoundRef(); gotLB != wantLB || gotLB != full {
+		t.Fatalf("C=%d k=%d: bound %d, reference %d, unpruned reference %d\nintervals: %v",
+			inst.NumColors, len(inst.Intervals), gotLB, wantLB, full, inst.Intervals)
 	}
+	if limit := want.WindowsScanned + seedSpan*inst.NumColors; got.WindowsScanned > limit {
+		t.Fatalf("C=%d k=%d: %d windows scanned, limit %d (reference %+v, got %+v)\nintervals: %v",
+			inst.NumColors, len(inst.Intervals), got.WindowsScanned, limit, want, got, inst.Intervals)
+	}
+	return gotLB
 }
 
 // TestLowerBoundAllocatesNothing: with warm pooled scratch, the bound

@@ -50,11 +50,13 @@ func (inst *Instance) lowerBoundRef() int {
 }
 
 // refLowerBound is Algorithm 1 as LowerBound stood before its buckets
-// were flattened: per-start [][]int end lists, each sorted, swept with
-// a forward pointer that counts "End <= j", under the same three
-// prunings. The differential and fuzz tests pin LowerBound to it on
-// the bound and on every Stats counter, which explain traces and the
-// benchmark's per-layer report expose.
+// were flattened and before the seed pass and density prune: one pass
+// over per-start [][]int end lists, each sorted, swept with a forward
+// pointer that counts "End <= j", under the empty-start skip, the
+// suffix break and the fold horizon. The differential and fuzz tests
+// pin LowerBound to it on the bound, and bound LowerBound's
+// WindowsScanned by its count plus seedSpan per color: the pruned pass
+// visits a subset of this sweep's windows.
 func (inst *Instance) refLowerBound(st *Stats) int {
 	k := len(inst.Intervals)
 	if k == 0 {

@@ -22,18 +22,21 @@ type entry struct{ end, idx int32 }
 //   - offsets and byStart are a counting sort by Start: bucket s is
 //     byStart[offsets[s]:offsets[s+1]], in ascending interval index.
 //   - t is Algorithm 1's rolling T(i,j) row and delta its per-color
-//     count of the current start's Ends not yet swept.
+//     count of the current start's Ends not yet swept; hz[i] is how
+//     far a pass evaluates and folds start i (hz has one spare entry,
+//     which densityHorizon's suffix maxima use).
 //   - heap is Algorithm 2's deadline heap.
 //
 // Invariant at rest (in the pool): every entry of t[:cap] and
-// delta[:cap] is 0, so getScratch only has to re-slice. The sweep
+// delta[:cap] is 0, so getScratch only has to re-slice. Each sweep
 // leaves delta zero and clears t before returning; offsets and byStart
-// are fully rewritten by bucket, heap by its pushes.
+// are fully rewritten by bucket, hz by each pass, heap by its pushes.
 type scratch struct {
 	offsets []int
 	byStart []entry
 	t       []int
 	delta   []int32
+	hz      []int64
 	heap    []entry
 }
 
@@ -41,17 +44,19 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // getScratch checks out scratch for c colors and k intervals: offsets
 // of length c+1, byStart of length k, t and delta of length c and
-// zeroed, heap of length 0 and capacity k.
+// zeroed, hz of length c+1, heap of length 0 and capacity k.
 func getScratch(c, k int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	if cap(sc.offsets) < c+1 {
 		sc.offsets = make([]int, c+1)
 		sc.t = make([]int, c)
 		sc.delta = make([]int32, c)
+		sc.hz = make([]int64, c+1)
 	}
 	sc.offsets = sc.offsets[:c+1]
 	sc.t = sc.t[:c]
 	sc.delta = sc.delta[:c]
+	sc.hz = sc.hz[:c+1]
 	if cap(sc.byStart) < k {
 		sc.byStart = make([]entry, k)
 		sc.heap = make([]entry, 0, k)
