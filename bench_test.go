@@ -226,26 +226,45 @@ func BenchmarkAblationUnitIntervals(b *testing.B) {
 	b.ResetTimer()
 	gap := 0
 	for i := 0; i < b.N; i++ {
-		mp := core.Map(s)
-		var all, wide []bcp.Interval
-		for _, ti := range mp.Intervals {
-			iv := ti.Interval()
-			all = append(all, iv)
+		all := toggleIntervals(s)
+		var wide []bcp.Interval
+		for _, iv := range all {
 			if iv.End > iv.Start {
 				wide = append(wide, iv)
 			}
 		}
-		full, err := bcp.NewInstance(mp.NumCycles, all)
+		full, err := bcp.NewInstance(s.Len()-1, all)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ablated, err := bcp.NewInstance(mp.NumCycles, wide)
+		ablated, err := bcp.NewInstance(s.Len()-1, wide)
 		if err != nil {
 			b.Fatal(err)
 		}
 		gap = full.LowerBound() - ablated.LowerBound()
 	}
 	b.ReportMetric(float64(gap), "toggles_underestimated")
+}
+
+// toggleIntervals is the per-trit interval list of the §V-C reduction:
+// for each pin, the BCP interval [p, q-1] of every two consecutive care
+// bits at columns p < q with different values, forced unit toggles
+// (q = p+1) included.
+func toggleIntervals(s *cube.Set) []bcp.Interval {
+	var ivs []bcp.Interval
+	for pin := 0; pin < s.Width; pin++ {
+		last := -1
+		for j, c := range s.Cubes {
+			if !c[pin].IsCare() {
+				continue
+			}
+			if last >= 0 && s.Cubes[last][pin] != c[pin] {
+				ivs = append(ivs, bcp.Interval{Start: last, End: j - 1})
+			}
+			last = j
+		}
+	}
+	return ivs
 }
 
 // BenchmarkAblationInterleave isolates Algorithm 3's interleaving step:

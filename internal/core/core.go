@@ -56,88 +56,6 @@ func (ti ToggleInterval) Interval() bcp.Interval {
 	return bcp.Interval{Start: ti.LeftCol, End: ti.RightCol - 1}
 }
 
-// Mapping is the outcome of the cube→BCP reduction: a partially filled
-// set in which only unequal-boundary stretches remain as Xs, plus the
-// interval list describing them.
-type Mapping struct {
-	// Prefilled is the set after step 2 above. All remaining X bits
-	// belong to exactly one ToggleInterval.
-	Prefilled *cube.Set
-	// Intervals lists the toggle intervals, including unit intervals for
-	// forced toggles (which contain no X bits but constrain the peak).
-	Intervals []ToggleInterval
-	// NumCycles is n-1: the number of consecutive-vector boundaries.
-	NumCycles int
-}
-
-// Map performs the reduction of §V-C on a copy of the input set. The
-// input set is not modified.
-//
-// Map is the serial per-trit reference implementation; MapSharded is
-// the packed, parallel production path and produces identical output
-// (TestMapShardedMatchesSerial pins the equivalence).
-func Map(s *cube.Set) *Mapping {
-	out := s.Clone()
-	n := out.Len()
-	m := &Mapping{Prefilled: out, NumCycles: maxInt(0, n-1)}
-
-	for i := 0; i < out.Width; i++ {
-		row := out.Row(i)
-		mapRow(i, row, m)
-		out.SetRow(i, row)
-	}
-	return m
-}
-
-// mapRow pre-fills the fillable stretches of one row in place and
-// appends its toggle intervals (including forced unit toggles) to m.
-func mapRow(rowIdx int, row []cube.Trit, m *Mapping) {
-	n := len(row)
-	// Find the care positions.
-	first := -1
-	for j := 0; j < n; j++ {
-		if row[j] != cube.X {
-			first = j
-			break
-		}
-	}
-	if first == -1 {
-		// Fully-X row: any constant works; use 0.
-		for j := range row {
-			row[j] = cube.Zero
-		}
-		return
-	}
-	// Leading Xs copy the first care bit (no toggle possible).
-	for j := 0; j < first; j++ {
-		row[j] = row[first]
-	}
-	// Walk consecutive care-bit pairs.
-	prev := first
-	for j := first + 1; j < n; j++ {
-		if row[j] == cube.X {
-			continue
-		}
-		if row[prev] == row[j] {
-			// Equal boundaries: pre-fill with the common value.
-			for t := prev + 1; t < j; t++ {
-				row[t] = row[prev]
-			}
-		} else {
-			// Unequal boundaries: one toggle somewhere in cycles
-			// prev..j-1. Keep the Xs; reconstruction fills them.
-			m.Intervals = append(m.Intervals, ToggleInterval{
-				Row: rowIdx, LeftCol: prev, RightCol: j, LeftVal: row[prev],
-			})
-		}
-		prev = j
-	}
-	// Trailing Xs copy the last care bit.
-	for j := prev + 1; j < n; j++ {
-		row[j] = row[prev]
-	}
-}
-
 // Result summarizes a DP-fill run.
 type Result struct {
 	// Peak is the achieved peak toggle count — optimal for the ordering.
@@ -213,18 +131,34 @@ func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
 // freshly allocated and owned by the caller; the interval scratch
 // comes from the arena pool. The trace's unpack stage stays zero.
 func FillPlanes(s *cube.Set, opt Options) (*cube.PackedRows, *Result, error) {
+	return fillPlanes(func() *cube.PackedRows { return cube.PackRows(s) }, opt)
+}
+
+// FillPacked is FillPlanes on the cubes of the snapshot p applied in
+// perm order (nil: snapshot order): what FillPlanes returns for
+// s.Reorder(perm) when p = cube.Pack(s), with the row planes built
+// from p's words (Packed.Rows) instead of from trits. It is the
+// served path: a request parsed into a snapshot is ordered and filled
+// without a cube set in between. The trace's pack stage covers the
+// row build.
+func FillPacked(p *cube.Packed, perm []int, opt Options) (*cube.PackedRows, *Result, error) {
+	return fillPlanes(func() *cube.PackedRows { return p.Rows(perm) }, opt)
+}
+
+// fillPlanes is the kernel behind FillPlanes and FillPacked; pack
+// builds its row planes, which the fill then owns and returns.
+func fillPlanes(pack func() *cube.PackedRows, opt Options) (*cube.PackedRows, *Result, error) {
 	tr := opt.Trace
 	var start, mark time.Time
 	if tr != nil {
 		start = time.Now()
 		mark = start
 	}
-	n := s.Len()
-	rows := s.Width
 	ar := getArena()
 	defer putArena(ar)
 	reused := cap(ar.bcpIvs) > 0
-	pr := cube.PackRows(s)
+	pr := pack()
+	n, rows := pr.N, pr.Width
 	if tr != nil {
 		now := time.Now()
 		tr.PackNS += now.Sub(mark).Nanoseconds()
@@ -312,44 +246,6 @@ func FillPlanes(s *cube.Set, opt Options) (*cube.PackedRows, *Result, error) {
 		tr.seal(time.Since(start).Nanoseconds())
 	}
 	return pr, res, nil
-}
-
-// fillMapping solves and reconstructs a completed reduction on the
-// unpacked representation. It is the per-trit reference path FillWith
-// is differentially tested against (TestFillMatchesReference), and the
-// back half of Map-based callers.
-func fillMapping(mp *Mapping) (*cube.Set, *Result, error) {
-	intervals := make([]bcp.Interval, len(mp.Intervals))
-	forced := 0
-	for i, ti := range mp.Intervals {
-		intervals[i] = ti.Interval()
-		if ti.RightCol == ti.LeftCol+1 {
-			forced++
-		}
-	}
-	inst, err := bcp.NewInstance(mp.NumCycles, intervals)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: building BCP instance: %w", err)
-	}
-	sol, err := inst.Solve()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: solving BCP: %w", err)
-	}
-	filled := Reconstruct(mp, sol.Colors)
-	peak, total, profile := filled.ToggleStats()
-	res := &Result{
-		Peak:         peak,
-		Total:        total,
-		LowerBound:   sol.LowerBound,
-		NumIntervals: len(intervals),
-		ForcedUnit:   forced,
-		Profile:      profile,
-	}
-	if res.Peak != sol.LowerBound {
-		return nil, nil, fmt.Errorf("core: reconstruction peak %d != lower bound %d",
-			res.Peak, sol.LowerBound)
-	}
-	return filled, res, nil
 }
 
 // Bottleneck computes the optimal peak toggle count of the ordered set
@@ -445,26 +341,6 @@ func zeroWords(buf []uint64, n int) []uint64 {
 	buf = buf[:n]
 	clear(buf)
 	return buf
-}
-
-// Reconstruct applies §V-D: given the mapping and a BCP coloring (one
-// color per interval, in the order of mp.Intervals), it fills the
-// remaining Xs and returns the fully specified set. The toggle of
-// interval colored j lands between vectors j and j+1.
-func Reconstruct(mp *Mapping, colors []int) *cube.Set {
-	out := mp.Prefilled.Clone()
-	for i, ti := range mp.Intervals {
-		j := colors[i]
-		left := ti.LeftVal
-		right := left.Neg()
-		for col := ti.LeftCol + 1; col <= j; col++ {
-			out.Cubes[col][ti.Row] = left
-		}
-		for col := j + 1; col < ti.RightCol; col++ {
-			out.Cubes[col][ti.Row] = right
-		}
-	}
-	return out
 }
 
 func maxInt(a, b int) int {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,6 +71,48 @@ func TestFillMatchesReference(t *testing.T) {
 			sameResult(t, gotRes, wantRes)
 			if !s.Covers(got) {
 				t.Fatalf("shape %d shards %d: output is not a completion of the input", si, shards)
+			}
+		}
+	}
+}
+
+// TestFillPackedMatchesReference pins the served kernel entry, which
+// builds its rows from a packed snapshot through a permutation, to the
+// per-trit reference on the reordered set, and its planes and trace
+// counters to FillPlanes on that set, for the identity (nil) and
+// random orders across word-boundary shapes.
+func TestFillPackedMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for _, sh := range []struct{ width, n int }{{0, 3}, {1, 1}, {5, 2}, {63, 64}, {64, 65}, {65, 130}, {200, 70}} {
+		for _, xProb := range []float64{0, 0.6, 0.9, 1} {
+			s := randomSet(r, sh.width, sh.n, xProb)
+			p := cube.Pack(s)
+			for _, perm := range [][]int{nil, r.Perm(sh.n)} {
+				ordered := s
+				if perm != nil {
+					ordered = s.Reorder(perm)
+				}
+				want, wantRes, err := fillReference(ordered)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var trGot, trWant Trace
+				got, gotRes, err := FillPacked(p, perm, Options{Shards: 1, Trace: &trGot})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, gotRes, wantRes)
+				if !got.Unpack().Equal(want) {
+					t.Fatalf("%dx%d X %.1f perm %v: FillPacked differs from the reference", sh.width, sh.n, xProb, perm)
+				}
+				planes, _, err := FillPlanes(ordered, Options{Shards: 1, Trace: &trWant})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Strings(), planes.Strings()) || trGot.Intervals != trWant.Intervals ||
+					trGot.ForcedUnit != trWant.ForcedUnit || trGot.Rows != trWant.Rows || trGot.Cols != trWant.Cols {
+					t.Fatalf("%dx%d X %.1f perm %v: FillPacked and FillPlanes disagree", sh.width, sh.n, xProb, perm)
+				}
 			}
 		}
 	}

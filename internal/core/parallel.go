@@ -11,7 +11,8 @@ import (
 // Options tunes how Fill executes. The algorithm and its output are
 // identical for every setting; only the schedule changes.
 type Options struct {
-	// Shards is the number of row shards the Map scan fans out across.
+	// Shards is the number of row shards the stretch scan fans out
+	// across.
 	// 0 picks GOMAXPROCS; 1 runs the scan inline (no goroutines).
 	Shards int
 	// Trace, when non-nil, receives the fill's explain record:
@@ -46,27 +47,6 @@ func resolveShards(requested, rows, trits int) int {
 	return s
 }
 
-// MapSharded is Map on the bit-packed row representation, fanned out
-// across contiguous row shards. Rows are independent (each pin's
-// X-stretch scan touches only that pin), so shards run concurrently and
-// their interval lists are concatenated in shard order, which is row
-// order — the result is identical, entry for entry, to the serial Map.
-// shards <= 0 picks a machine-sized default.
-func MapSharded(s *cube.Set, shards int) *Mapping {
-	n := s.Len()
-	m := &Mapping{NumCycles: maxInt(0, n-1), Prefilled: newColumnSet(s.Width, n)}
-
-	rows := s.Width
-	if rows == 0 {
-		return m
-	}
-	shards = resolveShards(shards, rows, rows*n)
-	pr := cube.PackRows(s)
-	m.Intervals = scanSharded(pr, shards, nil)
-	unpackColumns(pr, m.Prefilled, shards)
-	return m
-}
-
 // newColumnSet builds an n-cube set of the given width whose cubes
 // slice one flat backing buffer: the allocator is hit once, and the
 // zeroed make suffices because unpackColumns overwrites every trit.
@@ -84,7 +64,8 @@ func newColumnSet(width, n int) *cube.Set {
 // in row order. Rows are independent (each pin's X-stretch scan
 // touches only that pin's packed planes), so shards run concurrently
 // and their interval lists concatenate in shard order = row order —
-// entry for entry identical to the serial Map's list.
+// entry for entry identical to the serial per-trit reduction's list
+// (Map in mapping_ref_test.go).
 func scanSharded(pr *cube.PackedRows, shards int, dst []ToggleInterval) []ToggleInterval {
 	rows := pr.Width
 	if rows == 0 {
@@ -160,11 +141,11 @@ func scanRowsAppend(dst []ToggleInterval, pr *cube.PackedRows, lo, hi int) []Tog
 }
 
 // dpvet:hot
-// mapRowPacked is mapRow on the packed row planes: one pass over the
-// row's care words, iterating set bits with TrailingZeros64, with
-// stretch pre-fills as word ORs — an X run costs one word op per 64
-// columns instead of 64 per-trit loop steps. The fill rules are
-// identical to mapRow's.
+// mapRowPacked is the reference mapRow (mapping_ref_test.go) on the
+// packed row planes: one pass over the row's care words, iterating set
+// bits with TrailingZeros64, with stretch pre-fills as word ORs — an X
+// run costs one word op per 64 columns instead of 64 per-trit loop
+// steps. The fill rules are identical to mapRow's.
 func mapRowPacked(row int, pr *cube.PackedRows, out *[]ToggleInterval) {
 	n := pr.N
 	if n == 0 {

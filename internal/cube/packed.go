@@ -1,6 +1,8 @@
 package cube
 
 import (
+	"fmt"
+	"io"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -13,8 +15,10 @@ import (
 // chains, simulated annealing) or walk the set in candidate orders
 // (I-Ordering's bottleneck bound) build a Packed once and query it.
 //
-// Packed is a snapshot: later mutations of the source Set are not
-// reflected.
+// Pack builds one from a Set; ParsePacked decodes one straight from
+// cube text, which is how a served request arrives, and the fill's
+// row planes are built from it in any order by Rows. Packed is a
+// snapshot: later mutations of a source Set are not reflected.
 type Packed struct {
 	// Width is the cube width in pins; Words is ceil(Width/64).
 	Width, Words int
@@ -29,16 +33,8 @@ type Packed struct {
 // Pack builds the packed snapshot of s. Every trit of s must be Zero,
 // One or X.
 func Pack(s *Set) *Packed {
-	words := (s.Width + 63) / 64
-	n := s.Len()
-	p := &Packed{
-		Width: s.Width, Words: words, n: n,
-		// One backing array per plane keeps each cube's words
-		// contiguous and the whole plane one allocation.
-		care:      make([]uint64, n*words),
-		val:       make([]uint64, n*words),
-		careCount: make([]int, n),
-	}
+	p := newPacked(s.Width, s.Len())
+	words := p.Words
 	for i, c := range s.Cubes {
 		care := p.care[i*words : (i+1)*words]
 		packCubeWords(c, care, p.val[i*words:(i+1)*words])
@@ -49,8 +45,187 @@ func Pack(s *Set) *Packed {
 	return p
 }
 
+// newPacked allocates the zeroed snapshot of n cubes of the given
+// width. One backing array per plane keeps each cube's words
+// contiguous and the whole plane one allocation.
+func newPacked(width, n int) *Packed {
+	words := (width + 63) / 64
+	return &Packed{
+		Width: width, Words: words, n: n,
+		care:      make([]uint64, n*words),
+		val:       make([]uint64, n*words),
+		careCount: make([]int, n),
+	}
+}
+
+// ParsePacked is ParseSet straight into a packed snapshot: it accepts
+// and rejects exactly what ParseSet does, with the same error text,
+// and on success returns Pack(ParseSet(cubes...)) without ever building
+// the one-byte-per-trit set. Equal-length cubes decode eight bytes at a
+// time (see decodeWords); a bad byte or a ragged width hands the whole
+// input to ParseSet's per-cube path for its message.
+func ParsePacked(cubes []string) (*Packed, error) {
+	if len(cubes) == 0 {
+		return nil, fmt.Errorf("cube: ParseSet needs at least one cube")
+	}
+	width := len(cubes[0])
+	for _, s := range cubes {
+		if len(s) != width {
+			return parsePackedEach(cubes)
+		}
+	}
+	p := newPacked(width, len(cubes))
+	for i, s := range cubes {
+		care, val := p.care[i*p.Words:(i+1)*p.Words], p.val[i*p.Words:(i+1)*p.Words]
+		if !decodeWords(s, care, val) {
+			return parsePackedEach(cubes)
+		}
+		for _, w := range care {
+			p.careCount[i] += bits.OnesCount64(w)
+		}
+	}
+	return p, nil
+}
+
+// parsePackedEach is ParsePacked through parseSetEach, the path that
+// owns the error messages.
+func parsePackedEach(cubes []string) (*Packed, error) {
+	s, err := parseSetEach(cubes)
+	if err != nil {
+		return nil, err
+	}
+	return Pack(s), nil
+}
+
 // Len returns the number of cubes in the snapshot.
 func (p *Packed) Len() int { return p.n }
+
+// XCount returns the total number of X bits across all cubes
+// (Set.XCount of the source set).
+func (p *Packed) XCount() int {
+	x := p.Width * p.n
+	for _, c := range p.careCount {
+		x -= c
+	}
+	return x
+}
+
+// XPercent is Set.XPercent of the source set, computed from the same
+// integer X count, so the two are float-identical.
+func (p *Packed) XPercent() float64 {
+	if p.n == 0 || p.Width == 0 {
+		return 0
+	}
+	return 100 * float64(p.XCount()) / float64(p.Width*p.n)
+}
+
+// WritePlanes writes the raw care plane and then the raw value plane
+// to w, in machine byte order. Bits past Width are always zero and the
+// X spellings all decode to the same bits, so two snapshots of equal
+// Width and Len write equal bytes exactly when their sets render to
+// the same text: a hash of the bytes keys an in-process cache. It is
+// not a wire format.
+func (p *Packed) WritePlanes(w io.Writer) error {
+	for _, plane := range [][]uint64{p.care, p.val} {
+		if len(plane) == 0 {
+			continue
+		}
+		b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(plane))), len(plane)*8)
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// order resolves a permutation argument: nil is the identity, anything
+// else must be a bijection over [0, n), checked with Set.Reorder's
+// panic.
+func (p *Packed) order(perm []int) []int {
+	if perm == nil {
+		perm = make([]int, p.n)
+		for i := range perm {
+			perm[i] = i
+		}
+		return perm
+	}
+	if len(perm) != p.n {
+		panic("cube: Reorder permutation length mismatch")
+	}
+	seen := make([]uint64, (p.n+63)/64)
+	for _, c := range perm {
+		if c < 0 || c >= p.n || seen[c/64]&(1<<(c%64)) != 0 {
+			panic("cube: Reorder argument is not a permutation")
+		}
+		seen[c/64] |= 1 << (c % 64)
+	}
+	return perm
+}
+
+// Rows builds the row-major planes of the snapshot's cubes applied in
+// perm order (nil: snapshot order): PackRows(s.Reorder(perm)) for
+// p = Pack(s), without a trit. For each block of 64 output columns
+// and each 64-pin word it gathers the permuted cubes' word into a tile
+// and transposes it, as PackRowsInto does after decoding trits. The
+// planes are freshly allocated and owned by the caller.
+func (p *Packed) Rows(perm []int) *PackedRows {
+	perm = p.order(perm)
+	words := (p.n + 63) / 64
+	out := &PackedRows{Width: p.Width, N: p.n, Words: words,
+		careBuf: make([]uint64, p.Width*words), valBuf: make([]uint64, p.Width*words)}
+	out.care = rowViews(nil, out.careBuf, p.Width, words)
+	out.val = rowViews(nil, out.valBuf, p.Width, words)
+	var careT, valT [64]uint64
+	for cw := 0; cw < words; cw++ {
+		cols := perm[cw*64 : min(cw*64+64, p.n)]
+		for w := 0; w < p.Words; w++ {
+			gatherTile(&careT, &valT, p, cols, w)
+			i0 := w * 64
+			for i := i0; i < min(i0+64, p.Width); i++ {
+				out.careBuf[i*words+cw] = careT[i-i0]
+				out.valBuf[i*words+cw] = valT[i-i0]
+			}
+		}
+	}
+	return out
+}
+
+// dpvet:hot
+// gatherTile fills care[j] and val[j] with word w of cube cols[j] (at
+// most 64 cubes; the rest of the tile reads as X) and transposes both,
+// so care[r] holds pin w*64+r across the cubes, bit j for cube cols[j].
+func gatherTile(care, val *[64]uint64, p *Packed, cols []int, w int) {
+	for j, c := range cols {
+		care[j], val[j] = p.care[c*p.Words+w], p.val[c*p.Words+w]
+	}
+	for j := len(cols); j < 64; j++ {
+		care[j], val[j] = 0, 0
+	}
+	transpose64(care)
+	transpose64(val)
+}
+
+// Unpack decodes the snapshot's cubes in perm order (nil: snapshot
+// order) into a fresh set: s.Reorder(perm) for p = Pack(s), with cubes
+// of its own. It is the edge for code that still walks trits.
+func (p *Packed) Unpack(perm []int) *Set {
+	perm = p.order(perm)
+	out := &Set{Width: p.Width, Cubes: make([]Cube, p.n)}
+	buf := make(Cube, p.Width*p.n)
+	for j, c := range perm {
+		cb := buf[j*p.Width : (j+1)*p.Width : (j+1)*p.Width]
+		care, val := p.CubeWords(c)
+		for k := range cb {
+			bit := uint64(1) << (k % 64)
+			cb[k] = X
+			if care[k/64]&bit != 0 {
+				cb[k] = Trit(val[k/64] >> (k % 64) & 1)
+			}
+		}
+		out.Cubes[j] = cb
+	}
+	return out
+}
 
 // CareCount returns the number of specified bits of cube i.
 func (p *Packed) CareCount(i int) int { return p.careCount[i] }

@@ -47,14 +47,16 @@ func refParseSet(cubes ...string) (*Set, error) {
 
 // checkParseSet compares ParseSet with refParseSet on one input and,
 // when it parses, that every cube renders to its canonical text and
-// parses back to itself.
-func checkParseSet(t *testing.T, cubes []string) {
+// parses back to itself. ParsePacked must agree with both (see
+// checkParsePacked); seed draws the permutation its rows are built in.
+func checkParseSet(t *testing.T, cubes []string, seed int64) {
 	t.Helper()
 	got, gotErr := ParseSet(cubes...)
 	want, wantErr := refParseSet(cubes...)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("ParseSet(%q): error %v, rune decoder %v", cubes, gotErr, wantErr)
 	}
+	checkParsePacked(t, cubes, got, gotErr, seed)
 	if gotErr != nil {
 		return
 	}
@@ -71,6 +73,41 @@ func checkParseSet(t *testing.T, cubes []string) {
 		if err != nil || !back.Equal(c) {
 			t.Fatalf("cube %q: %q parses back to %v, %v", cubes[j], text, back, err)
 		}
+	}
+}
+
+// checkParsePacked requires ParsePacked to accept and reject what
+// ParseSet did (set, err), with the same error text. On success its
+// planes and care counts must equal Pack(set)'s, its X percentage
+// set's, its rows in a seeded random order PackRows(set.Reorder) and
+// its unpacked cubes set.Reorder's.
+func checkParsePacked(t *testing.T, cubes []string, set *Set, err error, seed int64) {
+	t.Helper()
+	p, perr := ParsePacked(cubes)
+	if (perr == nil) != (err == nil) || (perr != nil && perr.Error() != err.Error()) {
+		t.Fatalf("ParsePacked(%q): error %v, ParseSet %v", cubes, perr, err)
+	}
+	if err != nil {
+		return
+	}
+	want := Pack(set)
+	if p.Width != want.Width || p.Words != want.Words || p.n != want.n ||
+		!slices.Equal(p.care, want.care) || !slices.Equal(p.val, want.val) ||
+		!slices.Equal(p.careCount, want.careCount) {
+		t.Fatalf("ParsePacked(%q) differs from Pack(ParseSet)", cubes)
+	}
+	if p.XCount() != set.XCount() || p.XPercent() != set.XPercent() {
+		t.Fatalf("ParsePacked(%q): X count %d (%v%%), ParseSet %d (%v%%)",
+			cubes, p.XCount(), p.XPercent(), set.XCount(), set.XPercent())
+	}
+	perm := rand.New(rand.NewSource(seed)).Perm(set.Len())
+	got, wantRows := p.Rows(perm), PackRows(set.Reorder(perm))
+	if got.Width != wantRows.Width || got.N != wantRows.N || got.Words != wantRows.Words ||
+		!slices.Equal(got.careBuf, wantRows.careBuf) || !slices.Equal(got.valBuf, wantRows.valBuf) {
+		t.Fatalf("ParsePacked(%q).Rows(%v) differs from PackRows(Reorder)", cubes, perm)
+	}
+	if u := p.Unpack(perm); u.Width != set.Width || !u.Equal(set.Reorder(perm)) {
+		t.Fatalf("ParsePacked(%q).Unpack(%v) differs from Reorder", cubes, perm)
 	}
 }
 
@@ -91,9 +128,12 @@ func TestParseSetMatchesRuneDecoder(t *testing.T) {
 		{"XX", "XX", "1 0"}, // space
 		{"\u00a00", "00"},   // non-ASCII space
 		{strings.Repeat("01X-x", 40), strings.Repeat("x-X10", 40)},
+		{strings.Repeat("0", 70), strings.Repeat("0", 9) + "Z" + strings.Repeat("1", 60)}, // bad byte in an 8-byte body
+		{strings.Repeat("1", 70), strings.Repeat("1", 67) + "\xff11"},                     // bad byte in the tail
+		{strings.Repeat("x", 72), strings.Repeat("y", 72)},                                // near-miss of the x|0x20 test
 	}
-	for _, cubes := range cases {
-		checkParseSet(t, cubes)
+	for i, cubes := range cases {
+		checkParseSet(t, cubes, int64(i))
 	}
 	r := rand.New(rand.NewSource(5))
 	alphabet := []byte("01xX-01X")
@@ -107,19 +147,61 @@ func TestParseSetMatchesRuneDecoder(t *testing.T) {
 			}
 			cubes[j] = string(b)
 		}
-		checkParseSet(t, cubes)
+		checkParseSet(t, cubes, int64(trial))
+	}
+}
+
+// TestDecode64EveryByte runs every byte value through every position of
+// an otherwise all-X block: decode64 must flag it bad exactly when
+// ParseTrit rejects it, and otherwise set only its own care and value
+// bits. The fallback to the per-cube path would hide a byte the fast
+// path wrongly rejects; this does not.
+func TestDecode64EveryByte(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		want, err := ParseTrit(rune(b))
+		valid := err == nil
+		for pos := 0; pos < 64; pos++ {
+			block := allX
+			block[pos] = byte(b)
+			care, val, bad := decode64(string(block[:]))
+			if (bad == 0) != valid {
+				t.Fatalf("byte %#x at %d: bad %#x, ParseTrit %v", b, pos, bad, err)
+			}
+			if !valid {
+				continue
+			}
+			wantCare, wantVal := uint64(0), uint64(0)
+			if want != X {
+				wantCare = 1 << pos
+				wantVal = uint64(want) << pos
+			}
+			if care != wantCare || val != wantVal {
+				t.Fatalf("byte %q at %d: care %#x val %#x, want %#x %#x", b, pos, care, val, wantCare, wantVal)
+			}
+		}
 	}
 }
 
 // FuzzParseSet splits its input into cubes at newlines and checks the
 // table decoder against the rune decoder: identical sets and error
-// strings, and String round-trips to the canonical 0/1/X form.
+// strings, and String round-trips to the canonical 0/1/X form. Every
+// input also goes through ParsePacked (checkParsePacked), its rows
+// built in a permutation seeded by the input's length. The seeds walk
+// the SWAR decoder's word and byte boundaries in all X spellings, with
+// a bad byte in an eight-byte body and in a tail.
 func FuzzParseSet(f *testing.F) {
 	f.Add("0X1\n1x0\n--1")
 	f.Add("01\n1X0")
 	f.Add("0é\n01")
+	for _, w := range []int{0, 1, 7, 8, 63, 64, 65} {
+		a := strings.Repeat("01x-X", 14)[:w]
+		b := strings.Repeat("X-1x0", 14)[:w]
+		f.Add(a + "\n" + b + "\n" + a)
+	}
+	f.Add(strings.Repeat("0", 16) + "\n" + "0101Z010" + strings.Repeat("1", 8))
+	f.Add(strings.Repeat("x", 65) + "\n" + strings.Repeat("x", 64) + "?")
 	f.Fuzz(func(t *testing.T, text string) {
-		checkParseSet(t, strings.Split(text, "\n"))
+		checkParseSet(t, strings.Split(text, "\n"), int64(len(text)))
 	})
 }
 

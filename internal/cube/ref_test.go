@@ -266,6 +266,26 @@ func BenchmarkPack(b *testing.B) {
 	}
 }
 
+// BenchmarkParsePacked decodes request strings straight into the
+// snapshot, at the same two shapes as BenchmarkPack: ParseSet plus
+// Pack in one pass, with no trit matrix in between.
+func BenchmarkParsePacked(b *testing.B) {
+	for _, sh := range []struct {
+		name     string
+		width, n int
+	}{{"768x1250", 768, 1250}, {"5x12", 5, 12}} {
+		b.Run(sh.name, func(b *testing.B) {
+			lines := PackRows(benchPack(b, sh.width, sh.n)).Strings()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParsePacked(lines); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPackRows is the row-major planes DP-fill scans, repacked
 // into one reused snapshot, at the same two shapes. At b01 scale the
 // whole set is one mostly empty 64×64 tile, so the two transposes

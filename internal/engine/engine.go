@@ -33,11 +33,18 @@ type Job struct {
 	// Name labels the job in results and error messages (a file name, a
 	// circuit name...). Optional.
 	Name string
-	// Set is the cube set to process. Required. The engine never
-	// modifies it: orderers and fillers in this repository operate on
-	// copies.
+	// Set is the cube set to process. The engine never modifies it:
+	// orderers and fillers in this repository operate on copies.
 	Set *cube.Set
-	// Orderer, when non-nil, reorders the set before filling.
+	// Packed is the packed snapshot of the cubes to process, what a
+	// served request is parsed into. At least one of Set and Packed is
+	// required; a job carrying both must carry the same cubes in each.
+	// The orderer's and DP-fill's packed entry points run on the
+	// snapshot, which a Set-only job packs once when it starts; an
+	// orderer or filler without one gets the cubes as a set (the job's
+	// own, else unpacked from the snapshot).
+	Packed *cube.Packed
+	// Orderer, when non-nil, orders the cubes before filling.
 	Orderer order.Orderer
 	// Filler completes the (re)ordered set. Required.
 	Filler fill.Filler
@@ -81,8 +88,8 @@ type Result struct {
 	// the job up (or, for a job shed before it ran, until it was shed).
 	QueueWait time.Duration
 	// Order and Fill split Duration at one shared clock read, so
-	// Order+Fill == Duration exactly: Order covers the ordering and the
-	// reorder, Fill the filler plus verification.
+	// Order+Fill == Duration exactly: Order covers the packing of a
+	// Set-only job and the ordering, Fill the filler plus verification.
 	Order, Fill time.Duration
 	// Duration is the job's wall-clock time inside a worker.
 	Duration time.Duration
@@ -296,23 +303,35 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 	}()
 
 	switch {
-	case job.Set == nil:
+	case job.Set == nil && job.Packed == nil:
 		res.Err = fmt.Errorf("engine: job %d (%s): nil cube set", idx, job.Name)
 		return res
 	case job.Filler == nil:
 		res.Err = fmt.Errorf("engine: job %d (%s): nil filler", idx, job.Name)
 		return res
 	}
-	set := job.Set
+	// A Set-only job is packed once, here, when its orderer or filler
+	// reads the snapshot; baseline fills of a set pay for no pack.
+	po, orderPacked := job.Orderer.(packedOrderer)
+	pf, fillPacked := job.Filler.(packedFiller)
+	p := job.Packed
+	if p == nil && (orderPacked || fillPacked) {
+		p = cube.Pack(job.Set)
+	}
 	if job.Orderer != nil {
-		perm, err := job.Orderer.Order(set)
+		var perm []int
+		var err error
+		if orderPacked {
+			perm, err = po.OrderPacked(p)
+		} else {
+			perm, err = job.Orderer.Order(cubeSet(job.Set, p, nil))
+		}
 		if err != nil {
 			res.Err = fmt.Errorf("engine: job %d (%s): %s ordering: %w",
 				idx, job.Name, job.Orderer.Name(), err)
 			return res
 		}
 		res.Perm = perm
-		set = set.Reorder(perm)
 	}
 	ordered = time.Now()
 	// Cancellation is stage-granular: a deadline that fires mid-stage
@@ -321,7 +340,13 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 		res.Err = err
 		return res
 	}
-	filled, err := job.Filler.Fill(set)
+	var filled *fill.Result
+	var err error
+	if fillPacked {
+		filled, err = pf.FillPacked(p, res.Perm)
+	} else {
+		filled, err = job.Filler.Fill(cubeSet(job.Set, p, res.Perm))
+	}
 	if err != nil {
 		res.Err = fmt.Errorf("engine: job %d (%s): %s: %w",
 			idx, job.Name, job.Filler.Name(), err)
@@ -334,7 +359,7 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 		res.Err = err
 		return res
 	}
-	if e.Verify && !set.Covers(filled.Set()) {
+	if e.Verify && !cubeSet(job.Set, p, res.Perm).Covers(filled.Set()) {
 		res.Err = fmt.Errorf("engine: job %d (%s): %s output is not a completion of its input",
 			idx, job.Name, job.Filler.Name())
 		return res
@@ -342,6 +367,36 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 	res.Filled = filled.Rows
 	res.Peak, res.Total, res.Profile = filled.Peak, filled.Total, filled.Profile
 	return res
+}
+
+// packedOrderer is an orderer with an entry point on a packed snapshot:
+// OrderPacked(p) returns what Order(s) returns when p = cube.Pack(s).
+// Every orderer in package order has one.
+type packedOrderer interface {
+	OrderPacked(p *cube.Packed) ([]int, error)
+}
+
+// packedFiller is a filler with an entry point on a packed snapshot:
+// FillPacked(p, perm) returns what Fill(s.Reorder(perm)) returns when
+// p = cube.Pack(s), nil perm meaning the snapshot order. DP-fill has
+// one; the heuristic fillers walk trits.
+type packedFiller interface {
+	FillPacked(p *cube.Packed, perm []int) (*fill.Result, error)
+}
+
+// cubeSet returns a job's cubes in perm order (nil: as given) as a
+// cube set, the edge for orderers and fillers without a packed entry
+// point: the job's own set when it has one, else the snapshot
+// unpacked.
+func cubeSet(set *cube.Set, p *cube.Packed, perm []int) *cube.Set {
+	switch {
+	case set == nil:
+		return p.Unpack(perm)
+	case perm == nil:
+		return set
+	default:
+		return set.Reorder(perm)
+	}
 }
 
 // FirstErr returns the first job error in a batch result, or nil when

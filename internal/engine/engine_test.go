@@ -203,6 +203,46 @@ func TestRunWithOrderer(t *testing.T) {
 	}
 }
 
+// TestRunPackedJobsMatchSetJobs: a job carrying only the packed
+// snapshot answers exactly what the same job carrying the set does —
+// permutation, planes, peak, total and profile — for every orderer
+// (packed entry points and a set-only Func alike) and for DP-fill and
+// a set-walking baseline filler, and a job carrying both agrees too.
+func TestRunPackedJobsMatchSetJobs(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	reverse := order.Func{OrderName: "reverse", F: func(s *cube.Set) ([]int, error) {
+		perm := order.Identity(s.Len())
+		slices.Reverse(perm)
+		return perm, nil
+	}}
+	orderers := []order.Orderer{nil, order.Tool(), order.XStat(), order.Interleaved(), order.ISA(3), reverse}
+	fillers := []fill.Filler{fill.DP(), fill.Backward(), fill.XStat()}
+	var setJobs, packedJobs, bothJobs []Job
+	for _, ord := range orderers {
+		for _, fl := range fillers {
+			s := randomSet(r, 1+r.Intn(100), 1+r.Intn(40), 0.7)
+			p := cube.Pack(s)
+			setJobs = append(setJobs, Job{Set: s, Orderer: ord, Filler: fl})
+			packedJobs = append(packedJobs, Job{Packed: p, Orderer: ord, Filler: fl})
+			bothJobs = append(bothJobs, Job{Set: s, Packed: p, Orderer: ord, Filler: fl})
+		}
+	}
+	e := &Engine{Workers: 2, Verify: true}
+	want := e.Run(context.Background(), setJobs)
+	for _, jobs := range [][]Job{packedJobs, bothJobs} {
+		for i, got := range e.Run(context.Background(), jobs) {
+			w := want[i]
+			if got.Err != nil || w.Err != nil {
+				t.Fatalf("job %d: %v / %v", i, got.Err, w.Err)
+			}
+			if !slices.Equal(got.Perm, w.Perm) || !slices.Equal(got.Filled.Strings(), w.Filled.Strings()) ||
+				got.Peak != w.Peak || got.Total != w.Total || !slices.Equal(got.Profile, w.Profile) {
+				t.Fatalf("job %d (%v, %s): snapshot job answers differently from the set job", i, jobs[i].Orderer, jobs[i].Filler.Name())
+			}
+		}
+	}
+}
+
 func TestRunVerifyCatchesBadFiller(t *testing.T) {
 	s := cube.MustParseSet("0X", "X1")
 	bad := fill.Func{FillName: "liar", F: func(in *cube.Set) (*cube.Set, error) {

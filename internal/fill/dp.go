@@ -34,7 +34,18 @@ func (dpFiller) Name() string { return dpName }
 
 // Fill implements Filler.
 func (d dpFiller) Fill(s *cube.Set) (*Result, error) {
-	pr, res, err := core.FillPlanes(s, d.opt)
+	return dpResult(core.FillPlanes(s, d.opt))
+}
+
+// FillPacked returns what Fill returns for s.Reorder(perm) when
+// p = cube.Pack(s) (a nil perm is the snapshot order): the rows are
+// built from the snapshot's words, with no cube set in between.
+func (d dpFiller) FillPacked(p *cube.Packed, perm []int) (*Result, error) {
+	return dpResult(core.FillPacked(p, perm, d.opt))
+}
+
+// dpResult passes the kernel's planes and counts through.
+func dpResult(pr *cube.PackedRows, res *core.Result, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package order
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,6 +19,9 @@ func matchReference(t *testing.T, s *cube.Set) {
 	t.Helper()
 	if got, want := xstat(cube.Pack(s)), refXStat(s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("X-Stat perm = %v, reference %v\n%v", got, want, s)
+	}
+	if got, want := xstat(cube.Pack(s)), refPackedXStat(cube.Pack(s)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("X-Stat perm = %v, index-list scan %v\n%v", got, want, s)
 	}
 	iperm, traces, err := InterleavedTrace(s)
 	if err != nil {
@@ -113,6 +117,65 @@ func TestOrderMatchesReference(t *testing.T) {
 		matchReference(t, s)
 		if trial%4 == 0 {
 			matchReference(t, withDuplicates(s))
+		}
+	}
+}
+
+// TestXStatTies pins the X-Stat scan's tie-breaks to the per-trit and
+// index-list references on the sets where only a tie-break decides:
+// duplicate cubes, all-X cubes, distinct cubes with equal (hd, both)
+// against the tail at different indices, widths below one word (no
+// second word to prune on) and zero width.
+func TestXStatTies(t *testing.T) {
+	sets := map[string]*cube.Set{
+		"duplicates":   cube.MustParseSet("0101", "1X1X", "0101", "1X1X", "0101"),
+		"all-X":        uniformSet(70, 6, cube.X),
+		"all-X tail":   cube.MustParseSet("0110", "XXXX", "XXXX", "0XXX", "XXXX"),
+		"equal pairs":  cube.MustParseSet("0000", "1XXX", "X1XX", "XX1X", "XXX1", "11XX", "X11X"),
+		"equal both":   cube.MustParseSet("00XX", "0XX1", "X0X1", "XX01", "0X1X"),
+		"width 0":      uniformSet(0, 5, cube.X),
+		"width 1":      cube.MustParseSet("X", "0", "1", "X", "0", "1"),
+		"width 63":     withDuplicates(atpgSet(rand.New(rand.NewSource(3)), 63, 9, 0.8)),
+		"two words":    withDuplicates(atpgSet(rand.New(rand.NewSource(4)), 100, 9, 0.9)),
+		"second word":  cube.MustParseSet("X"+strings.Repeat("X", 63)+"01", strings.Repeat("X", 64)+"10", strings.Repeat("X", 64)+"00", strings.Repeat("X", 64)+"0X"),
+		"single cube":  cube.MustParseSet("01X"),
+		"only ties":    uniformSet(65, 7, cube.One),
+		"X-only start": cube.MustParseSet("XX", "XX", "XX"),
+	}
+	for name, s := range sets {
+		p := cube.Pack(s)
+		got := xstat(p)
+		if want := refXStat(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: X-Stat perm = %v, reference %v", name, got, want)
+		}
+		if want := refPackedXStat(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: X-Stat perm = %v, index-list scan %v", name, got, want)
+		}
+	}
+}
+
+// TestOrderPackedMatchesOrder: each orderer's packed entry point gives
+// the permutation its set entry point gives, and Tool's reads only the
+// cube count.
+func TestOrderPackedMatchesOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for _, ord := range append(All(), ISA(5)) {
+		po, ok := ord.(interface {
+			OrderPacked(*cube.Packed) ([]int, error)
+		})
+		if !ok {
+			t.Fatalf("%s has no packed entry point", ord.Name())
+		}
+		for _, n := range []int{0, 1, 2, 3, 40} {
+			s := randomSet(r, 1+r.Intn(130), n, 0.8)
+			want, err := ord.Order(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := po.OrderPacked(cube.Pack(s))
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s n=%d: OrderPacked = %v %v, Order %v", ord.Name(), n, got, err, want)
+			}
 		}
 	}
 }

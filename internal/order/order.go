@@ -10,7 +10,6 @@ package order
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -28,6 +27,25 @@ type Orderer interface {
 	// proposed application order.
 	Order(s *cube.Set) ([]int, error)
 }
+
+// packedFunc is an orderer defined on a packed snapshot, the one
+// representation a served fill carries. OrderPacked returns what Order
+// returns for s when p = cube.Pack(s); Order is the edge wrapper that
+// packs and delegates. Tool, X-Stat, I-Ordering and ISA all have both
+// entry points.
+type packedFunc struct {
+	name string
+	f    func(*cube.Packed) ([]int, error)
+}
+
+// Name implements Orderer.
+func (o packedFunc) Name() string { return o.name }
+
+// Order implements Orderer: it packs s and delegates.
+func (o packedFunc) Order(s *cube.Set) ([]int, error) { return o.f(cube.Pack(s)) }
+
+// OrderPacked orders the cubes of p.
+func (o packedFunc) OrderPacked(p *cube.Packed) ([]int, error) { return o.f(p) }
 
 // Func adapts a function to the Orderer interface.
 type Func struct {
@@ -53,11 +71,20 @@ func Identity(n int) []int {
 // Tool returns the "tool ordering": the order in which the ATPG emitted
 // the patterns, i.e. the identity permutation. This is the Table II
 // baseline (the paper's TetraMax order; our ATPG's generation order).
-func Tool() Orderer {
-	return Func{OrderName: "Tool", F: func(s *cube.Set) ([]int, error) {
-		return Identity(s.Len()), nil
-	}}
-}
+func Tool() Orderer { return tool{} }
+
+// tool is the identity ordering; it reads only the cube count, so
+// neither entry point packs.
+type tool struct{}
+
+// Name implements Orderer.
+func (tool) Name() string { return "Tool" }
+
+// Order implements Orderer.
+func (tool) Order(s *cube.Set) ([]int, error) { return Identity(s.Len()), nil }
+
+// OrderPacked orders the cubes of p.
+func (tool) OrderPacked(p *cube.Packed) ([]int, error) { return Identity(p.Len()), nil }
 
 // XStat returns the X-Stat ordering, standing in for the ordering of
 // [22] (paper unavailable — see DESIGN.md substitutions): a greedy
@@ -66,9 +93,18 @@ func Tool() Orderer {
 // toggles against the current tail, breaking ties toward higher X
 // overlap (longer don't-care stretches).
 func XStat() Orderer {
-	return Func{OrderName: "X-Stat", F: func(s *cube.Set) ([]int, error) {
-		return xstat(cube.Pack(s)), nil
+	return packedFunc{name: "X-Stat", f: func(p *cube.Packed) ([]int, error) {
+		return xstat(p), nil
 	}}
+}
+
+// liveCube is an unused cube of the X-Stat chain: its index and a copy
+// of its first care and value words, so the scan's first-word test
+// streams through one slice instead of loading two plane lines per
+// candidate.
+type liveCube struct {
+	c0, v0 uint64
+	i      int
 }
 
 // xstat builds the X-Stat chain over a packed snapshot.
@@ -85,56 +121,69 @@ func xstat(p *cube.Packed) []int {
 			start = i
 		}
 	}
-	// rest lists the unused cubes in ascending index order; removal
+	// live lists the unused cubes in ascending index order; removal
 	// keeps that order, so the first of equally good candidates is the
 	// lowest index.
-	rest := make([]int, 0, n-1)
+	live := make([]liveCube, 0, n-1)
 	for i := 0; i < n; i++ {
 		if i != start {
-			rest = append(rest, i)
+			c0, v0 := firstWords(p, i)
+			live = append(live, liveCube{c0: c0, v0: v0, i: i})
 		}
 	}
 	perm := make([]int, 0, n)
 	perm = append(perm, start)
-	for len(rest) > 0 {
-		at := nearest(p, perm[len(perm)-1], rest)
-		perm = append(perm, rest[at])
-		rest = append(rest[:at], rest[at+1:]...)
+	for len(live) > 0 {
+		at := nearest(p, perm[len(perm)-1], live)
+		perm = append(perm, live[at].i)
+		live = append(live[:at], live[at+1:]...)
 	}
 	return perm
 }
 
+// firstWords returns cube i's first care and value words; a zero-width
+// cube has none and reads as all X.
+func firstWords(p *cube.Packed, i int) (c0, v0 uint64) {
+	care, val := p.CubeWords(i)
+	if len(care) == 0 {
+		return 0, 0
+	}
+	return care[0], val[0]
+}
+
 // dpvet:hot
-// nearest returns the position in rest of the cube closest to tail: the
-// lowest guaranteed toggle count, then the largest X-union (the fewest
-// jointly specified pins), then the lowest position. rest is non-empty.
-func nearest(p *cube.Packed, tail int, rest []int) int {
+// nearest returns the position in live of the cube closest to tail: the
+// lowest guaranteed toggle count hd, then the largest X-union (the
+// fewest jointly specified pins, both), then the lowest position. live
+// is non-empty. The pair is compared as one key hd<<32 | both (both is
+// at most the width, below 2^32), and since both parts only grow word
+// by word, a candidate whose partial key reaches the best key can
+// never win and is dropped there; most fall on the first word, which
+// the live list holds inline.
+func nearest(p *cube.Packed, tail int, live []liveCube) int {
 	ct, vt := p.CubeWords(tail)
-	best, bestHD, bestBoth := 0, math.MaxInt, math.MaxInt
+	c0, v0 := firstWords(p, tail)
+	best, bestKey := 0, ^uint64(0)
 next:
-	for at, i := range rest {
-		ci, vi := p.CubeWords(i)
-		ci, vi = ci[:len(ct)], vi[:len(ct)]
-		hd, both := 0, 0
-		for w, c := range ct {
-			a := c & ci[w]
-			both += bits.OnesCount64(a)
-			hd += bits.OnesCount64((vt[w] ^ vi[w]) & a)
-			// Exact prune: hd and both only grow over the remaining
-			// words, so once the partial (hd, both) is lexicographically
-			// >= the best pair, the final pair is too, and a candidate
-			// must be strictly smaller to win. A pruned candidate can
-			// never be chosen; the first candidate never prunes against
-			// the MaxInt sentinel.
-			if hd > bestHD || (hd == bestHD && both >= bestBoth) {
-				continue next
+	for at := range live {
+		l := &live[at]
+		a := c0 & l.c0
+		key := uint64(bits.OnesCount64((v0^l.v0)&a))<<32 | uint64(bits.OnesCount64(a))
+		if key >= bestKey {
+			continue
+		}
+		if len(ct) > 1 {
+			ci, vi := p.CubeWords(l.i)
+			ci, vi = ci[:len(ct)], vi[:len(ct)]
+			for w := 1; w < len(ct); w++ {
+				a := ct[w] & ci[w]
+				key += uint64(bits.OnesCount64((vt[w]^vi[w])&a))<<32 | uint64(bits.OnesCount64(a))
+				if key >= bestKey {
+					continue next
+				}
 			}
 		}
-		// Reached without a prune, the pair is strictly smaller unless
-		// there were no words at all (zero width).
-		if hd < bestHD || (hd == bestHD && both < bestBoth) {
-			best, bestHD, bestBoth = at, hd, both
-		}
+		best, bestKey = at, key
 	}
 	return best
 }
@@ -147,12 +196,11 @@ next:
 // stay integral; the annealer maintains the peak incrementally via a
 // cost histogram, so each proposal is O(width/64).
 func ISA(seed int64) Orderer {
-	return Func{OrderName: "ISA", F: func(s *cube.Set) ([]int, error) {
-		n := s.Len()
+	return packedFunc{name: "ISA", f: func(p *cube.Packed) ([]int, error) {
+		n := p.Len()
 		if n <= 2 {
 			return Identity(n), nil
 		}
-		p := cube.Pack(s)
 		rng := rand.New(rand.NewSource(seed))
 
 		perm := greedyExpected(p)
@@ -323,14 +371,24 @@ func (interleaved) Order(s *cube.Set) ([]int, error) {
 	return perm, err
 }
 
+// OrderPacked orders the cubes of p.
+func (interleaved) OrderPacked(p *cube.Packed) ([]int, error) {
+	perm, _, err := interleavedTrace(p)
+	return perm, err
+}
+
 // InterleavedTrace is Order plus the per-iteration trace used by
 // Fig. 2(a)/(b).
 func InterleavedTrace(s *cube.Set) ([]int, []Trace, error) {
-	n := s.Len()
+	return interleavedTrace(cube.Pack(s))
+}
+
+// interleavedTrace is InterleavedTrace on a packed snapshot.
+func interleavedTrace(p *cube.Packed) ([]int, []Trace, error) {
+	n := p.Len()
 	if n <= 2 {
 		return Identity(n), nil, nil
 	}
-	p := cube.Pack(s)
 	// T': indices sorted by ascending X count, i.e. descending care
 	// count (stable so equal-X cubes keep tool order, making the
 	// ordering deterministic).

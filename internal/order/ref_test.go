@@ -1,30 +1,42 @@
 package order
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/bcp"
-	"repro/internal/core"
 	"repro/internal/cube"
 )
 
 // This file keeps the orderers as they were before they moved onto one
 // packed snapshot: X-Stat rescanning a used bitmap with separate
 // distance passes, and I-Ordering reordering and repacking the set for
-// every candidate. They are the references TestOrderMatchesReference and
+// every candidate. X-Stat's packed scan as it stood before its live
+// list (refPackedXStat) is kept too. They are the references TestOrderMatchesReference and
 // FuzzOrderMatchesReference hold the production orderers to. Distances
-// are per-trit and the bound comes from the per-trit reduction core.Map,
-// so no reference shares a kernel with the code it checks.
+// are per-trit and the bound comes from a per-trit row walk, so no
+// reference shares a kernel with the code it checks.
 
-// refBottleneck is the optimal peak of the ordered set s from the
-// per-trit row walk of core.Map and the Algorithm 1 bound.
+// refBottleneck is the optimal peak of the ordered set s: the
+// Algorithm 1 bound of the per-trit row walk's intervals — per pin, one
+// interval [p, q-1] for every two consecutive care bits at columns
+// p < q with different values, forced unit toggles included.
 func refBottleneck(s *cube.Set) (int, error) {
-	mp := core.Map(s)
-	ivs := make([]bcp.Interval, len(mp.Intervals))
-	for i, ti := range mp.Intervals {
-		ivs[i] = ti.Interval()
+	var ivs []bcp.Interval
+	for pin := 0; pin < s.Width; pin++ {
+		last := -1
+		for j, c := range s.Cubes {
+			if !c[pin].IsCare() {
+				continue
+			}
+			if last >= 0 && s.Cubes[last][pin] != c[pin] {
+				ivs = append(ivs, bcp.Interval{Start: last, End: j - 1})
+			}
+			last = j
+		}
 	}
-	inst, err := bcp.NewInstance(mp.NumCycles, ivs)
+	inst, err := bcp.NewInstance(max(0, s.Len()-1), ivs)
 	if err != nil {
 		return 0, err
 	}
@@ -77,6 +89,61 @@ func refXStat(s *cube.Set) []int {
 		used[best] = true
 	}
 	return perm
+}
+
+// refPackedXStat is the X-Stat chain as it ran on the packed snapshot
+// before the live list: the unused cubes as an index list, each
+// candidate's words loaded from the planes and its (hd, both) pair
+// compared lexicographically by refNearest.
+func refPackedXStat(p *cube.Packed) []int {
+	n := p.Len()
+	if n == 0 {
+		return nil
+	}
+	start := 0
+	for i := 1; i < n; i++ {
+		if p.CareCount(i) > p.CareCount(start) {
+			start = i
+		}
+	}
+	rest := make([]int, 0, n-1)
+	for i := 0; i < n; i++ {
+		if i != start {
+			rest = append(rest, i)
+		}
+	}
+	perm := []int{start}
+	for len(rest) > 0 {
+		at := refNearest(p, perm[len(perm)-1], rest)
+		perm = append(perm, rest[at])
+		rest = append(rest[:at], rest[at+1:]...)
+	}
+	return perm
+}
+
+// refNearest returns the position in rest of the cube closest to tail:
+// the lowest guaranteed toggle count, then the largest X-union, then
+// the lowest position, with the exact lexicographic prune.
+func refNearest(p *cube.Packed, tail int, rest []int) int {
+	ct, vt := p.CubeWords(tail)
+	best, bestHD, bestBoth := 0, math.MaxInt, math.MaxInt
+next:
+	for at, i := range rest {
+		ci, vi := p.CubeWords(i)
+		hd, both := 0, 0
+		for w, c := range ct {
+			a := c & ci[w]
+			both += bits.OnesCount64(a)
+			hd += bits.OnesCount64((vt[w] ^ vi[w]) & a)
+			if hd > bestHD || (hd == bestHD && both >= bestBoth) {
+				continue next
+			}
+		}
+		if hd < bestHD || (hd == bestHD && both < bestBoth) {
+			best, bestHD, bestBoth = at, hd, both
+		}
+	}
+	return best
 }
 
 // refInterleavedTrace is Algorithm 3 evaluating each candidate on the

@@ -170,38 +170,50 @@ func badRequestf(format string, args ...any) error {
 }
 
 // parseSet validates and parses a request's payload against the
-// configured shape limits. Exactly one of cubes/stil must be present.
-func (s *Server) parseSet(cubes []string, stil string) (*cube.Set, error) {
+// configured shape limits into the packed snapshot the fill runs on.
+// Exactly one of cubes/stil must be present. Inline cubes decode
+// straight into the snapshot, after the row limit and the first cube's
+// width are checked, so an over-limit request is refused before its
+// planes are allocated.
+func (s *Server) parseSet(cubes []string, stil string) (*cube.Packed, error) {
 	switch {
 	case len(cubes) > 0 && stil != "":
 		return nil, badRequestf("request carries both cubes and stil; send one")
 	case len(cubes) == 0 && stil == "":
 		return nil, badRequestf("request carries no patterns: set cubes or stil")
 	}
-	var set *cube.Set
 	if len(cubes) > 0 {
 		if len(cubes) > s.cfg.MaxRows {
 			return nil, badRequestf("%d cubes exceed the row limit %d", len(cubes), s.cfg.MaxRows)
 		}
-		parsed, err := cube.ParseSet(cubes...)
+		if err := s.checkWidth(len(cubes[0])); err != nil {
+			return nil, err
+		}
+		p, err := cube.ParsePacked(cubes)
 		if err != nil {
 			return nil, badRequestf("parsing cubes: %v", err)
 		}
-		set = parsed
-	} else {
-		parsed, err := cube.ReadSTIL(strings.NewReader(stil))
-		if err != nil {
-			return nil, badRequestf("parsing stil: %v", err)
-		}
-		set = parsed
+		return p, nil
+	}
+	set, err := cube.ReadSTIL(strings.NewReader(stil))
+	if err != nil {
+		return nil, badRequestf("parsing stil: %v", err)
 	}
 	if set.Len() > s.cfg.MaxRows {
 		return nil, badRequestf("%d cubes exceed the row limit %d", set.Len(), s.cfg.MaxRows)
 	}
-	if set.Width > s.cfg.MaxCols {
-		return nil, badRequestf("cube width %d exceeds the column limit %d", set.Width, s.cfg.MaxCols)
+	if err := s.checkWidth(set.Width); err != nil {
+		return nil, err
 	}
-	return set, nil
+	return cube.Pack(set), nil
+}
+
+// checkWidth applies the column limit to a cube width.
+func (s *Server) checkWidth(width int) error {
+	if width > s.cfg.MaxCols {
+		return badRequestf("cube width %d exceeds the column limit %d", width, s.cfg.MaxCols)
+	}
+	return nil
 }
 
 // clampTimeout resolves a request's timeout_ms against the server's

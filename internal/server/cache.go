@@ -58,16 +58,14 @@ func (e *cachedFill) clone() *cachedFill {
 // digest are guaranteed the same fully-specified output, so repeated
 // pattern sets skip recomputation entirely.
 //
-// Each cube is hashed as its canonical text plus a newline, rendered
-// into one reused line buffer.
-func fillDigest(s *cube.Set, orderer, filler string, seed int64) string {
+// The matrix is hashed as the snapshot's raw care and value planes
+// after a header with its shape: the planes are canonical across the
+// x/X/- spellings, as the rendered text was, so the same requests share
+// a key. The key never leaves the process.
+func fillDigest(p *cube.Packed, orderer, filler string, seed int64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", s.Width, s.Len(), orderer, filler, seed)
-	line := make([]byte, 0, s.Width+1)
-	for _, c := range s.Cubes {
-		line = append(c.AppendTo(line[:0]), '\n')
-		h.Write(line)
-	}
+	fmt.Fprintf(h, "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", p.Width, p.Len(), orderer, filler, seed)
+	_ = p.WritePlanes(h) // a hash.Hash never fails a write
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -109,19 +110,20 @@ func TestFillDigestDiscriminates(t *testing.T) {
 	// Same width/row-count matrix whose concatenation could collide
 	// without per-cube separators.
 	s3 := cube.MustParseSet("0XX1")
-	base := fillDigest(s1, "Tool", "DP-fill", 1)
+	p1, p2, p3 := cube.Pack(s1), cube.Pack(s2), cube.Pack(s3)
+	base := fillDigest(p1, "Tool", "DP-fill", 1)
 	for name, other := range map[string]string{
-		"different cubes":   fillDigest(s2, "Tool", "DP-fill", 1),
-		"different shape":   fillDigest(s3, "Tool", "DP-fill", 1),
-		"different orderer": fillDigest(s1, "I-Order", "DP-fill", 1),
-		"different filler":  fillDigest(s1, "Tool", "MT-fill", 1),
-		"different seed":    fillDigest(s1, "Tool", "DP-fill", 2),
+		"different cubes":   fillDigest(p2, "Tool", "DP-fill", 1),
+		"different shape":   fillDigest(p3, "Tool", "DP-fill", 1),
+		"different orderer": fillDigest(p1, "I-Order", "DP-fill", 1),
+		"different filler":  fillDigest(p1, "Tool", "MT-fill", 1),
+		"different seed":    fillDigest(p1, "Tool", "DP-fill", 2),
 	} {
 		if other == base {
 			t.Errorf("%s digests collide", name)
 		}
 	}
-	if fillDigest(s1, "Tool", "DP-fill", 1) != base {
+	if fillDigest(cube.Pack(s1), "Tool", "DP-fill", 1) != base {
 		t.Error("digest is not deterministic")
 	}
 }
@@ -137,33 +139,42 @@ func TestLRUCacheStress(t *testing.T) {
 	}
 }
 
-// TestFillDigestMatchesFormula pins the cache key byte for byte to the
-// formula it has always had: a header line, then every cube as its
-// 0/1/X text plus a newline, rendered here trit by trit with no shared
-// table — so cached entries and any digest a client kept stay valid.
+// TestFillDigestMatchesFormula pins the cache key byte for byte to its
+// formula — a header line, then the care plane and the value plane,
+// one native-endian word per 64 pins of each cube, built here trit by
+// trit — and checks that it keys exactly what the rendered 0/1/X text
+// used to: two sets share a digest when, and only when, they render
+// the same, whatever X spelling a request used. That keeps the cache's
+// hit ratio where it was.
 func TestFillDigestMatchesFormula(t *testing.T) {
 	formula := func(s *cube.Set, orderer, filler string, seed int64) string {
 		h := sha256.New()
 		fmt.Fprintf(h, "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", s.Width, s.Len(), orderer, filler, seed)
+		words := (s.Width + 63) / 64
+		var care, val []byte
 		for _, c := range s.Cubes {
-			var line strings.Builder
-			for _, tr := range c {
-				switch tr {
-				case cube.Zero:
-					line.WriteByte('0')
-				case cube.One:
-					line.WriteByte('1')
-				default:
-					line.WriteByte('X')
+			for w := 0; w < words; w++ {
+				var cw, vw uint64
+				for i := w * 64; i < min(w*64+64, s.Width); i++ {
+					if c[i] != cube.X {
+						cw |= 1 << (i % 64)
+					}
+					if c[i] == cube.One {
+						vw |= 1 << (i % 64)
+					}
 				}
+				care = binary.NativeEndian.AppendUint64(care, cw)
+				val = binary.NativeEndian.AppendUint64(val, vw)
 			}
-			line.WriteByte('\n')
-			h.Write([]byte(line.String()))
 		}
+		h.Write(care)
+		h.Write(val)
 		return hex.EncodeToString(h.Sum(nil))
 	}
 	r := rand.New(rand.NewSource(11))
-	for _, shape := range []struct{ w, n int }{{0, 2}, {1, 1}, {5, 9}, {64, 3}, {130, 40}} {
+	spell := strings.NewReplacer("X", "x")
+	seen := map[string]string{} // digest -> rendered set
+	for _, shape := range []struct{ w, n int }{{0, 2}, {1, 1}, {2, 2}, {2, 2}, {2, 2}, {5, 9}, {64, 3}, {130, 40}} {
 		s := cube.NewSet(shape.w)
 		for j := 0; j < shape.n; j++ {
 			c := make(cube.Cube, shape.w)
@@ -173,9 +184,25 @@ func TestFillDigestMatchesFormula(t *testing.T) {
 			s.Append(c)
 		}
 		for _, seed := range []int64{1, 42} {
-			if got, want := fillDigest(s, "I-Order", "DP-fill", seed), formula(s, "I-Order", "DP-fill", seed); got != want {
+			if got, want := fillDigest(cube.Pack(s), "I-Order", "DP-fill", seed), formula(s, "I-Order", "DP-fill", seed); got != want {
 				t.Fatalf("%dx%d seed %d: digest %s, formula %s", shape.w, shape.n, seed, got, want)
 			}
 		}
+		text := make([]string, s.Len())
+		for j, c := range s.Cubes {
+			text[j] = spell.Replace(c.String())
+		}
+		p, err := cube.ParsePacked(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := fillDigest(p, "Tool", "DP-fill", 1)
+		if d != fillDigest(cube.Pack(s), "Tool", "DP-fill", 1) {
+			t.Fatalf("%dx%d: the x spelling digests differently from X", shape.w, shape.n)
+		}
+		if prev, ok := seen[d]; ok && prev != s.String() {
+			t.Fatalf("sets %q and %q share a digest", prev, s.String())
+		}
+		seen[d] = s.String()
 	}
 }

@@ -289,7 +289,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 func (s *Server) resolveFill(req FillRequest) (engine.Job, FillResponse, string, *core.Trace, error) {
 	var job engine.Job
 	var resp FillResponse
-	set, err := s.parseSet(req.Cubes, req.STIL)
+	p, err := s.parseSet(req.Cubes, req.STIL)
 	if err != nil {
 		return job, resp, "", nil, err
 	}
@@ -311,7 +311,7 @@ func (s *Server) resolveFill(req FillRequest) (engine.Job, FillResponse, string,
 	}
 	job = engine.Job{
 		Name:     req.Name,
-		Set:      set,
+		Packed:   p,
 		Orderer:  ord,
 		Filler:   fl,
 		Priority: req.Priority,
@@ -319,13 +319,13 @@ func (s *Server) resolveFill(req FillRequest) (engine.Job, FillResponse, string,
 	}
 	resp = FillResponse{
 		Name:     req.Name,
-		Rows:     set.Len(),
-		Width:    set.Width,
-		XPercent: set.XPercent(),
+		Rows:     p.Len(),
+		Width:    p.Width,
+		XPercent: p.XPercent(),
 		Orderer:  ord.Name(),
 		Filler:   fl.Name(),
 	}
-	digest := fillDigest(set, ord.Name(), fl.Name(), seed)
+	digest := fillDigest(p, ord.Name(), fl.Name(), seed)
 	return job, resp, digest, tr, nil
 }
 
@@ -563,7 +563,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	set, err := s.parseSet(req.Cubes, req.STIL)
+	p, err := s.parseSet(req.Cubes, req.STIL)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -581,12 +581,16 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("%v", err))
 		return
 	}
+	// The baseline fillers walk trits: unpack the set once for all of
+	// them rather than once per job.
+	set := p.Unpack(nil)
 	fillers := fill.All(seed, core.Options{Shards: 1})
 	jobs := make([]engine.Job, len(fillers))
 	for i, fl := range fillers {
 		jobs[i] = engine.Job{
 			Name:    fl.Name(),
 			Set:     set,
+			Packed:  p,
 			Orderer: ord,
 			Filler:  fl,
 			Timeout: s.cfg.MaxTimeout,

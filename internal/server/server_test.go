@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -124,6 +125,43 @@ func TestFillValidation(t *testing.T) {
 		if out.Error == "" {
 			t.Errorf("%s: empty error message", tc.name)
 		}
+	}
+}
+
+// TestFillRejectsOverWideBeforeParsing: an over-wide request answers
+// 400 with the column-limit text it always had, inline or as STIL, and
+// the inline check runs on the first cube's length before any plane is
+// allocated — a body of wide cubes costs its refusal, not W×N bits.
+func TestFillRejectsOverWideBeforeParsing(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxRows: 8, MaxCols: 8})
+	var stil bytes.Buffer
+	if err := cube.WriteSTIL(&stil, cube.MustParseSet("010101010", "XXXXXXXXX"), "t"); err != nil {
+		t.Fatal(err)
+	}
+	const want = "cube width 9 exceeds the column limit 8"
+	for name, req := range map[string]FillRequest{
+		"inline":      {Cubes: []string{"010101010", "XXXXXXXXX"}},
+		"inline x":    {Cubes: []string{"01xx-10X0"}},
+		"stil":        {STIL: stil.String()},
+		"batch-sized": {Cubes: []string{strings.Repeat("X", 9), strings.Repeat("1", 9), strings.Repeat("0", 9)}},
+	} {
+		var out errorResponse
+		if status := post(t, ts.URL+"/v1/fill", req, &out); status != http.StatusBadRequest || out.Error != want {
+			t.Errorf("%s: %d %q, want 400 %q", name, status, out.Error, want)
+		}
+	}
+
+	wide := strings.Repeat("X", 1<<20)
+	cubes := []string{wide, wide, wide, wide, wide, wide, wide, wide}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.parseSet(cubes, "")
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "cube width 1048576 exceeds the column limit 8" {
+		t.Fatalf("parseSet error %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("refusing an over-wide set allocated %d bytes", got)
 	}
 }
 
