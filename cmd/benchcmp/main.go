@@ -7,7 +7,7 @@
 //
 // Record: parse `go test -bench` output into a trajectory point.
 //
-//	go test -short -run '^$' -bench . -benchtime 5x -count 6 \
+//	go test -short -run '^$' -bench . -benchtime 5x -count 6 -benchmem \
 //	    . ./internal/core ./internal/bcp ./internal/logicsim |
 //	  go run ./cmd/benchcmp -record -out BENCH_pr7.json -note "PR 7"
 //
@@ -42,10 +42,17 @@ import (
 )
 
 // File is one trajectory point: every benchmark of one recorded run.
+// Format 3 adds the machine (CPUs, GOMAXPROCS) and, from `-benchmem`
+// output, B/op and allocs/op samples; format-2 files load unchanged,
+// with those fields zero.
 type File struct {
-	Format     int         `json:"format"`
-	Generated  string      `json:"generated"`
-	Go         string      `json:"go"`
+	Format    int    `json:"format"`
+	Generated string `json:"generated"`
+	Go        string `json:"go"`
+	// CPUs is the recording machine's logical CPU count; GOMAXPROCS is
+	// the benchmarks' own, read from their name suffix.
+	CPUs       int         `json:"cpus,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchtime  string      `json:"benchtime,omitempty"`
 	Note       string      `json:"note,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
@@ -53,12 +60,16 @@ type File struct {
 
 // Benchmark holds every recorded iteration of one benchmark, so the
 // file stays benchstat-comparable: NsPerOp lists the per-`-count`
-// ns/op samples in run order and MedianNs summarizes them.
+// ns/op samples in run order and MedianNs summarizes them. BytesPerOp
+// and AllocsPerOp are the B/op and allocs/op samples, in the same
+// order, when the run reported them.
 type Benchmark struct {
-	Name     string    `json:"name"`
-	Pkg      string    `json:"pkg"`
-	NsPerOp  []float64 `json:"ns_per_op"`
-	MedianNs float64   `json:"median_ns"`
+	Name        string    `json:"name"`
+	Pkg         string    `json:"pkg"`
+	NsPerOp     []float64 `json:"ns_per_op"`
+	MedianNs    float64   `json:"median_ns"`
+	BytesPerOp  []float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp []float64 `json:"allocs_per_op,omitempty"`
 }
 
 func main() {
@@ -102,7 +113,7 @@ func runRecord(args []string, out, note, benchtime string) error {
 		defer f.Close()
 		readers = append(readers, f)
 	}
-	benches, err := ParseBenchOutput(io.MultiReader(readers...))
+	benches, procs, err := parseBench(io.MultiReader(readers...))
 	if err != nil {
 		return err
 	}
@@ -110,9 +121,11 @@ func runRecord(args []string, out, note, benchtime string) error {
 		return fmt.Errorf("no benchmark result lines found in input")
 	}
 	file := &File{
-		Format:     2,
+		Format:     3,
 		Generated:  time.Now().UTC().Format("2006-01-02"),
 		Go:         runtime.Version(),
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: procs,
 		Benchtime:  benchtime,
 		Note:       note,
 		Benchmarks: benches,
@@ -129,23 +142,34 @@ func runRecord(args []string, out, note, benchtime string) error {
 	return os.WriteFile(out, enc, 0o644)
 }
 
-// gomaxprocsSuffix strips the "-N" GOMAXPROCS suffix go test appends
-// to benchmark names on multi-proc machines, so trajectory points
-// recorded on different core counts still match by name.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+// gomaxprocsSuffix is the "-N" GOMAXPROCS suffix go test appends to
+// benchmark names when N > 1. It is stripped, so trajectory points
+// recorded on different core counts still match by name, and recorded
+// as the file's GOMAXPROCS.
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // benchLine matches one result line: name, iteration count, then
-// value/unit pairs ("ns/op" is the one we keep).
+// value/unit pairs.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
-// ParseBenchOutput extracts per-benchmark ns/op samples from the text
-// output of `go test -bench`. Samples of the same benchmark (from
+// ParseBenchOutput extracts per-benchmark samples from the text output
+// of `go test -bench`: ns/op always, and B/op and allocs/op when the
+// `-benchmem` columns are present. Samples of the same benchmark (from
 // -count > 1) accumulate in run order; the current `pkg:` header line
 // attributes each result to its package.
 func ParseBenchOutput(r io.Reader) ([]Benchmark, error) {
+	benches, _, err := parseBench(r)
+	return benches, err
+}
+
+// parseBench is ParseBenchOutput that also reports the GOMAXPROCS the
+// benchmarks ran under: the name suffix of the last result line, 1
+// when there is none.
+func parseBench(r io.Reader) ([]Benchmark, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 	pkg := ""
+	procs := 1
 	index := map[string]int{}
 	var benches []Benchmark
 	for sc.Scan() {
@@ -158,10 +182,17 @@ func ParseBenchOutput(r io.Reader) ([]Benchmark, error) {
 		if m == nil {
 			continue
 		}
-		name := gomaxprocsSuffix.ReplaceAllString(m[1], "")
-		ns, ok := nsPerOp(m[3])
+		units := values(m[3])
+		ns, ok := units["ns/op"]
 		if !ok {
 			continue
+		}
+		name := m[1]
+		if p := gomaxprocsSuffix.FindStringSubmatch(name); p != nil {
+			procs, _ = strconv.Atoi(p[1])
+			name = strings.TrimSuffix(name, p[0])
+		} else {
+			procs = 1
 		}
 		key := pkg + "." + name
 		i, seen := index[key]
@@ -170,28 +201,36 @@ func ParseBenchOutput(r io.Reader) ([]Benchmark, error) {
 			index[key] = i
 			benches = append(benches, Benchmark{Name: name, Pkg: pkg})
 		}
-		benches[i].NsPerOp = append(benches[i].NsPerOp, ns)
+		b := &benches[i]
+		b.NsPerOp = append(b.NsPerOp, ns)
+		if v, ok := units["B/op"]; ok {
+			b.BytesPerOp = append(b.BytesPerOp, v)
+		}
+		if v, ok := units["allocs/op"]; ok {
+			b.AllocsPerOp = append(b.AllocsPerOp, v)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for i := range benches {
 		benches[i].MedianNs = median(benches[i].NsPerOp)
 	}
-	return benches, nil
+	return benches, procs, nil
 }
 
-// nsPerOp pulls the ns/op value out of a result line's value/unit
-// pairs (which may also carry custom ReportMetric units).
-func nsPerOp(fields string) (float64, bool) {
+// values maps each unit of a result line's value/unit pairs (ns/op,
+// B/op, allocs/op, MB/s, custom ReportMetric units) to its value;
+// pairs whose value does not parse are left out.
+func values(fields string) map[string]float64 {
 	f := strings.Fields(fields)
+	out := make(map[string]float64, len(f)/2)
 	for i := 0; i+1 < len(f); i += 2 {
-		if f[i+1] == "ns/op" {
-			v, err := strconv.ParseFloat(f[i], 64)
-			return v, err == nil
+		if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+			out[f[i+1]] = v
 		}
 	}
-	return 0, false
+	return out
 }
 
 func median(xs []float64) float64 {

@@ -147,3 +147,66 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("disjoint trajectories compared cleanly (err = %v)", err)
 	}
 }
+
+func TestParseBenchOutputBenchmem(t *testing.T) {
+	benches, procs, err := parseBench(strings.NewReader(sampleBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if procs != 4 {
+		t.Fatalf("GOMAXPROCS %d, want 4 from the -4 name suffix", procs)
+	}
+	fill, mapped, lb := benches[0], benches[1], benches[2]
+	if len(fill.BytesPerOp) != 3 || fill.BytesPerOp[0] != 512 || len(fill.AllocsPerOp) != 3 || fill.AllocsPerOp[2] != 3 {
+		t.Fatalf("-benchmem columns lost: %+v", fill)
+	}
+	if mapped.BytesPerOp != nil || mapped.AllocsPerOp != nil || lb.BytesPerOp != nil {
+		t.Fatalf("B/op or allocs/op invented for lines without them: %+v %+v", mapped, lb)
+	}
+	if _, procs, _ := parseBench(strings.NewReader("BenchmarkOne \t 5\t 10 ns/op\n")); procs != 1 {
+		t.Fatalf("GOMAXPROCS %d without a name suffix, want 1", procs)
+	}
+}
+
+// TestCompareReadsFormats2And3: compare loads a format-2 point (no
+// machine fields, no B/op) against a format-3 one in either order, and
+// gates on median ns/op alone, as it always has.
+func TestCompareReadsFormats2And3(t *testing.T) {
+	dir := t.TempDir()
+	v2 := filepath.Join(dir, "v2.json")
+	if err := os.WriteFile(v2, []byte(`{"format":2,"generated":"2026-01-01","go":"go1.24.0","note":"2 CPUs",
+		"benchmarks":[{"name":"BenchmarkA","pkg":"repro/x","ns_per_op":[900,1000,1100],"median_ns":1000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v3 := func(ns float64) string {
+		p := filepath.Join(dir, "v3.json")
+		f := &File{Format: 3, Go: "go1.24.0", CPUs: 2, GOMAXPROCS: 2, Benchmarks: []Benchmark{{
+			Name: "BenchmarkA", Pkg: "repro/x", NsPerOp: []float64{ns}, MedianNs: ns,
+			BytesPerOp: []float64{1 << 30}, AllocsPerOp: []float64{1e6},
+		}}}
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if err := runCompare(v2, v3(1100), 15, false); err != nil {
+		t.Fatalf("10%% ns/op slowdown failed the 15%% gate (B/op must not count): %v", err)
+	}
+	if err := runCompare(v2, v3(1200), 15, false); err == nil {
+		t.Fatal("20% ns/op slowdown from a format-2 point passed the 15% gate")
+	}
+	if err := runCompare(v3(1000), v2, 15, false); err != nil {
+		t.Fatalf("format-2 point compared against format-3 failed: %v", err)
+	}
+	f, err := load(v3(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Format != 3 || f.CPUs != 2 || f.GOMAXPROCS != 2 || f.Benchmarks[0].AllocsPerOp[0] != 1e6 {
+		t.Fatalf("format-3 fields lost on load: %+v", f)
+	}
+}

@@ -212,6 +212,16 @@ func (c *Client) Grid(ctx context.Context, req GridRequest) (*GridResponse, erro
 	return &out, nil
 }
 
+// PostEncoded posts body, a request already encoded as JSON, to path
+// and decodes the answer into out, with Fill's and Batch's retries and
+// error mapping. Every attempt sends body unchanged, so a caller that
+// encodes a request once — the cluster coordinator, per shard — can
+// reuse it across failovers and hedges. Fill and Batch encode with
+// json.Marshal, which body must equal for the same answer.
+func (c *Client) PostEncoded(ctx context.Context, path string, body []byte, out any) error {
+	return c.send(ctx, http.MethodPost, path, body, out, nil)
+}
+
 // Healthz checks GET /healthz; nil means the service is live.
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
@@ -243,6 +253,12 @@ func (c *Client) doHeaders(ctx context.Context, method, path string, in, out any
 			return fmt.Errorf("client: encoding %s request: %w", path, err)
 		}
 	}
+	return c.send(ctx, method, path, body, out, hdr)
+}
+
+// send sends body (nil for none) on every attempt, mapping the status
+// and backing off with full jitter between retryable failures.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any, hdr http.Header) error {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {

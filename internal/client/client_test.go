@@ -1,8 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -287,5 +290,56 @@ func TestBackoffBounded(t *testing.T) {
 		if d <= 0 || d > 40*time.Millisecond {
 			t.Fatalf("attempt %d: backoff %v out of (0, 40ms]", attempt, d)
 		}
+	}
+}
+
+// TestClientEncodesWithJSONMarshal pins Fill and Batch to send
+// json.Marshal of their request, byte for byte, on strings that need
+// escapes as well as on plain ones. Callers that measure the client's
+// encode (the benchmark's load generator among them) see the same work
+// whatever PostEncoded's callers do.
+func TestClientEncodesWithJSONMarshal(t *testing.T) {
+	sent := make(chan []byte, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		sent <- body
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s sent Content-Type %q", r.URL.Path, ct)
+		}
+		w.Write([]byte("{}"))
+	}))
+	t.Cleanup(ts.Close)
+	c, err := New(Config{BaseURL: ts.URL, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []FillRequest{
+		{},
+		{Name: "job-1", Cubes: []string{"0X1", "1X0"}, Orderer: "i", Filler: "mt", Seed: -3, Priority: 2, TimeoutMillis: 1500, OmitCubes: true, Debug: true},
+		{Name: "<a&b> ", Cubes: []string{}, STIL: "STIL 1.0;\n\"x\"\\\x7f", Seed: 1},
+		{Name: "größe\xff", Cubes: []string{"", "01X"}},
+	}
+	ctx := context.Background()
+	check := func(what string, req any) {
+		t.Helper()
+		want, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := <-sent; !bytes.Equal(got, want) {
+			t.Fatalf("%s sent\n %q\nwant json.Marshal\n %q", what, got, want)
+		}
+	}
+	for _, j := range jobs {
+		if _, err := c.Fill(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+		check("Fill", j)
+	}
+	for _, b := range []BatchRequest{{}, {Jobs: []FillRequest{}}, {Jobs: jobs, Debug: true}} {
+		if _, err := c.Batch(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		check("Batch", b)
 	}
 }

@@ -292,20 +292,21 @@ type dispatchInfo struct {
 	WorkerNS int64
 }
 
-// dispatch routes one call through the fleet: the affinity target for
-// key first (so repeat work lands on the worker whose result cache is
-// warm), else least-loaded; failover to the next-best worker on
-// retryable failure; and — when hedging is on — a duplicate attempt
-// if the current one is still pending after HedgeAfter. weight is the
-// job count, charged to the worker's outstanding load while the
-// attempt is in flight.
+// dispatch posts body, an encoded request, to path through the fleet:
+// the affinity target for key first (so repeat work lands on the
+// worker whose result cache is warm), else least-loaded; failover to
+// the next-best worker on retryable failure; and — when hedging is on
+// — a duplicate attempt if the current one is still pending after
+// HedgeAfter. Every attempt sends the same bytes. weight is the job
+// count, charged to the worker's outstanding load while the attempt is
+// in flight.
 //
 // Budgets: MaxAttempts bounds failure-driven launches only (the
 // initial attempt plus failovers). The hedge has its own budget of
 // one — it is a latency tool, and letting it consume a failover slot
 // meant a straggler plus one real failure could exhaust the budget
 // before a third worker was ever tried.
-func dispatch[T any](co *Coordinator, ctx context.Context, weight int, key uint64, call func(context.Context, *client.Client) (*T, error)) (*T, dispatchInfo, error) {
+func dispatch[T any](co *Coordinator, ctx context.Context, weight int, key uint64, path string, body []byte) (*T, dispatchInfo, error) {
 	type outcome struct {
 		resp    *T
 		err     error
@@ -342,7 +343,7 @@ func dispatch[T any](co *Coordinator, ctx context.Context, weight int, key uint6
 		info.Attempts++
 		go func() {
 			start := time.Now()
-			resp, err := call(actx, w.c)
+			resp, err := post[T](actx, w.c, path, body)
 			w.addOutstanding(-weight)
 			results <- outcome{resp, err, w, idx, time.Since(start)}
 		}()
@@ -432,53 +433,41 @@ func dispatch[T any](co *Coordinator, ctx context.Context, weight int, key uint6
 	return nil, info, lastErr
 }
 
-// affinityKey maps a request to its stable routing key: the FNV-1a
-// hash of its canonical JSON encoding. Identical requests hash alike,
-// so the rendezvous router sends repeats to the worker whose result
-// cache already holds the answer. 0 (no affinity) only on a marshal
-// failure.
-func affinityKey(v any) uint64 {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return 0
+// post sends body to path through c and decodes the answer as a T.
+func post[T any](ctx context.Context, c *client.Client, path string, body []byte) (*T, error) {
+	var out T
+	if err := c.PostEncoded(ctx, path, body, &out); err != nil {
+		return nil, err
 	}
-	h := uint64(14695981039346656037)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1 // 0 is the "no affinity" sentinel
-	}
-	return h
+	return &out, nil
 }
 
 // fillThrough answers one fill request: fleet first, local fallback
-// when the fleet can't.
+// when the fleet can't. The body is encoded once for every attempt.
 func (co *Coordinator) fillThrough(ctx context.Context, req client.FillRequest) (*client.FillResponse, error) {
 	co.met.jobs.Add(1)
-	resp, _, err := dispatch(co, ctx, 1, affinityKey(req), func(ctx context.Context, c *client.Client) (*client.FillResponse, error) {
-		return c.Fill(ctx, req)
-	})
+	body, key := encodeFill(req)
+	resp, _, err := dispatch[client.FillResponse](co, ctx, 1, key, "/v1/fill", body)
 	if err != nil && co.fallbackEligible(ctx, err) {
 		co.met.fallbacks.Add(1)
-		return co.local.Fill(ctx, req)
+		return post[client.FillResponse](ctx, co.local, "/v1/fill", body)
 	}
 	return resp, err
 }
 
 // gridThrough proxies one grid request to a single worker, with the
-// same failover and fallback as fills.
+// same failover and fallback as fills. It routes like a fill of its
+// cubes, orderer and seed.
 func (co *Coordinator) gridThrough(ctx context.Context, req client.GridRequest) (*client.GridResponse, error) {
 	co.met.jobs.Add(1)
 	// A grid fans one set across every paper filler; weight it as such.
 	const gridWeight = 8
-	resp, _, err := dispatch(co, ctx, gridWeight, affinityKey(req), func(ctx context.Context, c *client.Client) (*client.GridResponse, error) {
-		return c.Grid(ctx, req)
-	})
+	_, key := encodeFill(client.FillRequest{Cubes: req.Cubes, STIL: req.STIL, Orderer: req.Orderer, Seed: req.Seed})
+	body, _ := json.Marshal(req) // strings and an integer always marshal
+	resp, _, err := dispatch[client.GridResponse](co, ctx, gridWeight, key, "/v1/grid", body)
 	if err != nil && co.fallbackEligible(ctx, err) {
 		co.met.fallbacks.Add(1)
-		return co.local.Grid(ctx, req)
+		return post[client.GridResponse](ctx, co.local, "/v1/grid", body)
 	}
 	return resp, err
 }
@@ -518,7 +507,8 @@ func (co *Coordinator) batchThrough(ctx context.Context, req client.BatchRequest
 		wg.Add(1)
 		go func(si, lo, hi int) {
 			defer wg.Done()
-			tr := co.runShard(ctx, req.Debug, req.Jobs[lo:hi], items[lo:hi])
+			body, key := encodeBatch(client.BatchRequest{Jobs: req.Jobs[lo:hi], Debug: req.Debug})
+			tr := co.runShard(ctx, body, key, items[lo:hi])
 			tr.Lo, tr.Hi = lo, hi
 			traces[si] = tr
 			progress(int(done.Add(int64(hi - lo))))
@@ -544,18 +534,17 @@ func (co *Coordinator) batchThrough(ctx context.Context, req client.BatchRequest
 	return resp
 }
 
-// runShard answers one contiguous slice of a batch, writing results
-// into the aligned out slice and returning the shard's dispatch trace
-// (Lo/Hi are the caller's to fill). A debug batch forwards the flag on
-// the sub-batch, so each worker's fill-core explain traces ride back
-// on the per-item results.
-func (co *Coordinator) runShard(ctx context.Context, debug bool, jobs []client.FillRequest, out []client.BatchItem) server.ShardTrace {
+// runShard answers one contiguous slice of a batch, sent as body, the
+// shard's encoded /v1/batch request, with routing key key. It writes
+// the results into the aligned out slice and returns the shard's
+// dispatch trace (Lo/Hi are the caller's to fill). Every attempt and
+// the local fallback send the same body. A debug batch forwards the
+// flag on the sub-batch, so each worker's fill-core explain traces
+// ride back on the per-item results.
+func (co *Coordinator) runShard(ctx context.Context, body []byte, key uint64, out []client.BatchItem) server.ShardTrace {
 	start := time.Now()
 	co.met.shards.Add(1)
-	sub := client.BatchRequest{Jobs: jobs, Debug: debug}
-	resp, info, err := dispatch(co, ctx, len(jobs), affinityKey(sub), func(ctx context.Context, c *client.Client) (*client.BatchResponse, error) {
-		return c.Batch(ctx, sub)
-	})
+	resp, info, err := dispatch[client.BatchResponse](co, ctx, len(out), key, "/v1/batch", body)
 	tr := server.ShardTrace{
 		Worker:   info.Worker,
 		Attempts: info.Attempts,
@@ -565,25 +554,25 @@ func (co *Coordinator) runShard(ctx context.Context, debug bool, jobs []client.F
 	if err != nil && co.fallbackEligible(ctx, err) {
 		co.met.fallbacks.Add(1)
 		tr.FellBack, tr.Worker = true, ""
-		resp, err = co.local.Batch(ctx, sub)
+		resp, err = post[client.BatchResponse](ctx, co.local, "/v1/batch", body)
 	}
 	tr.DispatchNS = time.Since(start).Nanoseconds()
 	co.shardLatency.Observe(time.Duration(tr.DispatchNS))
 	if err != nil {
 		co.met.shardFailures.Add(1)
 		co.cfg.Log.Error("shard dispatch failed",
-			"jobs", len(jobs), "rid", reqid.From(ctx), "err", err)
+			"jobs", len(out), "rid", reqid.From(ctx), "err", err)
 		msg := fmt.Sprintf("cluster: shard dispatch failed: %v", err)
 		for i := range out {
 			out[i] = client.BatchItem{Error: msg}
 		}
 		return tr
 	}
-	if len(resp.Results) != len(jobs) {
+	if len(resp.Results) != len(out) {
 		// A worker answering the wrong shape is a protocol violation;
 		// fail the shard rather than misalign the batch.
 		co.met.shardFailures.Add(1)
-		msg := fmt.Sprintf("cluster: worker answered %d results for a %d-job shard", len(resp.Results), len(jobs))
+		msg := fmt.Sprintf("cluster: worker answered %d results for a %d-job shard", len(resp.Results), len(out))
 		for i := range out {
 			out[i] = client.BatchItem{Error: msg}
 		}

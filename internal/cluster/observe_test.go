@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +155,27 @@ func TestAffinityRoutesRepeatBatchesToSameWorker(t *testing.T) {
 	st := co.Stats()
 	if st.AffinityHits < 3 {
 		t.Fatalf("affinity hits %d, want >= 3", st.AffinityHits)
+	}
+
+	// Repeats that differ only in fields the worker's cache ignores —
+	// debug, job names, omit_cubes, timeout_ms, priority — route on the
+	// same key and land on the same warm worker.
+	for v, edit := range []func(*client.BatchRequest, int){
+		func(r *client.BatchRequest, _ int) { r.Debug = true },
+		func(r *client.BatchRequest, k int) { r.Jobs[k].Name = fmt.Sprintf("renamed-%d", k) },
+		func(r *client.BatchRequest, k int) { r.Jobs[k].Debug, r.Jobs[k].OmitCubes = true, true },
+		func(r *client.BatchRequest, k int) { r.Jobs[k].TimeoutMillis, r.Jobs[k].Priority = 60000, k },
+	} {
+		variant := client.BatchRequest{Jobs: slices.Clone(req.Jobs)}
+		for k := range variant.Jobs {
+			edit(&variant, k)
+		}
+		if _, err := c.Batch(context.Background(), variant); err != nil {
+			t.Fatalf("variant %d: %v", v, err)
+		}
+		if hits := target.batchHits.Load(); hits != int64(4+v) {
+			t.Fatalf("variant %d of the batch left the warm worker (%d hits on it, want %d)", v, hits, 4+v)
+		}
 	}
 
 	// Eject the hash target: the same batch must reroute (an affinity

@@ -48,12 +48,11 @@ func (co *Coordinator) pipelineThrough(ctx context.Context, req client.PipelineR
 	}
 	co.met.jobs.Add(1)
 	if req.Stage == pipeline.StageATPG || req.Shards() <= 1 {
-		resp, _, err := dispatch(co, ctx, 1, affinityKey(req), func(ctx context.Context, c *client.Client) (*client.PipelineReport, error) {
-			return c.Pipeline(ctx, req)
-		})
+		body, key := encodePipeline(req)
+		resp, _, err := dispatch[client.PipelineReport](co, ctx, 1, key, "/v1/pipeline", body)
 		if err != nil && co.fallbackEligible(ctx, err) {
 			co.met.fallbacks.Add(1)
-			return co.local.Pipeline(ctx, req)
+			return post[client.PipelineReport](ctx, co.local, "/v1/pipeline", body)
 		}
 		return resp, err
 	}
@@ -140,9 +139,8 @@ func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineR
 func (co *Coordinator) dispatchPipelineShard(ctx context.Context, sreq client.PipelineRequest) (*client.PipelineReport, server.ShardTrace, error) {
 	start := time.Now()
 	co.met.shards.Add(1)
-	rep, info, err := dispatch(co, ctx, 1, affinityKey(sreq), func(ctx context.Context, c *client.Client) (*client.PipelineReport, error) {
-		return c.Pipeline(ctx, sreq)
-	})
+	body, key := encodePipeline(sreq)
+	rep, info, err := dispatch[client.PipelineReport](co, ctx, 1, key, "/v1/pipeline", body)
 	tr := server.ShardTrace{
 		Worker:   info.Worker,
 		Attempts: info.Attempts,
@@ -152,7 +150,7 @@ func (co *Coordinator) dispatchPipelineShard(ctx context.Context, sreq client.Pi
 	if err != nil && co.fallbackEligible(ctx, err) {
 		co.met.fallbacks.Add(1)
 		tr.FellBack, tr.Worker = true, ""
-		rep, err = co.local.Pipeline(ctx, sreq)
+		rep, err = post[client.PipelineReport](ctx, co.local, "/v1/pipeline", body)
 	}
 	tr.DispatchNS = time.Since(start).Nanoseconds()
 	co.shardLatency.Observe(time.Duration(tr.DispatchNS))

@@ -70,8 +70,10 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// loadStr64 is load64 on the bytes of s: byte k of the word is s[k].
-func loadStr64(s string) uint64 {
+// LoadStr64 is load64 on the bytes of s: byte k of the word is s[k].
+// Word-at-a-time string scans outside this package (the request
+// scanner, the coordinator's shard encoder) read their words with it.
+func LoadStr64(s string) uint64 {
 	_ = s[7]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
@@ -121,7 +123,7 @@ func decode64(s string) (care, val, bad uint64) {
 	const low7 = ^uint64(msb8)
 	s = s[:64]
 	for k := 0; k < 64; k += 8 {
-		x := loadStr64(s[k : k+8])
+		x := LoadStr64(s[k : k+8])
 		bin := msb8 &^ (x&^lsb8 ^ '0'*lsb8 + low7)
 		xs := msb8 &^ (x | 0x20*lsb8 ^ 'x'*lsb8 + low7)
 		dash := msb8 &^ (x ^ '-'*lsb8 + low7)

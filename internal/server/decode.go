@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+
+	"repro/internal/cube"
 )
 
 // DecodeJSON is the request-body decoder both serving tiers share: it
@@ -207,12 +209,17 @@ func (s *scanner) member(n int) (key string, done, ok bool) {
 }
 
 // str scans one string of printable ASCII without a backslash and
-// returns it as a substring of the body.
+// returns it as a substring of the body. Whole words of plain bytes
+// are skipped eight at a time; the plainByte loop finds the byte that
+// stops the scan within the last word, or the tail.
 func (s *scanner) str() (string, bool) {
 	if !s.lit('"') {
 		return "", false
 	}
 	j := s.i
+	for j+8 <= len(s.b) && plainWord(cube.LoadStr64(s.b[j:])) {
+		j += 8
+	}
 	for j < len(s.b) && plainByte[s.b[j]] {
 		j++
 	}
@@ -232,6 +239,23 @@ var plainByte = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// plainWord reports whether all eight bytes of x are plainByte ones.
+// A byte b below 0x80 is printable when b+0x60 reaches bit 7 (b is at
+// least 0x20) and b+1 does not (b is not DEL), and y+0x7F reaches bit 7
+// exactly when y is not zero; with bit 7 clear in every byte of x, no
+// sum carries into the next byte. A byte at or above 0x80 fails the
+// ^x test, whatever its garbled sums say.
+func plainWord(x uint64) bool {
+	const (
+		lsb8 = 0x0101010101010101
+		msb8 = 0x8080808080808080
+		low7 = ^uint64(msb8)
+	)
+	ok := ^x & (x + 0x60*lsb8) &^ (x + lsb8) &
+		(x ^ '"'*lsb8 + low7) & (x ^ '\\'*lsb8 + low7)
+	return ok&msb8 == msb8
+}
 
 // copyStr scans a string into a fresh copy, so a short retained field
 // never pins the whole body.

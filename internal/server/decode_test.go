@@ -8,7 +8,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime/debug"
+	"strings"
 	"testing"
+
+	"repro/internal/cube"
 )
 
 // reusableRequest is a POST whose body can be rewound without
@@ -229,9 +232,49 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, body := range decodeSeeds {
 		f.Add([]byte(body))
 	}
+	for _, body := range wordBoundarySeeds() {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecodeMatchesJSON(t, body)
 	})
+}
+
+// stopBytes end the scanner's word skip: the quote, the backslash, the
+// last control byte, DEL and the first non-ASCII byte.
+var stopBytes = []byte{'"', '\\', 0x1f, 0x7f, 0x80}
+
+// wordBoundarySeeds put each stop byte at every offset of a string's
+// first and second 8-byte word and of a tail under eight bytes, inside
+// a cube string and inside the name.
+func wordBoundarySeeds() []string {
+	var out []string
+	for _, b := range stopBytes {
+		for _, n := range []int{3, 11, 16} {
+			for off := 0; off < n; off++ {
+				str := []byte(strings.Repeat("0X1X", 4)[:n])
+				str[off] = b
+				out = append(out,
+					`{"cubes":["`+string(str)+`","0X1"]}`,
+					`{"name":"`+string(str)+`","cubes":["0X1"]}`)
+			}
+		}
+	}
+	return out
+}
+
+// TestPlainWord pins the word test to the plainByte table: every byte
+// value at every offset of a word of plain bytes.
+func TestPlainWord(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		for off := 0; off < 8; off++ {
+			w := []byte("0X1x-Z a")
+			w[off] = byte(v)
+			if got := plainWord(cube.LoadStr64(string(w))); got != plainByte[v] {
+				t.Fatalf("plainWord with %#x at offset %d = %v, want %v", v, off, got, plainByte[v])
+			}
+		}
+	}
 }
 
 // BenchmarkDecodeFillRequest decodes a fill-cold-shaped /v1/fill body
