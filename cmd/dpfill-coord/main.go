@@ -12,17 +12,21 @@
 //
 // Endpoints:
 //
-//	POST   /v1/fill      one cube set, routed to the least-loaded worker
+//	POST   /v1/fill      one cube set, routed to its cache-affinity or least-loaded worker
 //	POST   /v1/batch     many jobs, sharded across the fleet
-//	POST   /v1/grid      every Table II-IV filler on one set, proxied
-//	POST   /v1/jobs      submit a batch asynchronously -> job ID (202)
+//	POST   /v1/pipeline  one pipeline run, ATPG fault shards fanned across the fleet
+//	POST   /v1/jobs      submit a batch or pipeline asynchronously -> job ID (202)
 //	GET    /v1/jobs      list retained async jobs
 //	GET    /v1/jobs/{id} async job status/progress/result
 //	DELETE /v1/jobs/{id} cancel an async job
 //	GET    /healthz      coordinator liveness + admitted worker count
 //	GET    /stats        fleet view: shards, retries, hedges, per-worker load
+//	GET    /metrics      Prometheus scrape
 //
-// Async jobs shard across the fleet exactly like synchronous batches;
+// The /v1/* endpoints are dpfilld's own HTTP front (internal/server's
+// Front) over the fleet dispatcher: the same decoding, limits and
+// error statuses, with a worker's error answer passed through verbatim.
+// Async jobs shard across the fleet exactly like synchronous requests;
 // with -data-dir they are journaled and survive a coordinator restart.
 //
 // With no reachable workers the coordinator answers on a local
@@ -101,11 +105,22 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := buildLogger(*accessLog, *logLevel, *logFormat)
+	logger, err := logx.FromFlags(os.Stderr, *accessLog, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
 	co, err := cluster.New(cluster.Config{
+		FrontConfig: server.FrontConfig{
+			MaxBodyBytes:  *maxBody,
+			MaxBatchJobs:  *maxBatch,
+			ShutdownGrace: *grace,
+			Log:           logger,
+			SlowThreshold: *slowThreshold,
+			DataDir:       *dataDir,
+			MaxQueuedJobs: *maxJobs,
+			JobRetention:  *jobRetention,
+			JobWorkers:    *jobWorkers,
+		},
 		Workers: workers,
 		Registry: cluster.RegistryConfig{
 			HeartbeatInterval: *heartbeat,
@@ -119,15 +134,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		DisableFallback: !*fallback,
 		DisableAffinity: *noAffinity,
 		Local:           server.Config{Workers: *localWorkers},
-		MaxBodyBytes:    *maxBody,
-		MaxBatchJobs:    *maxBatch,
-		ShutdownGrace:   *grace,
-		Log:             logger,
-		SlowThreshold:   *slowThreshold,
-		DataDir:         *dataDir,
-		MaxQueuedJobs:   *maxJobs,
-		JobRetention:    *jobRetention,
-		JobWorkers:      *jobWorkers,
 	})
 	if err != nil {
 		return err
@@ -150,21 +156,4 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "dpfill-coord: shut down cleanly")
 	}
 	return err
-}
-
-// buildLogger resolves the logging flags into a structured stderr
-// logger, nil when -access-log is off (logging disabled).
-func buildLogger(enabled bool, level, format string) (*logx.Logger, error) {
-	if !enabled {
-		return nil, nil
-	}
-	lv, err := logx.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := logx.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return logx.New(os.Stderr, logx.Options{Level: lv, Format: fm}), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cube"
+	"repro/internal/exp"
 )
 
 // Remote mode: with -server URL the binary becomes a thin front-end
@@ -83,8 +85,11 @@ func runRemoteFill(stdout io.Writer, serverURL string, r io.Reader, path, ordNam
 	return nil
 }
 
-// runRemoteGrid evaluates every filler on one input through /v1/grid
-// under the flag-selected ordering and prints the rendered table.
+// runRemoteGrid evaluates the paper's fillers (the Table II–IV
+// columns) on one input under the flag-selected ordering, as one
+// /v1/batch, and prints the peak table and its winner. Each job asks
+// for a deadline past any server's ceiling, so the server clamps it to
+// its own maximum.
 func runRemoteGrid(stdout io.Writer, serverURL string, r io.Reader, path, ordName string, seed int64) error {
 	c, err := client.New(client.Config{BaseURL: serverURL})
 	if err != nil {
@@ -98,20 +103,31 @@ func runRemoteGrid(stdout io.Writer, serverURL string, r io.Reader, path, ordNam
 	if name == "" || name == "-" {
 		name = "stdin"
 	}
-	resp, err := c.Grid(context.Background(), client.GridRequest{
-		Name:    filepath.Base(name),
-		Cubes:   req.Cubes,
-		STIL:    req.STIL,
-		Orderer: ordName,
-		Seed:    seed,
-	})
+	req.Orderer, req.Seed, req.OmitCubes, req.TimeoutMillis = ordName, seed, true, math.MaxInt64
+	jobs := make([]client.FillRequest, len(exp.FillNames))
+	for i, fl := range exp.FillNames {
+		jobs[i] = req
+		jobs[i].Filler = fl
+	}
+	resp, err := c.Batch(context.Background(), client.BatchRequest{Jobs: jobs})
 	if err != nil {
 		return err
 	}
-	if _, err := io.WriteString(stdout, resp.Table); err != nil {
+	if len(resp.Results) != len(jobs) {
+		return fmt.Errorf("server answered %d results for %d fillers", len(resp.Results), len(jobs))
+	}
+	row := exp.PeakRow{Ckt: filepath.Base(name), Peaks: make([]int, len(jobs))}
+	for i, it := range resp.Results {
+		if it.Error != "" {
+			return fmt.Errorf("%s: %s", exp.FillNames[i], it.Error)
+		}
+		row.Peaks[i] = it.Result.Peak
+	}
+	if err := exp.RenderPeakTable(stdout, resp.Results[0].Result.Orderer, []exp.PeakRow{row}); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "best: %s\n", resp.Best)
+	_, best := row.Best()
+	fmt.Fprintf(stdout, "best: %s\n", exp.FillNames[best])
 	return nil
 }
 

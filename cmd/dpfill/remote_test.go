@@ -1,13 +1,20 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/cube"
+	"repro/internal/exp"
 	"repro/internal/server"
 )
 
@@ -121,16 +128,70 @@ func TestRemoteBatchIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestRemoteGrid prints the server-rendered filler grid.
-func TestRemoteGrid(t *testing.T) {
-	url := startWorker(t)
-	in := writeTempCubes(t, "grid.txt", "0XX0XX", "XX1XX0", "1XXX0X", "XX0X1X")
-	var out strings.Builder
-	if err := run([]string{"-server", url, "-grid", "-in", in}, &out); err != nil {
+// startCoordinator mounts a coordinator over one real worker and waits
+// until its heartbeat has admitted the worker.
+func startCoordinator(t *testing.T) string {
+	t.Helper()
+	co, err := cluster.New(cluster.Config{
+		Workers:         []string{startWorker(t)},
+		Registry:        cluster.RegistryConfig{HeartbeatInterval: 25 * time.Millisecond},
+		DisableFallback: true,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "DP-fill") || !strings.Contains(out.String(), "best:") {
-		t.Fatalf("grid output: %q", out.String())
+	t.Cleanup(func() { co.Close() })
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go co.Run(ctx)
+	for deadline := time.Now().Add(5 * time.Second); co.Stats().WorkersHealthy != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never admitted its worker")
+		}
+	}
+	ts := httptest.NewServer(co.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestRemoteGrid prints the Table II–IV row of one input, built from a
+// /v1/batch of the paper's fillers, through a worker and through a
+// coordinator: every column is present, no baseline beats DP-fill's
+// (provably minimal) peak, and on this set DP-fill is the sole winner.
+func TestRemoteGrid(t *testing.T) {
+	in := writeTempCubes(t, "grid.txt", "0XX0XX", "XX1XX0", "1XXX0X", "XX0X1X")
+	for tier, url := range map[string]string{"dpfilld": startWorker(t), "dpfill-coord": startCoordinator(t)} {
+		var out strings.Builder
+		if err := run([]string{"-server", url, "-grid", "-in", in}, &out); err != nil {
+			t.Fatalf("%s: %v", tier, err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if len(lines) != 3 || lines[2] != "best: DP-fill" {
+			t.Fatalf("%s: grid output %q", tier, out.String())
+		}
+		// The tool ordering's table also carries the paper's DP-fill
+		// column, "-" for a circuit the paper did not publish.
+		want := fmt.Sprint(slices.Concat([]string{"Ckt"}, exp.FillNames, []string{"best", "paper-DP"}))
+		if got := fmt.Sprint(strings.Fields(lines[0])); got != want {
+			t.Fatalf("%s: header %v, want %v", tier, got, want)
+		}
+		cells := strings.Fields(lines[1])
+		if len(cells) != len(exp.FillNames)+3 || cells[0] != "grid.txt" || cells[len(exp.FillNames)+1] != "DP-fill" {
+			t.Fatalf("%s: row %q", tier, lines[1])
+		}
+		peaks := make([]int, len(exp.FillNames))
+		for i := range peaks {
+			var err error
+			if peaks[i], err = strconv.Atoi(strings.TrimPrefix(cells[1+i], "*")); err != nil {
+				t.Fatalf("%s: peak cell %q: %v", tier, cells[1+i], err)
+			}
+		}
+		dp := peaks[len(peaks)-1]
+		for i, p := range peaks {
+			if p < dp {
+				t.Errorf("%s: %s peak %d beats DP-fill's %d", tier, exp.FillNames[i], p, dp)
+			}
+		}
 	}
 }
 

@@ -11,14 +11,18 @@
 //
 //	POST   /v1/fill      one cube set -> filled set + toggle statistics
 //	POST   /v1/batch     many jobs, one engine batch, per-job isolation
-//	POST   /v1/grid      every Table II-IV filler on one set
-//	POST   /v1/jobs      submit a batch asynchronously -> job ID (202)
+//	POST   /v1/pipeline  netlist -> ATPG -> fill -> power, typed report
+//	POST   /v1/jobs      submit a batch or pipeline asynchronously -> job ID (202)
 //	GET    /v1/jobs      list retained async jobs
 //	GET    /v1/jobs/{id} async job status/progress/result
 //	DELETE /v1/jobs/{id} cancel an async job
 //	GET    /healthz      liveness
 //	GET    /stats        jobs served, cache hit rate, p50/p99 latency
+//	GET    /metrics      Prometheus scrape
 //
+// dpfill-coord answers the same /v1/* surface through the same HTTP
+// front (internal/server's Front), so a client cannot tell the tiers
+// apart by their requests, limits or errors.
 // With -data-dir the async job queue is journaled there: a daemon
 // killed mid-job re-runs accepted work on restart and answers with the
 // same results the lost run would have produced.
@@ -75,25 +79,27 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := buildLogger(*accessLog, *logLevel, *logFormat)
+	logger, err := logx.FromFlags(os.Stderr, *accessLog, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
 	srv, err := server.New(server.Config{
+		FrontConfig: server.FrontConfig{
+			MaxBodyBytes:  *maxBody,
+			ShutdownGrace: *grace,
+			Log:           logger,
+			SlowThreshold: *slowThreshold,
+			DataDir:       *dataDir,
+			MaxQueuedJobs: *maxJobs,
+			JobRetention:  *jobRetention,
+			JobWorkers:    *jobWorkers,
+		},
 		Workers:        *workers,
 		CacheSize:      *cacheSize,
 		MaxRows:        *maxRows,
 		MaxCols:        *maxCols,
-		MaxBodyBytes:   *maxBody,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		ShutdownGrace:  *grace,
-		Log:            logger,
-		SlowThreshold:  *slowThreshold,
-		DataDir:        *dataDir,
-		MaxQueuedJobs:  *maxJobs,
-		JobRetention:   *jobRetention,
-		JobWorkers:     *jobWorkers,
 	})
 	if err != nil {
 		return err
@@ -116,21 +122,4 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "dpfilld: shut down cleanly")
 	}
 	return err
-}
-
-// buildLogger resolves the logging flags into a structured stderr
-// logger, nil when -access-log is off (logging disabled).
-func buildLogger(enabled bool, level, format string) (*logx.Logger, error) {
-	if !enabled {
-		return nil, nil
-	}
-	lv, err := logx.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := logx.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return logx.New(os.Stderr, logx.Options{Level: lv, Format: fm}), nil
 }

@@ -46,10 +46,6 @@ type (
 	BatchResponse = server.BatchResponse
 	// BatchItem is one slot of a batch response.
 	BatchItem = server.BatchItem
-	// GridRequest is the POST /v1/grid payload.
-	GridRequest = server.GridRequest
-	// GridResponse is the POST /v1/grid result.
-	GridResponse = server.GridResponse
 	// Stats is the GET /stats payload.
 	Stats = server.Stats
 	// JobStatus is an async job snapshot (the /v1/jobs/{id} payload).
@@ -143,6 +139,11 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server answered %d: %s", e.Status, e.Message)
 }
 
+// Reply is the status and message a serving tier answers with when it
+// passes this error through: a coordinator relays a worker's error
+// answer verbatim, as if the caller had spoken to the worker directly.
+func (e *APIError) Reply() (int, string) { return e.Status, e.Message }
+
 // ProtocolError is a 200 answer whose body does not decode into the
 // expected schema — a worker speaking a different API version, or a
 // middlebox mangling the body. It is terminal: every node would
@@ -198,15 +199,6 @@ func (c *Client) Fill(ctx context.Context, req FillRequest) (*FillResponse, erro
 func (c *Client) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	var out BatchResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/batch", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Grid runs every paper filler on one set through POST /v1/grid.
-func (c *Client) Grid(ctx context.Context, req GridRequest) (*GridResponse, error) {
-	var out GridResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/grid", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

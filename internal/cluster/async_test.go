@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/jobs"
+	"repro/internal/server"
 )
 
 // TestAsyncJobParityThroughCoordinator pins the fleet half of the
@@ -70,7 +71,7 @@ func TestCoordinatorJobJournalSurvivesRestart(t *testing.T) {
 	req := randomBatch(4)
 	want := localExpected(t, req)
 
-	co1 := newTestCoordinator(t, Config{DataDir: dir}, w)
+	co1 := newTestCoordinator(t, Config{FrontConfig: server.FrontConfig{DataDir: dir}}, w)
 	waitHealthy(t, co1, 1)
 	c1 := coordClient(t, co1)
 	st, err := c1.SubmitJob(context.Background(), req)
@@ -85,7 +86,7 @@ func TestCoordinatorJobJournalSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co2 := newTestCoordinator(t, Config{DataDir: dir}, w)
+	co2 := newTestCoordinator(t, Config{FrontConfig: server.FrontConfig{DataDir: dir}}, w)
 	waitHealthy(t, co2, 1)
 	c2 := coordClient(t, co2)
 	replayed, err := c2.Job(context.Background(), st.ID)
@@ -156,7 +157,7 @@ func TestReplayedJobWaitsForFleetAdmission(t *testing.T) {
 	}
 	id := journalUnsettled(t, dir, string(payload))[0]
 
-	co := newTestCoordinator(t, Config{DataDir: dir, DisableFallback: true}, w)
+	co := newTestCoordinator(t, Config{DisableFallback: true, FrontConfig: server.FrontConfig{DataDir: dir}}, w)
 	c := coordClient(t, co)
 	final, err := c.WaitJob(context.Background(), id, 5*time.Millisecond)
 	if err != nil {
@@ -186,7 +187,7 @@ func TestReplayRejectsUnknownFields(t *testing.T) {
 	ids := journalUnsettled(t, dir,
 		`{"jobs":[{"cubes":["0X1","X10","1XX"],"window":4}]}`,
 		`{"pipeline":{"spec":"b01","window":4}}`)
-	co := newTestCoordinator(t, Config{DataDir: dir}, w)
+	co := newTestCoordinator(t, Config{FrontConfig: server.FrontConfig{DataDir: dir}}, w)
 	c := coordClient(t, co)
 	for _, id := range ids {
 		st, err := c.WaitJob(context.Background(), id, 5*time.Millisecond)
@@ -205,7 +206,7 @@ func TestReplayRejectsUnknownFields(t *testing.T) {
 // TestAsyncJobValidationThroughCoordinator: the coordinator applies
 // the same submit validation as its synchronous batch handler.
 func TestAsyncJobValidationThroughCoordinator(t *testing.T) {
-	co := newTestCoordinator(t, Config{MaxBatchJobs: 2})
+	co := newTestCoordinator(t, Config{FrontConfig: server.FrontConfig{MaxBatchJobs: 2}})
 	c := coordClient(t, co)
 	_, err := c.SubmitJob(context.Background(), client.BatchRequest{})
 	if !isAPIStatus(err, 400) {

@@ -96,6 +96,11 @@ func newChaosWorker(t *testing.T) *chaosWorker {
 	return w
 }
 
+// errorResponse is the uniform error payload both tiers answer with.
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
 // hijackClose simulates a killed worker: the TCP connection dies
 // without an HTTP answer.
 func hijackClose(w http.ResponseWriter) {
@@ -374,20 +379,13 @@ func TestFallbackWhenFleetEmpty(t *testing.T) {
 		t.Fatalf("empty fleet did not engage the fallback: %+v", st)
 	}
 
-	// Single fills and grids fall back too.
+	// Single fills fall back too.
 	fr, err := c.Fill(context.Background(), client.FillRequest{Cubes: []string{"00", "XX", "XX", "11"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fr.Peak != 1 {
 		t.Fatalf("fallback fill peak %d", fr.Peak)
-	}
-	gr, err := c.Grid(context.Background(), client.GridRequest{Cubes: []string{"0XX0XX", "XX1XX0", "1XXX0X"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.Best == "" {
-		t.Fatalf("fallback grid: %+v", gr)
 	}
 }
 
@@ -496,7 +494,7 @@ func TestProtocolErrorNotRetried(t *testing.T) {
 	go co.Run(ctx)
 	waitHealthy(t, co, 1)
 
-	_, err = co.fillThrough(context.Background(), client.FillRequest{Cubes: []string{"0X"}})
+	_, err = co.Fill(context.Background(), client.FillRequest{Cubes: []string{"0X"}})
 	var proto *client.ProtocolError
 	if !errors.As(err, &proto) {
 		t.Fatalf("err = %v, want ProtocolError", err)
@@ -548,7 +546,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // stats, validation and error mapping.
 func TestCoordinatorHTTPSurface(t *testing.T) {
 	a := newChaosWorker(t)
-	co := newTestCoordinator(t, Config{MaxBatchJobs: 2, MaxBodyBytes: 1 << 20}, a)
+	co := newTestCoordinator(t, Config{FrontConfig: server.FrontConfig{MaxBatchJobs: 2, MaxBodyBytes: 1 << 20}}, a)
 	waitHealthy(t, co, 1)
 	ts := httptest.NewServer(co.Handler())
 	t.Cleanup(ts.Close)
@@ -613,9 +611,9 @@ func TestCoordinatorHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestFillAndGridThroughFleet: the single-job endpoints ride the same
-// dispatch and answer what a worker would.
-func TestFillAndGridThroughFleet(t *testing.T) {
+// TestFillThroughFleet: a single fill rides the same dispatch and
+// answers what a worker would.
+func TestFillThroughFleet(t *testing.T) {
 	a, b := newChaosWorker(t), newChaosWorker(t)
 	co := newTestCoordinator(t, Config{}, a, b)
 	waitHealthy(t, co, 2)
@@ -638,17 +636,18 @@ func TestFillAndGridThroughFleet(t *testing.T) {
 		t.Fatalf("fill through fleet differs: %+v vs %+v", got, want)
 	}
 
-	greq := client.GridRequest{Cubes: []string{"0XX0XX", "XX1XX0", "1XXX0X", "XX0X1X"}}
-	ggot, err := c.Grid(context.Background(), greq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gwant, err := direct.Grid(context.Background(), greq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ggot.Best != gwant.Best || fmt.Sprint(ggot.Peaks) != fmt.Sprint(gwant.Peaks) {
-		t.Fatalf("grid through fleet differs: %v vs %v", ggot.Peaks, gwant.Peaks)
+}
+
+// TestGridEndpointGone: neither tier serves /v1/grid. dpfill -grid
+// -server sends the paper's fillers as one /v1/batch and renders the
+// table itself.
+func TestGridEndpointGone(t *testing.T) {
+	for tier, h := range ingressTiers(t, 1<<20) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/grid", strings.NewReader(`{"cubes":["0X","X1"]}`)))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s: POST /v1/grid answered %d, want 404", tier, rec.Code)
+		}
 	}
 }
 
@@ -676,7 +675,7 @@ func TestProtocolViolationFailsShard(t *testing.T) {
 	go co.Run(ctx)
 	waitHealthy(t, co, 1)
 
-	resp := co.batchThrough(context.Background(), client.BatchRequest{
+	resp := co.Batch(context.Background(), client.BatchRequest{
 		Jobs: []client.FillRequest{{Cubes: []string{"0X"}}, {Cubes: []string{"1X"}}},
 	})
 	if resp.Failed != 2 {

@@ -26,7 +26,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -36,7 +35,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/jobs"
-	"repro/internal/logx"
 	prom "repro/internal/metrics"
 	"repro/internal/reqid"
 	"repro/internal/server"
@@ -45,6 +43,12 @@ import (
 // Config tunes a Coordinator. Workers may be empty (every request then
 // runs on the local fallback engine unless DisableFallback is set).
 type Config struct {
+	// FrontConfig holds the settings the HTTP front shares with
+	// dpfilld: body and batch limits (MaxGates bounds the resolved
+	// circuit of a sharded pipeline run), the async job queue — whose
+	// journaled jobs re-shard across whatever fleet is alive after a
+	// restart — logging and the SLO.
+	server.FrontConfig
 	// Workers are the dpfilld base URLs of the fleet.
 	Workers []string
 	// Registry tunes heartbeat health-checking.
@@ -78,43 +82,10 @@ type Config struct {
 	// Local configures the in-process fallback service (engine
 	// workers, shape limits). Ignored when DisableFallback is set.
 	Local server.Config
-	// MaxBodyBytes bounds request bodies (default 8 MiB);
-	// MaxBatchJobs bounds one batch (default 256); MaxGates bounds
-	// the resolved circuit of a sharded pipeline run (default 250000)
-	// — the same guards dpfilld itself applies.
-	MaxBodyBytes int64
-	MaxBatchJobs int
-	MaxGates     int
-	// ShutdownGrace bounds how long Serve waits for in-flight
-	// requests after its context is cancelled (default 5s). Size it
-	// above the longest legitimate batch when rolling restarts must
-	// not truncate callers.
-	ShutdownGrace time.Duration
-	// DataDir, when set, persists the coordinator's async job queue
-	// (/v1/jobs) to a write-ahead log there: accepted jobs survive a
-	// coordinator restart and re-shard across whatever fleet is alive
-	// then. Empty keeps the async API in memory only.
-	DataDir string
-	// MaxQueuedJobs bounds async jobs accepted but not yet settled;
-	// submits past it answer 429 (default 256).
-	MaxQueuedJobs int
-	// JobRetention bounds how many settled async jobs stay queryable
-	// (default 256).
-	JobRetention int
-	// JobWorkers is how many async jobs dispatch concurrently
-	// (default 1; each job's batch already fans out across the fleet).
-	JobWorkers int
-	// Log, when non-nil, receives structured access-log and
-	// dispatch-event records tagged with each request's X-Request-ID.
-	Log *logx.Logger
-	// SlowThreshold is the latency SLO: requests over it are counted as
-	// SLO breaches and their trace + per-shard dispatch breakdown land
-	// in the /stats slow_requests ring. 0 means the default 1s;
-	// negative disables slow capture and the SLO families.
-	SlowThreshold time.Duration
 }
 
 func (c Config) withDefaults() Config {
+	c.FrontConfig = c.FrontConfig.WithDefaults()
 	if c.ShardSize <= 0 {
 		c.ShardSize = 16
 	}
@@ -124,43 +95,28 @@ func (c Config) withDefaults() Config {
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 3 * time.Minute
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatchJobs <= 0 {
-		c.MaxBatchJobs = 256
-	}
-	if c.MaxGates <= 0 {
-		c.MaxGates = 250000
-	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 5 * time.Second
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = time.Second
-	}
 	return c
 }
 
 // Coordinator shards fill workloads across a dpfilld fleet behind the
-// same /v1/* API the workers themselves serve. Construct with New;
-// run heartbeats with Run or Serve; stop the async job workers with
-// Close when the Coordinator is discarded without going through Serve.
+// same /v1/* API the workers themselves serve: it is the Backend that
+// runs fills, batches and pipelines on the fleet, behind the shared
+// server.Front (Handler, Serve, ListenAndServe, Close). Construct with
+// New; run heartbeats with Run or Serve; stop the async job workers
+// with Close when the Coordinator is discarded without going through
+// Serve.
 type Coordinator struct {
+	*server.Front
 	cfg          Config
 	reg          *registry
 	local        *client.Client // in-process fallback; nil when disabled
 	localSrv     *server.Server // backing service of local; nil when disabled
-	jobs         *jobs.Manager
-	jobsGate     chan struct{} // closed after Run's first heartbeat sweep
-	jobsOnce     sync.Once     // concurrent Run calls close the gate once
+	jobsGate     chan struct{}  // closed after Run's first heartbeat sweep
+	jobsOnce     sync.Once      // concurrent Run calls close the gate once
 	met          *metrics
 	shardLog     shardRing
 	shardLatency *prom.Histogram
-	mux          *http.ServeMux
 	prom         *prom.Registry
-	slow         *server.SlowRing
-	slo          *prom.SLO
 }
 
 // New builds a Coordinator over the configured fleet. Workers start
@@ -180,70 +136,48 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{cfg: cfg, reg: reg, met: newMetrics()}
+	co := &Coordinator{Front: server.NewFront(cfg.FrontConfig), cfg: cfg, reg: reg, met: newMetrics()}
+	closeLocal := func() error { return nil }
 	if !cfg.DisableFallback {
 		co.localSrv, err = server.New(cfg.Local)
 		if err != nil {
 			return nil, err
 		}
+		closeLocal = co.localSrv.Close
 		co.local, err = newLocalClient(co.localSrv)
 		if err != nil {
-			co.localSrv.Close()
+			closeLocal()
 			return nil, err
 		}
 	}
-	// The coordinator's async jobs run through batchThrough, so a job
-	// shards across the fleet exactly like a synchronous batch — and a
-	// journaled job replayed after a restart re-shards across whatever
-	// fleet is alive at replay time. The Start gate holds the job
-	// workers until Run's first heartbeat sweep has admitted the
+	// The coordinator's async jobs run through Batch and Pipeline, so a
+	// job shards across the fleet exactly like a synchronous request —
+	// and a journaled job replayed after a restart re-shards across
+	// whatever fleet is alive at replay time. The Start gate holds the
+	// job workers until Run's first heartbeat sweep has admitted the
 	// fleet: without it a replayed job would dispatch against zero
 	// healthy workers and mis-route to the local fallback (or fail).
 	co.jobsGate = make(chan struct{})
-	// dpvet:ignore registryorder safe: jobsGate holds co.runJob until Run()'s first heartbeat sweep, and newProm reads co.jobs.WALAppends so the order cannot flip
-	co.jobs, err = jobs.Open(jobs.Config{
-		Runner:    co.runJob,
-		Dir:       cfg.DataDir,
-		MaxQueued: cfg.MaxQueuedJobs,
-		Retention: cfg.JobRetention,
-		Workers:   cfg.JobWorkers,
-		Start:     co.jobsGate,
-		Log:       cfg.Log,
-	})
-	if err != nil {
-		if co.localSrv != nil {
-			co.localSrv.Close()
-		}
+	// dpvet:ignore registryorder safe: jobsGate holds the job runner until Run()'s first heartbeat sweep, so no job records into the registry before newProm builds it
+	if err := co.OpenJobs(co, co.jobsGate); err != nil {
+		closeLocal()
 		return nil, err
 	}
-	if cfg.SlowThreshold > 0 {
-		co.slow = server.NewSlowRing(0)
-		co.slo = prom.NewSLO(cfg.SlowThreshold, 0)
-	}
 	co.prom = co.newProm()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fill", co.handleFill)
-	mux.HandleFunc("POST /v1/batch", co.handleBatch)
-	mux.HandleFunc("POST /v1/grid", co.handleGrid)
-	mux.HandleFunc("POST /v1/pipeline", co.handlePipeline)
-	mux.HandleFunc("GET /healthz", co.handleHealthz)
-	mux.HandleFunc("GET /stats", co.handleStats)
-	mux.Handle("GET /metrics", co.prom.Handler())
-	jobs.Mount(mux, co.jobs, co.decodeJobSubmit)
-	co.mux = mux
+	co.Mount(server.Tier{
+		Metrics: co.prom,
+		Healthz: func() any {
+			return map[string]any{
+				"status":          "ok",
+				"workers_total":   len(co.reg.workers),
+				"workers_healthy": co.reg.healthyCount(),
+			}
+		},
+		Stats: func() any { return co.Stats() },
+		Run:   co.Run,
+		Close: closeLocal,
+	})
 	return co, nil
-}
-
-// Close stops the async job workers (journaled jobs resume on the
-// next New over the same DataDir) and the local fallback service.
-func (co *Coordinator) Close() error {
-	err := co.jobs.Close()
-	if co.localSrv != nil {
-		if serr := co.localSrv.Close(); err == nil {
-			err = serr
-		}
-	}
-	return err
 }
 
 // Run drives the registry's heartbeat loop until ctx is cancelled.
@@ -260,7 +194,7 @@ func (co *Coordinator) Run(ctx context.Context) {
 }
 
 // errNoWorkers means dispatch found no admitted worker to try.
-var errNoWorkers = errors.New("cluster: no healthy workers")
+var errNoWorkers = &server.StatusError{Status: http.StatusServiceUnavailable, Err: errors.New("cluster: no healthy workers")}
 
 // affinityLoadSlack is how far (in load-score units: queued + inflight
 // + outstanding jobs) a request's hash target may exceed the fleet's
@@ -433,41 +367,33 @@ func dispatch[T any](co *Coordinator, ctx context.Context, weight int, key uint6
 	return nil, info, lastErr
 }
 
-// post sends body to path through c and decodes the answer as a T.
+// post sends body to path through c and decodes the answer as a T. It
+// is the dispatch boundary where a fleet failure gets its status: an
+// error that is neither a worker's own answer nor the caller's deadline
+// or cancellation — a transport failure, an undecodable answer — is a
+// bad gateway.
 func post[T any](ctx context.Context, c *client.Client, path string, body []byte) (*T, error) {
 	var out T
-	if err := c.PostEncoded(ctx, path, body, &out); err != nil {
+	err := c.PostEncoded(ctx, path, body, &out)
+	var api *client.APIError
+	switch {
+	case err == nil:
+		return &out, nil
+	case errors.As(err, &api), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return nil, err
 	}
-	return &out, nil
+	return nil, &server.StatusError{Status: http.StatusBadGateway, Err: err}
 }
 
-// fillThrough answers one fill request: fleet first, local fallback
-// when the fleet can't. The body is encoded once for every attempt.
-func (co *Coordinator) fillThrough(ctx context.Context, req client.FillRequest) (*client.FillResponse, error) {
+// Fill answers one fill request: fleet first, local fallback when the
+// fleet can't. The body is encoded once for every attempt.
+func (co *Coordinator) Fill(ctx context.Context, req client.FillRequest) (*client.FillResponse, error) {
 	co.met.jobs.Add(1)
 	body, key := encodeFill(req)
 	resp, _, err := dispatch[client.FillResponse](co, ctx, 1, key, "/v1/fill", body)
 	if err != nil && co.fallbackEligible(ctx, err) {
 		co.met.fallbacks.Add(1)
 		return post[client.FillResponse](ctx, co.local, "/v1/fill", body)
-	}
-	return resp, err
-}
-
-// gridThrough proxies one grid request to a single worker, with the
-// same failover and fallback as fills. It routes like a fill of its
-// cubes, orderer and seed.
-func (co *Coordinator) gridThrough(ctx context.Context, req client.GridRequest) (*client.GridResponse, error) {
-	co.met.jobs.Add(1)
-	// A grid fans one set across every paper filler; weight it as such.
-	const gridWeight = 8
-	_, key := encodeFill(client.FillRequest{Cubes: req.Cubes, STIL: req.STIL, Orderer: req.Orderer, Seed: req.Seed})
-	body, _ := json.Marshal(req) // strings and an integer always marshal
-	resp, _, err := dispatch[client.GridResponse](co, ctx, gridWeight, key, "/v1/grid", body)
-	if err != nil && co.fallbackEligible(ctx, err) {
-		co.met.fallbacks.Add(1)
-		return post[client.GridResponse](ctx, co.local, "/v1/grid", body)
 	}
 	return resp, err
 }
@@ -487,10 +413,10 @@ func (co *Coordinator) fallbackEligible(ctx context.Context, err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// batchThrough shards a batch across the fleet and aggregates the
+// Batch shards a validated batch across the fleet and aggregates the
 // results in submission order. Shard failures surface as per-item
 // errors; every other shard still answers.
-func (co *Coordinator) batchThrough(ctx context.Context, req client.BatchRequest) *client.BatchResponse {
+func (co *Coordinator) Batch(ctx context.Context, req client.BatchRequest) *client.BatchResponse {
 	n := len(req.Jobs)
 	items := make([]client.BatchItem, n)
 	// When the batch runs as an async job, each finished shard advances

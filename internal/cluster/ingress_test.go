@@ -19,13 +19,13 @@ import (
 // local in-process service answers every dispatch.
 func ingressTiers(tb testing.TB, limit int64) map[string]http.Handler {
 	tb.Helper()
-	cfg := server.Config{Workers: 1, MaxRows: 16, MaxCols: 16, MaxBodyBytes: limit, DefaultTimeout: time.Minute}
+	cfg := server.Config{Workers: 1, MaxRows: 16, MaxCols: 16, DefaultTimeout: time.Minute, FrontConfig: server.FrontConfig{MaxBodyBytes: limit}}
 	srv, err := server.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { srv.Close() })
-	co, err := New(Config{Local: cfg, MaxBodyBytes: limit})
+	co, err := New(Config{Local: cfg, FrontConfig: server.FrontConfig{MaxBodyBytes: limit}})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -233,7 +233,7 @@ func batchLogLine(buf *syncBuf, rid string) string {
 // request path from the fleet's logs.
 func TestTraceCorrelatesAcrossHops(t *testing.T) {
 	var wbuf, cbuf syncBuf
-	srv, err := server.New(server.Config{Workers: 2, Log: logx.New(&wbuf, logx.Options{NoTime: true})})
+	srv, err := server.New(server.Config{Workers: 2, FrontConfig: server.FrontConfig{Log: logx.New(&wbuf, logx.Options{NoTime: true})}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +242,9 @@ func TestTraceCorrelatesAcrossHops(t *testing.T) {
 	t.Cleanup(wts.Close)
 
 	co, err := New(Config{
-		Workers:  []string{wts.URL},
-		Registry: RegistryConfig{HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 500 * time.Millisecond},
-		Log:      logx.New(&cbuf, logx.Options{NoTime: true}),
+		Workers:     []string{wts.URL},
+		Registry:    RegistryConfig{HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 500 * time.Millisecond},
+		FrontConfig: server.FrontConfig{Log: logx.New(&cbuf, logx.Options{NoTime: true})},
 	})
 	if err != nil {
 		t.Fatal(err)

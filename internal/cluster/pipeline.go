@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -26,23 +25,10 @@ import (
 // own merged set, the fleet answer is byte-identical to the
 // single-process answer up to stage timings.
 
-func (co *Coordinator) handlePipeline(w http.ResponseWriter, r *http.Request) {
-	var req client.PipelineRequest
-	if !co.decode(w, r, &req) {
-		return
-	}
-	rep, err := co.pipelineThrough(r.Context(), req)
-	if err != nil {
-		co.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// pipelineThrough answers one pipeline request: unsharded runs (and
-// explicit stage=atpg shard calls) proxy whole to one worker;
-// fault-sharded runs fan out across the fleet.
-func (co *Coordinator) pipelineThrough(ctx context.Context, req client.PipelineRequest) (*client.PipelineReport, error) {
+// Pipeline answers one pipeline request: unsharded runs (and explicit
+// stage=atpg shard calls) proxy whole to one worker; fault-sharded runs
+// fan out across the fleet.
+func (co *Coordinator) Pipeline(ctx context.Context, req client.PipelineRequest) (*client.PipelineReport, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,7 +55,7 @@ func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineR
 	if err != nil {
 		return nil, err
 	}
-	if co.cfg.MaxGates > 0 && len(c.Gates) > co.cfg.MaxGates {
+	if len(c.Gates) > co.cfg.MaxGates {
 		return nil, fmt.Errorf("%w: circuit %q has %d gates, exceeding the limit %d",
 			pipeline.ErrBadRequest, c.Name, len(c.Gates), co.cfg.MaxGates)
 	}
@@ -104,7 +90,8 @@ func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineR
 				return
 			}
 			if rep.ATPG == nil {
-				errs[k] = fmt.Errorf("cluster: pipeline shard %d/%d answered no atpg report", k, shards)
+				errs[k] = &server.StatusError{Status: http.StatusBadGateway,
+					Err: fmt.Errorf("cluster: pipeline shard %d/%d answered no atpg report", k, shards)}
 				return
 			}
 			reports[k] = rep.ATPG
@@ -128,7 +115,8 @@ func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineR
 	}
 	set, agg, err := pipeline.MergeShards(c.NumInputs(), reports)
 	if err != nil {
-		return nil, err
+		// The shards' answers do not fit together: a worker fault.
+		return nil, &server.StatusError{Status: http.StatusBadGateway, Err: err}
 	}
 	return pipeline.Finish(ctx, req, c, set, agg, stages, pipeline.RunOptions{Progress: progress})
 }
@@ -158,43 +146,4 @@ func (co *Coordinator) dispatchPipelineShard(ctx context.Context, sreq client.Pi
 		co.met.shardFailures.Add(1)
 	}
 	return rep, tr, err
-}
-
-// pipelineEnvelope is the journaled payload of an async pipeline job
-// — the same {"pipeline": ...} framing dpfilld itself journals, so
-// the two WAL formats stay interchangeable.
-type pipelineEnvelope struct {
-	Pipeline *client.PipelineRequest `json:"pipeline"`
-}
-
-// pipelinePayload probes a journaled payload for the pipeline
-// envelope; batch payloads decode with a nil Pipeline. A pipeline
-// payload then decodes strictly: one carrying a field this build does
-// not know reports ok with an error naming it.
-func pipelinePayload(payload json.RawMessage) (client.PipelineRequest, bool, error) {
-	var env pipelineEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil || env.Pipeline == nil {
-		return client.PipelineRequest{}, false, nil
-	}
-	if err := jobs.DecodeStrict(payload, &env); err != nil {
-		return client.PipelineRequest{}, true, fmt.Errorf("decoding journaled pipeline payload: %w", err)
-	}
-	return *env.Pipeline, true, nil
-}
-
-// runJob is the coordinator's async job runner: a journaled pipeline
-// envelope fans out through pipelineThrough (re-sharding across
-// whatever fleet is alive at replay time), anything else is a batch.
-func (co *Coordinator) runJob(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	if preq, ok, err := pipelinePayload(payload); ok {
-		if err != nil {
-			return nil, err
-		}
-		rep, err := co.pipelineThrough(ctx, preq)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(rep)
-	}
-	return jobs.RunJSON(co.batchThrough)(ctx, payload)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/pipeline"
+	"repro/internal/server"
 )
 
 // localPipeline answers the request in-process — the ground truth
@@ -175,7 +176,7 @@ func TestAsyncPipelineParityThroughCoordinator(t *testing.T) {
 // bad pipelines itself (400, not a wasted fleet dispatch), for both
 // the sync endpoint and the job submit.
 func TestPipelineValidationThroughCoordinator(t *testing.T) {
-	co := newTestCoordinator(t, Config{MaxGates: 50})
+	co := newTestCoordinator(t, Config{FrontConfig: server.FrontConfig{MaxGates: 50}})
 	c := coordClient(t, co)
 
 	// Synchronous: both structural failures and run-time resolution

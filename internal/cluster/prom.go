@@ -15,7 +15,7 @@ func (co *Coordinator) newProm() *prom.Registry {
 	r := prom.NewRegistry()
 	m := co.met
 	r.CounterFunc("dpfill_coord_jobs_total",
-		"Jobs accepted for dispatch: batch items, single fills, grids.", m.jobs.Load)
+		"Jobs accepted for dispatch: batch items, single fills, pipeline runs.", m.jobs.Load)
 	r.CounterFunc("dpfill_coord_shards_total",
 		"Worker shards batches were split into.", m.shards.Load)
 	r.CounterFunc("dpfill_coord_shard_retries_total",
@@ -54,20 +54,7 @@ func (co *Coordinator) newProm() *prom.Registry {
 	hb := r.Histogram("dpfill_coord_heartbeat_rtt_seconds",
 		"Per-worker heartbeat round-trip time.", prom.RTTBuckets)
 	co.reg.onHeartbeat = func(rtt time.Duration, _ bool) { hb.Observe(rtt) }
-	r.GaugeFunc("dpfill_coord_async_jobs_active",
-		"Async jobs queued or running.",
-		func() float64 { active, _ := co.jobs.Occupancy(); return float64(active) })
-	r.GaugeFunc("dpfill_coord_async_jobs_retained",
-		"Settled async jobs still queryable.",
-		func() float64 { _, retained := co.jobs.Occupancy(); return float64(retained) })
-	r.CounterFunc("dpfill_coord_wal_records_total",
-		"Records appended to the async job journal.", co.jobs.WALAppends)
-	r.GaugeFunc("dpfill_coord_wal_journal_bytes",
-		"Async job journal size on disk.",
-		func() float64 { return float64(co.jobs.JournalBytes()) })
-	if co.slo != nil {
-		co.slo.Register(r, "dpfill_coord")
-	}
+	co.RegisterProm(r, "dpfill_coord")
 	prom.RegisterRuntime(r)
 	return r
 }

@@ -179,7 +179,7 @@ func TestShardBodySentOnEveryAttempt(t *testing.T) {
 			tc.cfg.DisableAffinity = true
 			co, sent := recordedCoordinator(t, tc.cfg, workers...)
 
-			resp := co.batchThrough(context.Background(), req)
+			resp := co.Batch(context.Background(), req)
 			assertBatchParity(t, resp, want, req)
 			tc.check(t, co.Stats())
 			bodies := sent.take()

@@ -12,17 +12,6 @@ func newTabWriter(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// TableText captures a Render* call as a string, for embedders that
-// carry rendered tables inside structured payloads — the HTTP fill
-// service's grid responses ship RenderPeakTable output this way.
-func TableText(render func(io.Writer) error) (string, error) {
-	var sb strings.Builder
-	if err := render(&sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}
-
 // RenderTableI writes the Table I reproduction.
 func RenderTableI(w io.Writer, rows []TableIRow) error {
 	tw := newTabWriter(w)

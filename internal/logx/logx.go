@@ -101,6 +101,24 @@ func ParseFormat(s string) (Format, error) {
 	return Logfmt, fmt.Errorf("unknown log format %q (want logfmt or json)", s)
 }
 
+// FromFlags resolves a daemon's logging flags (-access-log, -log-level,
+// -log-format) into a logger writing to w; nil when enabled is false,
+// which disables logging.
+func FromFlags(w io.Writer, enabled bool, level, format string) (*Logger, error) {
+	if !enabled {
+		return nil, nil
+	}
+	lv, err := ParseLevel(level)
+	if err != nil {
+		return nil, err
+	}
+	fm, err := ParseFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	return New(w, Options{Level: lv, Format: fm}), nil
+}
+
 // Options configures a Logger. The zero value is a logfmt logger at
 // Info with timestamps.
 type Options struct {

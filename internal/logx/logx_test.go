@@ -191,6 +191,30 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
+// TestFromFlags: logging off is a nil logger whatever the other flags
+// say; on, the level and format flags shape the lines, and a bad value
+// of either is an error.
+func TestFromFlags(t *testing.T) {
+	if l, err := FromFlags(nil, false, "loud", "xml"); l != nil || err != nil {
+		t.Fatalf("disabled: %v, %v; want nil, nil", l, err)
+	}
+	var buf strings.Builder
+	l, err := FromFlags(&buf, true, "warn", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Info("dropped")
+	l.Warn("kept")
+	if out := buf.String(); strings.Contains(out, "dropped") || !strings.Contains(out, `"msg":"kept"`) {
+		t.Fatalf("warn-level JSON logger wrote %q", out)
+	}
+	for _, bad := range [][2]string{{"loud", "json"}, {"info", "xml"}} {
+		if _, err := FromFlags(&buf, true, bad[0], bad[1]); err == nil {
+			t.Errorf("FromFlags accepted level %q format %q", bad[0], bad[1])
+		}
+	}
+}
+
 func TestSamplerBoundsVolume(t *testing.T) {
 	l, buf := newTestLogger(Options{})
 	s := NewSampler(l, time.Second, 2)

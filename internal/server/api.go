@@ -129,32 +129,6 @@ type BatchResponse struct {
 	Shards []ShardTrace `json:"shards,omitempty"`
 }
 
-// GridRequest is the POST /v1/grid payload: evaluate every Table II–IV
-// filler on one cube set under one ordering.
-type GridRequest struct {
-	Name    string   `json:"name,omitempty"`
-	Cubes   []string `json:"cubes,omitempty"`
-	STIL    string   `json:"stil,omitempty"`
-	Orderer string   `json:"orderer,omitempty"`
-	Seed    int64    `json:"seed,omitempty"`
-}
-
-// GridResponse is the POST /v1/grid result payload.
-type GridResponse struct {
-	Name    string `json:"name,omitempty"`
-	Orderer string `json:"orderer"`
-	// FillNames and Peaks/DurationsMillis are parallel, in the paper's
-	// Table II–IV column order.
-	FillNames       []string  `json:"fill_names"`
-	Peaks           []int     `json:"peaks"`
-	DurationsMillis []float64 `json:"durations_ms"`
-	// Best names the winning fill — earliest column on ties, so a
-	// baseline that matches DP-fill's (provably minimal) peak can win.
-	Best string `json:"best"`
-	// Table is the exp.RenderPeakTable text rendering of the same row.
-	Table string `json:"table"`
-}
-
 // errorResponse is the uniform error payload.
 type errorResponse struct {
 	Error string `json:"error"`

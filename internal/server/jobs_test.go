@@ -126,7 +126,7 @@ func TestAsyncJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := asyncParityBatch()
 
-	s1, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	s1, ts1 := newTestServer(t, Config{Workers: 2, FrontConfig: FrontConfig{DataDir: dir}})
 	var want BatchResponse
 	if code := post(t, ts1.URL+"/v1/batch", req, &want); code != http.StatusOK {
 		t.Fatalf("sync batch: status %d", code)
@@ -141,7 +141,7 @@ func TestAsyncJobSurvivesRestart(t *testing.T) {
 	}
 	ts1.Close()
 
-	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	_, ts2 := newTestServer(t, Config{Workers: 2, FrontConfig: FrontConfig{DataDir: dir}})
 	var replayed jobs.Status
 	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+st.ID, &replayed); code != http.StatusOK {
 		t.Fatalf("GET replayed job: status %d", code)
@@ -199,7 +199,7 @@ func TestReplayRejectsUnknownFields(t *testing.T) {
 	ids := journalUnsettled(t, dir,
 		`{"jobs":[{"cubes":["0X1","X10","1XX"],"window":4}]}`,
 		`{"pipeline":{"spec":"b01","window":4}}`)
-	_, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	_, ts := newTestServer(t, Config{Workers: 1, FrontConfig: FrontConfig{DataDir: dir}})
 	for _, id := range ids {
 		st := waitJobState(t, ts.URL, id, jobs.StateFailed)
 		if !strings.Contains(st.Error, `unknown field "window"`) {
@@ -251,7 +251,7 @@ func TestAsyncJobReplayAfterKillMidBatch(t *testing.T) {
 	dir := t.TempDir()
 	eng := engine.New(1)
 	release, done := blockEngine(t, eng)
-	s1, ts1 := newTestServer(t, Config{Engine: eng, DataDir: dir})
+	s1, ts1 := newTestServer(t, Config{Engine: eng, FrontConfig: FrontConfig{DataDir: dir}})
 	req := BatchRequest{Jobs: []FillRequest{{Name: "k", Cubes: []string{"0XX1", "1XX0", "X10X"}}}}
 	var st jobs.Status
 	if code := post(t, ts1.URL+"/v1/jobs", req, &st); code != http.StatusAccepted {
@@ -267,7 +267,7 @@ func TestAsyncJobReplayAfterKillMidBatch(t *testing.T) {
 	close(release)
 	<-done
 
-	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	_, ts2 := newTestServer(t, Config{Workers: 2, FrontConfig: FrontConfig{DataDir: dir}})
 	final := waitJobState(t, ts2.URL, st.ID, jobs.StateDone)
 	var got BatchResponse
 	if err := json.Unmarshal(final.Result, &got); err != nil {
@@ -314,7 +314,7 @@ func TestAsyncJobAdmissionControl(t *testing.T) {
 	eng := engine.New(1)
 	release, done := blockEngine(t, eng)
 	defer func() { close(release); <-done }()
-	_, ts := newTestServer(t, Config{Engine: eng, MaxQueuedJobs: 1})
+	_, ts := newTestServer(t, Config{Engine: eng, FrontConfig: FrontConfig{MaxQueuedJobs: 1}})
 	req := BatchRequest{Jobs: []FillRequest{{Cubes: []string{"0X", "X1"}}}}
 	if code := post(t, ts.URL+"/v1/jobs", req, nil); code != http.StatusAccepted {
 		t.Fatalf("first submit: status %d", code)
@@ -332,7 +332,7 @@ func TestAsyncJobAdmissionControl(t *testing.T) {
 // submit validation mirrors /v1/batch, unknown IDs are 404, and the
 // listing carries retained jobs without result payloads.
 func TestAsyncJobValidationAndLookups(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchJobs: 2})
+	_, ts := newTestServer(t, Config{FrontConfig: FrontConfig{MaxBatchJobs: 2}})
 	if code := post(t, ts.URL+"/v1/jobs", BatchRequest{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty submit: status %d, want 400", code)
 	}

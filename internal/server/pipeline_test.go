@@ -42,7 +42,7 @@ func TestPipelineEndpoint(t *testing.T) {
 }
 
 func TestPipelineEndpointErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxGates: 50})
+	_, ts := newTestServer(t, Config{Workers: 1, FrontConfig: FrontConfig{MaxGates: 50}})
 	cases := []struct {
 		name string
 		req  pipeline.Request
@@ -207,7 +207,7 @@ func TestAsyncPipelineJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := pipeline.Request{Spec: "b02", IncludeCubes: true}
 
-	s1, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	s1, ts1 := newTestServer(t, Config{Workers: 2, FrontConfig: FrontConfig{DataDir: dir}})
 	var st jobs.Status
 	if code := post(t, ts1.URL+"/v1/jobs", jobSubmit{Pipeline: &req}, &st); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
@@ -218,7 +218,7 @@ func TestAsyncPipelineJobSurvivesRestart(t *testing.T) {
 	}
 	ts1.Close()
 
-	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	_, ts2 := newTestServer(t, Config{Workers: 2, FrontConfig: FrontConfig{DataDir: dir}})
 	var replayed jobs.Status
 	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+st.ID, &replayed); code != http.StatusOK {
 		t.Fatalf("GET replayed job: status %d", code)

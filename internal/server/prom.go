@@ -54,21 +54,6 @@ func (s *Server) newProm() *prom.Registry {
 			"Per-stage pipeline latency.", prom.DefBuckets,
 			prom.Label{Name: "stage", Value: stage})
 	}
-	// The job-manager closures read s.jobs lazily: the registry is
-	// built before jobs.Open so journal replay can't race histogram
-	// wiring, and no scrape can arrive before New returns.
-	r.GaugeFunc("dpfill_async_jobs_active",
-		"Async jobs queued or running.",
-		func() float64 { active, _ := s.jobs.Occupancy(); return float64(active) })
-	r.GaugeFunc("dpfill_async_jobs_retained",
-		"Settled async jobs still queryable.",
-		func() float64 { _, retained := s.jobs.Occupancy(); return float64(retained) })
-	r.CounterFunc("dpfill_wal_records_total",
-		"Records appended to the async job journal.",
-		func() uint64 { return s.jobs.WALAppends() })
-	r.GaugeFunc("dpfill_wal_journal_bytes",
-		"Async job journal size on disk.",
-		func() float64 { return float64(s.jobs.JournalBytes()) })
 	// One labelled series per fill-core trace stage: every DP fill is
 	// traced server-side, so these aggregate the explain breakdown
 	// whether or not any request asked for debug output.
@@ -84,9 +69,10 @@ func (s *Server) newProm() *prom.Registry {
 	r.CounterFunc("dpfill_go_arena_misses_total",
 		"Fill-core arena pool gets that allocated a fresh arena.",
 		func() uint64 { _, misses := core.PoolStats(); return misses })
-	if s.slo != nil {
-		s.slo.Register(r, "dpfill")
-	}
+	// The front's job-queue families read the queue lazily: the
+	// registry is built before OpenJobs so journal replay can't race
+	// histogram wiring, and no scrape can arrive before New returns.
+	s.RegisterProm(r, "dpfill")
 	prom.RegisterRuntime(r)
 	return r
 }

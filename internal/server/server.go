@@ -10,7 +10,6 @@
 //
 //	POST   /v1/fill      one cube set -> filled set + toggle statistics
 //	POST   /v1/batch     many jobs, one engine batch, per-job isolation
-//	POST   /v1/grid      every Table II-IV filler on one set, rendered table
 //	POST   /v1/pipeline  netlist -> ATPG -> fill -> power, typed report
 //	POST   /v1/jobs      submit a batch or pipeline asynchronously -> job ID (202)
 //	GET    /v1/jobs      list retained async jobs
@@ -18,41 +17,40 @@
 //	DELETE /v1/jobs/{id} cancel an async job
 //	GET    /healthz      liveness
 //	GET    /stats        jobs served, cache hit rate, p50/p99 latency
+//	GET    /metrics      Prometheus scrape
 //
-// Every request is validated against configurable shape and body-size
-// limits and runs under a per-request deadline derived from the
-// request context; Serve shuts down gracefully when its context is
-// cancelled. Async jobs run the exact same batch path as /v1/batch —
-// same validation, same cache, same engine — and, with Config.DataDir
-// set, survive a daemon restart through the internal/jobs write-ahead
-// log.
+// The HTTP layer is a Front over a Backend, shared with the cluster
+// coordinator: the same decoding, shape and body-size limits, error
+// table, request IDs and slow capture answer on both tiers; *Server is
+// the Backend that runs the work on the local engine. Every job runs
+// under a per-request deadline derived from the request context; Serve
+// shuts down gracefully when its context is cancelled. Async jobs run
+// the exact same Batch and Pipeline calls as the synchronous endpoints
+// — same validation, same cache, same engine — and, with DataDir set,
+// survive a daemon restart through the internal/jobs write-ahead log.
 package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/fill"
 	"repro/internal/jobs"
-	"repro/internal/logx"
 	prom "repro/internal/metrics"
 	"repro/internal/order"
 	"repro/internal/pipeline"
-	"repro/internal/reqid"
 )
 
 // Config tunes a Server. The zero value is valid: every limit gets a
 // production-safe default.
 type Config struct {
+	// FrontConfig holds the settings the HTTP front shares with the
+	// cluster coordinator: body, batch and circuit-size limits, the
+	// async job queue, logging and the SLO.
+	FrontConfig
 	// Engine, when non-nil, is the shared batch engine to run jobs on;
 	// nil constructs one sized by Workers. Passing an Engine lets a
 	// process share one machine-wide worker bound between the server
@@ -64,15 +62,6 @@ type Config struct {
 	// MaxRows and MaxCols bound accepted cube-set shapes (default
 	// 4096 rows x 65536 columns).
 	MaxRows, MaxCols int
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxBatchJobs bounds the jobs of one /v1/batch request (default
-	// 256).
-	MaxBatchJobs int
-	// MaxGates bounds the resolved circuit size of one /v1/pipeline
-	// request (default 250000 — the whole ITC'99 catalog fits, but a
-	// one-line spec cannot demand an unbounded synthesis+ATPG run).
-	MaxGates int
 	// DefaultTimeout is the per-job deadline when a request does not
 	// set timeout_ms (default 30s); MaxTimeout is the ceiling requests
 	// are clamped to (default 2m).
@@ -81,51 +70,16 @@ type Config struct {
 	// filler, orderer, seed); 0 means the default 256, negative
 	// disables caching.
 	CacheSize int
-	// ShutdownGrace bounds how long Serve waits for in-flight requests
-	// after its context is cancelled (default 5s).
-	ShutdownGrace time.Duration
-	// DataDir, when set, persists the async job queue (/v1/jobs) to a
-	// write-ahead log there: accepted jobs survive a daemon restart —
-	// settled ones answer from their journaled results, unsettled ones
-	// re-run. Empty keeps the async API in memory only.
-	DataDir string
-	// MaxQueuedJobs bounds async jobs accepted but not yet settled;
-	// submits past it answer 429 (default 256).
-	MaxQueuedJobs int
-	// JobRetention bounds how many settled async jobs stay queryable
-	// (default 256; the oldest are evicted first).
-	JobRetention int
-	// JobWorkers is how many async jobs execute concurrently (default
-	// 1 — strict FIFO; each batch already parallelizes on the engine).
-	JobWorkers int
-	// Log, when non-nil, receives one structured access-log record per
-	// request (method, path, status, duration, trace/span IDs) plus
-	// job-completion records, so fleet operators can correlate a
-	// request across coordinator and worker logs. nil disables logging.
-	Log *logx.Logger
-	// SlowThreshold is the latency SLO: requests over it are counted as
-	// SLO breaches and their full trace+explain snapshot lands in the
-	// /stats slow_requests ring. 0 means the default 1s; negative
-	// disables slow capture and the SLO families.
-	SlowThreshold time.Duration
 }
 
 // withDefaults resolves every unset field.
 func (c Config) withDefaults() Config {
+	c.FrontConfig = c.FrontConfig.WithDefaults()
 	if c.MaxRows <= 0 {
 		c.MaxRows = 4096
 	}
 	if c.MaxCols <= 0 {
 		c.MaxCols = 65536
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatchJobs <= 0 {
-		c.MaxBatchJobs = 256
-	}
-	if c.MaxGates <= 0 {
-		c.MaxGates = 250000
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
@@ -136,28 +90,21 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 5 * time.Second
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = time.Second
-	}
 	return c
 }
 
-// Server is the HTTP fill service. Construct with New; the zero value
-// is not usable. Stop the async job workers with Close when the
+// Server is the HTTP fill service: the Backend that runs fills,
+// batches and pipelines on the local engine, behind the shared Front
+// (Handler, Serve, ListenAndServe, Close). Construct with New; the zero
+// value is not usable. Stop the async job workers with Close when the
 // Server is discarded without going through Serve.
 type Server struct {
+	*Front
 	cfg   Config
 	eng   *engine.Engine
 	cache *lruCache
 	met   *metrics
-	jobs  *jobs.Manager
-	mux   *http.ServeMux
 	prom  *prom.Registry
-	slow  *SlowRing
-	slo   *prom.SLO
 }
 
 // New returns a Server ready to serve via Handler, Serve or
@@ -172,119 +119,40 @@ func New(cfg Config) (*Server, error) {
 		eng = engine.New(cfg.Workers)
 	}
 	s := &Server{
+		Front: NewFront(cfg.FrontConfig),
 		cfg:   cfg,
 		eng:   eng,
 		cache: newLRUCache(cfg.CacheSize),
 		met:   newMetrics(),
 	}
-	if cfg.SlowThreshold > 0 {
-		s.slow = NewSlowRing(slowRingSize)
-		s.slo = prom.NewSLO(cfg.SlowThreshold, 0)
-	}
-	// The registry must exist before the job manager: jobs.Open replays
+	// The registry must exist before the job queue: OpenJobs replays
 	// the journal immediately, and a replayed batch feeds the latency
 	// and fill-stage histograms the registry wires into s.met.
 	s.prom = s.newProm()
-	// The async runner is the exact path the synchronous endpoints
-	// use (runJob dispatches a journaled payload to the batch or
-	// pipeline executor); determinism of the fill algorithms makes
-	// this the crash contract: a job replayed after a daemon kill
-	// re-runs here and produces the same cubes, peak and total the
-	// lost run would have.
-	mgr, err := jobs.Open(jobs.Config{
-		Runner:    s.runJob,
-		Dir:       cfg.DataDir,
-		MaxQueued: cfg.MaxQueuedJobs,
-		Retention: cfg.JobRetention,
-		Workers:   cfg.JobWorkers,
-		Log:       cfg.Log,
-	})
-	if err != nil {
+	if err := s.OpenJobs(s, nil); err != nil {
 		return nil, err
 	}
-	s.jobs = mgr
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fill", s.handleFill)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/grid", s.handleGrid)
-	mux.HandleFunc("POST /v1/pipeline", s.handlePipeline)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.Handle("GET /metrics", s.prom.Handler())
-	jobs.Mount(mux, mgr, s.decodeJobSubmit)
-	s.mux = mux
+	s.Mount(Tier{
+		Metrics: s.prom,
+		Healthz: func() any { return map[string]string{"status": "ok"} },
+		Stats:   func() any { return s.Stats() },
+	})
 	return s, nil
 }
-
-// Close stops the async job workers and the journal. Jobs still
-// queued or running stay accepted in the journal and resume on the
-// next New over the same DataDir. Serve calls Close on shutdown;
-// Handler-only embedders (tests, custom muxes) call it themselves.
-func (s *Server) Close() error { return s.jobs.Close() }
-
-// Handler returns the service's HTTP handler, for embedding under a
-// custom mux or an httptest server. Every request passes through
-// reqid.Middleware: an incoming X-Request-ID is echoed in the
-// response (and minted when absent), carried on the request context,
-// and written to the access log when Config.Log is set. Inside the
-// tracing layer, CaptureSlow measures every /v1/* request against the
-// SLO threshold and snapshots breaches into the slow-request ring.
-func (s *Server) Handler() http.Handler {
-	return reqid.Middleware(s.cfg.Log, CaptureSlow(s.slow, s.slo, s.mux))
-}
-
-// Metrics returns the tier's Prometheus scrape handler, for mounting
-// on an admin mux (-debug-addr) alongside pprof.
-func (s *Server) Metrics() http.Handler { return s.prom.Handler() }
 
 // Stats returns a snapshot of the serving statistics.
 func (s *Server) Stats() Stats {
 	queued, inflight := s.eng.Load()
 	st := s.met.snapshot(s.cache.Len(), queued, inflight, s.eng.Bound())
-	st.SlowRequests = s.slow.Snapshot()
+	st.SlowRequests = s.SlowRequests()
 	return st
-}
-
-// Serve accepts connections on l until ctx is cancelled, then shuts
-// down gracefully: in-flight requests get ShutdownGrace to finish and
-// the async job workers are stopped (journaled jobs resume on the
-// next start). It returns nil after a clean shutdown.
-func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	defer s.Close()
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
-		defer cancel()
-		err := hs.Shutdown(sctx)
-		if serveErr := <-errc; !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
-			err = serveErr
-		}
-		return err
-	}
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, l)
 }
 
 // resolveFill validates a FillRequest and resolves its algorithms.
 // DP-fill is pinned to one shard: the engine pool is the concurrency
 // layer here, and per-fill fan-out would oversubscribe it. DP jobs
 // carry a fresh explain trace sink (the returned *core.Trace); the
-// engine writes it during the run and runFill/runBatch fold it into
+// engine writes it during the run and Fill/Batch fold it into
 // the stage histograms afterwards. Non-DP fillers return a nil trace.
 func (s *Server) resolveFill(req FillRequest) (engine.Job, FillResponse, string, *core.Trace, error) {
 	var job engine.Job
@@ -361,8 +229,9 @@ func finishFill(resp *FillResponse, entry *cachedFill, omitCubes, cached bool, e
 	resp.DurationMillis = float64(elapsed.Nanoseconds()) / 1e6
 }
 
-// runFill answers one fill job: cache lookup, then one engine job.
-func (s *Server) runFill(ctx context.Context, req FillRequest) (*FillResponse, error) {
+// Fill answers one fill job (POST /v1/fill): cache lookup, then one
+// engine job.
+func (s *Server) Fill(ctx context.Context, req FillRequest) (*FillResponse, error) {
 	start := time.Now()
 	job, resp, digest, tr, err := s.resolveFill(req)
 	if err != nil {
@@ -404,49 +273,12 @@ func (s *Server) runFill(ctx context.Context, req FillRequest) (*FillResponse, e
 	return &resp, nil
 }
 
-func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
-	var req FillRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	resp, err := s.runFill(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := s.validateBatch(req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.runBatch(r.Context(), req))
-}
-
-// validateBatch applies the batch shape limits shared by the
-// synchronous handler and async job submission.
-func (s *Server) validateBatch(req BatchRequest) error {
-	if len(req.Jobs) == 0 {
-		return badRequestf("batch carries no jobs")
-	}
-	if len(req.Jobs) > s.cfg.MaxBatchJobs {
-		return badRequestf("%d jobs exceed the batch limit %d", len(req.Jobs), s.cfg.MaxBatchJobs)
-	}
-	return nil
-}
-
-// runBatch answers one batch: per-job resolve/cache/dedup, one engine
-// run, per-job failure isolation. It is the single execution path
+// Batch answers one validated batch: per-job resolve/cache/dedup, one
+// engine run, per-job failure isolation. It is the single execution path
 // behind both POST /v1/batch and the async /v1/jobs runner, which is
 // what makes an async job's result byte-identical (cubes, peak,
 // total) to the synchronous answer for the same request.
-func (s *Server) runBatch(ctx context.Context, req BatchRequest) *BatchResponse {
+func (s *Server) Batch(ctx context.Context, req BatchRequest) *BatchResponse {
 	// As an async job, the batch reports progress whenever a slice of
 	// items reaches a final outcome: once after the resolve/cache pass,
 	// then per engine result as misses are folded in.
@@ -558,122 +390,26 @@ func (s *Server) runBatch(ctx context.Context, req BatchRequest) *BatchResponse 
 	return &BatchResponse{Results: items, Failed: failed}
 }
 
-func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	var req GridRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.parseSet(req.Cubes, req.STIL)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	ordName := req.Orderer
-	if ordName == "" {
-		ordName = "tool"
-	}
-	ord, err := order.ByName(ordName, seed)
-	if err != nil {
-		s.writeError(w, badRequestf("%v", err))
-		return
-	}
-	// The baseline fillers walk trits: unpack the set once for all of
-	// them rather than once per job.
-	set := p.Unpack(nil)
-	fillers := fill.All(seed, core.Options{Shards: 1})
-	jobs := make([]engine.Job, len(fillers))
-	for i, fl := range fillers {
-		jobs[i] = engine.Job{
-			Name:    fl.Name(),
-			Set:     set,
-			Packed:  p,
-			Orderer: ord,
-			Filler:  fl,
-			Timeout: s.cfg.MaxTimeout,
-		}
-	}
-	results := s.eng.Run(r.Context(), jobs)
-	if err := engine.FirstErr(results); err != nil {
-		s.met.observeError()
-		s.writeError(w, err)
-		return
-	}
-	name := req.Name
-	if name == "" {
-		name = "set"
-	}
-	row := exp.PeakRow{
-		Ckt:       name,
-		Peaks:     make([]int, len(results)),
-		Durations: make([]time.Duration, len(results)),
-	}
-	for i, res := range results {
-		row.Peaks[i] = res.Peak
-		row.Durations[i] = res.Duration
-		s.met.observeUncachedJob(res.Duration)
-	}
-	table, err := exp.TableText(func(w io.Writer) error {
-		return exp.RenderPeakTable(w, ord.Name(), []exp.PeakRow{row})
+// Pipeline answers one pipeline request — a full
+// netlist→ATPG→fill→power run, or one ATPG fault shard when the request
+// sets stage=atpg (the coordinator fan-out unit) — under the clamped
+// deadline, feeding async progress and the per-stage metric families.
+// It is the single execution path behind POST /v1/pipeline and the
+// async job runner, mirroring the Batch contract: an async pipeline job
+// replayed after a crash re-runs here and produces the identical report
+// (up to stage timings).
+func (s *Server) Pipeline(ctx context.Context, req pipeline.Request) (*pipeline.Report, error) {
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(req.TimeoutMillis))
+	defer cancel()
+	rep, err := pipeline.Run(ctx, req, pipeline.RunOptions{
+		Progress: jobs.Progress(ctx),
+		MaxGates: s.cfg.MaxGates,
 	})
 	if err != nil {
-		s.writeError(w, err)
-		return
+		s.met.observePipelineError()
+		return nil, err
 	}
-	durs := make([]float64, len(results))
-	for i, res := range results {
-		durs[i] = float64(res.Duration.Nanoseconds()) / 1e6
-	}
-	_, best := row.Best()
-	writeJSON(w, http.StatusOK, GridResponse{
-		Name:            name,
-		Orderer:         ord.Name(),
-		FillNames:       exp.FillNames,
-		Peaks:           row.Peaks,
-		DurationsMillis: durs,
-		Best:            exp.FillNames[best],
-		Table:           table,
-	})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// decode reads a size-limited, strict JSON body into v, answering the
-// error itself (and returning false) on failure.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	return DecodeJSON(w, r, s.cfg.MaxBodyBytes, v)
-}
-
-// writeError maps an error to its HTTP status: validation failures are
-// 400, deadline overruns 504, client disconnects 499 (nginx's
-// convention), anything else 422 (the job itself failed).
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := http.StatusUnprocessableEntity
-	var bad badRequestError
-	switch {
-	case errors.As(err, &bad), errors.Is(err, pipeline.ErrBadRequest):
-		status = http.StatusBadRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = 499
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	s.met.observePipeline(time.Since(start), rep.Stages)
+	return rep, nil
 }

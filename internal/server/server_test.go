@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/cube"
-	"repro/internal/exp"
 )
 
 // newTestServer mounts a fresh service on an httptest server.
@@ -180,7 +179,7 @@ func TestFillMalformedJSON(t *testing.T) {
 }
 
 func TestFillOversizedBodyRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 128})
+	_, ts := newTestServer(t, Config{FrontConfig: FrontConfig{MaxBodyBytes: 128}})
 	big := FillRequest{Cubes: []string{strings.Repeat("X", 4096)}}
 	var out errorResponse
 	if status := post(t, ts.URL+"/v1/fill", big, &out); status != http.StatusRequestEntityTooLarge {
@@ -341,40 +340,13 @@ func TestBatchDeduplicatesIdenticalJobs(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchJobs: 2})
+	_, ts := newTestServer(t, Config{FrontConfig: FrontConfig{MaxBatchJobs: 2}})
 	if status := post(t, ts.URL+"/v1/batch", BatchRequest{}, nil); status != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d", status)
 	}
 	three := BatchRequest{Jobs: make([]FillRequest, 3)}
 	if status := post(t, ts.URL+"/v1/batch", three, nil); status != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d", status)
-	}
-}
-
-func TestGridEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	var out GridResponse
-	status := post(t, ts.URL+"/v1/grid", GridRequest{
-		Name:  "demo",
-		Cubes: []string{"0XX0XX", "XX1XX0", "1XXX0X", "XX0X1X"},
-	}, &out)
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	if len(out.Peaks) != len(exp.FillNames) || len(out.DurationsMillis) != len(exp.FillNames) {
-		t.Fatalf("grid shape: %+v", out)
-	}
-	dpIdx := len(exp.FillNames) - 1
-	for i, p := range out.Peaks {
-		if p < out.Peaks[dpIdx] {
-			t.Fatalf("%s peak %d beats DP-fill's %d", exp.FillNames[i], p, out.Peaks[dpIdx])
-		}
-	}
-	if out.Best != "DP-fill" {
-		t.Fatalf("best = %q", out.Best)
-	}
-	if !strings.Contains(out.Table, "DP-fill") || !strings.Contains(out.Table, "demo") {
-		t.Fatalf("rendered table missing content:\n%s", out.Table)
 	}
 }
 
@@ -420,7 +392,7 @@ func TestHealthzAndStats(t *testing.T) {
 // answer requests until its context is cancelled, then return nil
 // after a clean shutdown.
 func TestServeGracefulShutdown(t *testing.T) {
-	s, err := New(Config{Workers: 1, ShutdownGrace: 2 * time.Second})
+	s, err := New(Config{Workers: 1, FrontConfig: FrontConfig{ShutdownGrace: 2 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestSlowRingEvictsOldest(t *testing.T) {
 // trace ID and the fill-core explain evidence — without the request
 // having asked for debug.
 func TestSlowCaptureRecordsBreachWithExplain(t *testing.T) {
-	_, ts := newTestServer(t, Config{SlowThreshold: time.Nanosecond})
+	_, ts := newTestServer(t, Config{FrontConfig: FrontConfig{SlowThreshold: time.Nanosecond}})
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/fill",
 		jsonBody(t, FillRequest{Cubes: []string{"0XX1", "X10X", "1XX0"}}))
 	if err != nil {
@@ -95,7 +95,7 @@ func TestSlowCaptureRecordsBreachWithExplain(t *testing.T) {
 // TestSlowCaptureDisabled: a negative threshold turns the whole layer
 // off — no ring, no slow_requests field.
 func TestSlowCaptureDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{SlowThreshold: -1})
+	_, ts := newTestServer(t, Config{FrontConfig: FrontConfig{SlowThreshold: -1}})
 	var out FillResponse
 	if status := post(t, ts.URL+"/v1/fill", FillRequest{Cubes: []string{"0X", "X1"}}, &out); status != http.StatusOK {
 		t.Fatalf("fill status %d", status)

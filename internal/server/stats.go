@@ -111,16 +111,6 @@ func (m *metrics) observeJob(d time.Duration, cached bool) {
 	m.recordJob(d)
 }
 
-// observeUncachedJob records an answered job that bypassed the cache
-// entirely (grid jobs): it counts toward jobs and latency but leaves
-// the hit/miss counters alone, so cache_hit_rate only reflects
-// lookups that happened.
-func (m *metrics) observeUncachedJob(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recordJob(d)
-}
-
 // recordJob counts one job and pushes its latency into the window.
 // Callers hold mu.
 //

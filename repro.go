@@ -97,9 +97,9 @@ type (
 	FillBatchRequest  = server.BatchRequest
 	FillBatchResponse = server.BatchResponse
 	// FillClient is the typed HTTP client for the dpfilld/dpfill-coord
-	// API: fill/batch/grid, the async job API (SubmitJob/Job/WaitJob/
-	// CancelJob) plus health and stats, with retries, backoff and
-	// request-ID propagation.
+	// API: fill/batch/pipeline, the async job API (SubmitJob/Job/
+	// WaitJob/CancelJob) plus health and stats, with retries, backoff
+	// and request-ID propagation.
 	FillClient = client.Client
 	// FillJobStatus is an async job snapshot: ID, lifecycle state,
 	// progress, and (once done) the journaled batch result.
@@ -166,16 +166,17 @@ func NewEngine(workers int) *BatchEngine { return engine.New(workers) }
 // every job succeeded.
 func BatchErr(results []BatchResult) error { return engine.FirstErr(results) }
 
-// NewServer returns the HTTP fill service: POST /v1/fill, /v1/batch
-// and /v1/grid accept cube sets (inline matrices or STIL text) and
-// answer them through a shared batch engine worker pool, with an LRU
-// result cache, request validation against configurable limits,
-// per-request deadlines, and /healthz + /stats endpoints. The async
-// job API (/v1/jobs) accepts batches for background execution and,
-// with ServerConfig.DataDir set, journals them so accepted work
-// survives a restart. Serve it with Server.ListenAndServe (graceful
-// shutdown on context cancel) or mount Server.Handler under an
-// existing mux and stop the job workers with Server.Close.
+// NewServer returns the HTTP fill service: POST /v1/fill and /v1/batch
+// accept cube sets (inline matrices or STIL text) and answer them
+// through a shared batch engine worker pool, with an LRU result cache,
+// request validation against configurable limits, per-request
+// deadlines, POST /v1/pipeline, and /healthz + /stats + /metrics
+// endpoints. The async job API (/v1/jobs) accepts batches and
+// pipelines for background execution and, with ServerConfig.DataDir
+// set, journals them so accepted work survives a restart. Serve it
+// with Server.ListenAndServe (graceful shutdown on context cancel) or
+// mount Server.Handler under an existing mux and stop the job workers
+// with Server.Close.
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
 // NewFillClient returns a typed client for a dpfilld worker or a
