@@ -48,7 +48,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/debugz"
-	"repro/internal/logx"
 	"repro/internal/server"
 )
 
@@ -105,7 +104,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := logx.FromFlags(os.Stderr, *accessLog, *logLevel, *logFormat)
+	logger, err := server.LoggerFromFlags(os.Stderr, *accessLog, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}

@@ -298,6 +298,10 @@ func dispatch[T any](co *Coordinator, ctx context.Context, weight int, key uint6
 		}
 	}
 	if launched == 0 && !launch(nil) {
+		// A caller already gone answers 499, as on a worker, not 503.
+		if err := ctx.Err(); err != nil {
+			return nil, info, err
+		}
 		return nil, info, errNoWorkers
 	}
 	outstanding := 1
@@ -486,8 +490,10 @@ func (co *Coordinator) runShard(ctx context.Context, body []byte, key uint64, ou
 	co.shardLatency.Observe(time.Duration(tr.DispatchNS))
 	if err != nil {
 		co.met.shardFailures.Add(1)
-		co.cfg.Log.Error("shard dispatch failed",
-			"jobs", len(out), "rid", reqid.From(ctx), "err", err)
+		if co.cfg.Log != nil {
+			co.cfg.Log.Error("shard dispatch failed",
+				"jobs", len(out), "rid", reqid.From(ctx), "err", err)
+		}
 		msg := fmt.Sprintf("cluster: shard dispatch failed: %v", err)
 		for i := range out {
 			out[i] = client.BatchItem{Error: msg}

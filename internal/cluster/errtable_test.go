@@ -17,7 +17,8 @@ import (
 // every job overruns its 1ns default deadline and a coordinator over
 // it; a coordinator over a fake worker that passes heartbeats but
 // answers /v1/fill with its own error and drops /v1/pipeline
-// connections; and a coordinator with no fleet and no fallback.
+// connections; and two coordinators with no fleet, one without a
+// fallback and one with its local fallback on.
 func errTiers(t *testing.T) map[string]http.Handler {
 	t.Helper()
 	worker := func(timeout time.Duration) (*server.Server, string) {
@@ -64,6 +65,7 @@ func errTiers(t *testing.T) map[string]http.Handler {
 		"dpfill-coord 1ns": coord(slowURL).Handler(),
 		"coord fake":       coord(fake.URL).Handler(),
 		"coord empty":      coord().Handler(),
+		"coord fallback":   newTestCoordinator(t, Config{}).Handler(),
 	}
 }
 
@@ -103,6 +105,7 @@ func TestErrorTable(t *testing.T) {
 		{"submit: pipeline validation", both, "/v1/jobs", `{"pipeline":{}}`, false, 400, "pipeline: bad request"},
 		{"job deadline", []string{"dpfilld 1ns", "dpfill-coord 1ns"}, "/v1/fill", fill(""), false, 504, "context deadline exceeded"},
 		{"client cancel", both, "/v1/fill", fill(""), true, 499, "context canceled"},
+		{"client cancel, empty fleet", []string{"dpfilld", "coord fallback"}, "/v1/fill", fill(""), true, 499, "context canceled"},
 		{"job failure", both, "/v1/pipeline", untestable, false, 422, `atpg: no testable faults in ""`},
 		{"worker error passed through", []string{"coord fake"}, "/v1/fill", fill(""), false, http.StatusTeapot, "teapot"},
 		{"no workers, fallback off", []string{"coord empty"}, "/v1/fill", fill(""), false, 503, "cluster: no healthy workers"},

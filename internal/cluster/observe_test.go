@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/logx"
 	"repro/internal/reqid"
 	"repro/internal/server"
 )
@@ -233,7 +233,7 @@ func batchLogLine(buf *syncBuf, rid string) string {
 // request path from the fleet's logs.
 func TestTraceCorrelatesAcrossHops(t *testing.T) {
 	var wbuf, cbuf syncBuf
-	srv, err := server.New(server.Config{Workers: 2, FrontConfig: server.FrontConfig{Log: logx.New(&wbuf, logx.Options{NoTime: true})}})
+	srv, err := server.New(server.Config{Workers: 2, FrontConfig: server.FrontConfig{Log: slog.New(slog.NewTextHandler(&wbuf, nil))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestTraceCorrelatesAcrossHops(t *testing.T) {
 	co, err := New(Config{
 		Workers:     []string{wts.URL},
 		Registry:    RegistryConfig{HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 500 * time.Millisecond},
-		FrontConfig: server.FrontConfig{Log: logx.New(&cbuf, logx.Options{NoTime: true})},
+		FrontConfig: server.FrontConfig{Log: slog.New(slog.NewTextHandler(&cbuf, nil))},
 	})
 	if err != nil {
 		t.Fatal(err)

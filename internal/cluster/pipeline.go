@@ -102,8 +102,10 @@ func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineR
 	co.shardLog.record(traces)
 	for _, err := range errs {
 		if err != nil {
-			co.cfg.Log.Error("pipeline shard failed",
-				"rid", reqid.From(ctx), "err", err)
+			if co.cfg.Log != nil {
+				co.cfg.Log.Error("pipeline shard failed",
+					"rid", reqid.From(ctx), "err", err)
+			}
 			return nil, err
 		}
 	}

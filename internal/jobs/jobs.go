@@ -29,11 +29,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/logx"
 	"repro/internal/reqid"
 )
 
@@ -174,7 +174,7 @@ type Config struct {
 	// settlement, carrying the trace ID of the submit that accepted the
 	// job — journal-replayed runs included — so an async job's
 	// completion joins the fleet's access logs on rid=.
-	Log *logx.Logger
+	Log *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -923,11 +923,13 @@ func (m *Manager) run(j *job) {
 	m.mu.Unlock()
 	if settled != "" {
 		m.journalSettle(j.id, settled, finished, result, errMsg)
-		m.cfg.Log.Info("job",
-			"id", j.id,
-			"state", string(settled),
-			"dur_ms", float64(time.Since(started).Microseconds())/1000,
-			"rid", j.rid)
+		if m.cfg.Log != nil {
+			m.cfg.Log.Info("job",
+				"id", j.id,
+				"state", string(settled),
+				"dur_ms", float64(time.Since(started).Microseconds())/1000,
+				"rid", j.rid)
+		}
 	}
 }
 

@@ -3,13 +3,13 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/logx"
 	"repro/internal/reqid"
 )
 
@@ -63,7 +63,7 @@ func TestJobCompletionLogCarriesRid(t *testing.T) {
 			gotCtxRid = reqid.From(ctx)
 			return p, nil
 		},
-		Log: logx.New(&buf, logx.Options{NoTime: true}),
+		Log: slog.New(slog.NewTextHandler(&buf, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestJobCompletionLogCarriesRid(t *testing.T) {
 func TestSubmitWithoutRidLogsNone(t *testing.T) {
 	var buf logBuf
 	r := &echoRunner{}
-	m, err := Open(Config{Runner: r.run, Log: logx.New(&buf, logx.Options{NoTime: true})})
+	m, err := Open(Config{Runner: r.run, Log: slog.New(slog.NewTextHandler(&buf, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRidSurvivesJournalReplay(t *testing.T) {
 			return p, nil
 		},
 		Dir: dir,
-		Log: logx.New(&buf, logx.Options{NoTime: true}),
+		Log: slog.New(slog.NewTextHandler(&buf, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"log/slog"
 )
 
 func main() {
 	fmt.Println("result") // ok: cmd/ is exempt
+	slog.Info("up")       // ok: a daemon may log through the default logger
 	log.Fatal("usage")    // ok: cmd/ flag-error path
 }

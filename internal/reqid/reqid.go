@@ -16,10 +16,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"log/slog"
 	"net/http"
 	"time"
-
-	"repro/internal/logx"
 )
 
 // Header is the HTTP header the fleet propagates trace IDs in.
@@ -87,7 +86,7 @@ func TraceFrom(ctx context.Context) Trace {
 // ID, span ID and parent span. Both the worker and the coordinator
 // serve through this, so their log lines join on rid= and nest by
 // span=/parent=.
-func Middleware(logger *logx.Logger, next http.Handler) http.Handler {
+func Middleware(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tr := Trace{
 			ID:     r.Header.Get(Header),

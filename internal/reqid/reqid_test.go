@@ -2,13 +2,12 @@ package reqid
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/logx"
 )
 
 func TestNewMintsHexIDs(t *testing.T) {
@@ -77,7 +76,7 @@ func TestMiddlewareMintsEchoesAndPropagates(t *testing.T) {
 // "-" at the edge).
 func TestMiddlewareAccessLog(t *testing.T) {
 	var buf strings.Builder
-	logger := logx.New(&buf, logx.Options{NoTime: true})
+	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	h := Middleware(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}))

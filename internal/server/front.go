@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/logx"
 	prom "repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/reqid"
@@ -60,12 +62,43 @@ type FrontConfig struct {
 	// request (with its trace and span IDs) plus job and dispatch
 	// events, so a request can be followed across coordinator and
 	// worker logs. nil disables logging.
-	Log *logx.Logger
+	Log *slog.Logger
 	// SlowThreshold is the latency SLO: slower requests count as
 	// breaches and their trace and explain evidence land in the /stats
 	// slow_requests ring. 0 means 1s; negative disables slow capture and
 	// the SLO families.
 	SlowThreshold time.Duration
+}
+
+// LoggerFromFlags resolves the daemons' -access-log, -log-level and
+// -log-format flags into a logger writing to w: logfmt through
+// slog.TextHandler or one JSON object per line through
+// slog.JSONHandler. It returns nil when enabled is false, which turns
+// logging off.
+func LoggerFromFlags(w io.Writer, enabled bool, level, format string) (*slog.Logger, error) {
+	if !enabled {
+		return nil, nil
+	}
+	opts := &slog.HandlerOptions{}
+	switch strings.ToLower(strings.TrimSpace(level)) {
+	case "debug":
+		opts.Level = slog.LevelDebug
+	case "", "info":
+		opts.Level = slog.LevelInfo
+	case "warn", "warning":
+		opts.Level = slog.LevelWarn
+	case "error":
+		opts.Level = slog.LevelError
+	default:
+		return nil, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", level)
+	}
+	switch strings.ToLower(strings.TrimSpace(format)) {
+	case "", "logfmt", "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	}
+	return nil, fmt.Errorf("unknown log format %q (want logfmt or json)", format)
 }
 
 // WithDefaults resolves every unset field.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/logx"
 	"repro/internal/reqid"
 )
 
@@ -48,7 +48,7 @@ func TestRequestIDEchoedAndMinted(t *testing.T) {
 // writes one line naming method, path, status and the request ID.
 func TestAccessLogCarriesRequestID(t *testing.T) {
 	var buf bytes.Buffer
-	s, err := New(Config{FrontConfig: FrontConfig{Log: logx.New(&buf, logx.Options{NoTime: true})}})
+	s, err := New(Config{FrontConfig: FrontConfig{Log: slog.New(slog.NewTextHandler(&buf, nil))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func (b *lockedBuf) String() string {
 // the eventual settlement.
 func TestAsyncJobCompletionLogCarriesRequestID(t *testing.T) {
 	var buf lockedBuf
-	s, err := New(Config{FrontConfig: FrontConfig{Log: logx.New(&buf, logx.Options{NoTime: true})}})
+	s, err := New(Config{FrontConfig: FrontConfig{Log: slog.New(slog.NewTextHandler(&buf, nil))}})
 	if err != nil {
 		t.Fatal(err)
 	}
