@@ -95,8 +95,8 @@ func run(args []string, stdout io.Writer) error {
 	outdir := fs.String("outdir", "", "directory for batch-mode filled sets")
 	serverURL := fs.String("server", "", "dpfilld/dpfill-coord base URL: submit jobs there instead of filling locally")
 	async := fs.Bool("async", false, "with -server: submit through the async job API (/v1/jobs) and poll for the result")
-	poll := fs.Duration("poll", 100*time.Millisecond, "async job poll interval (fallback when the server does not stream)")
-	follow := fs.Bool("follow", false, "with -async: print each job's state and progress events as the server pushes them")
+	poll := fs.Duration("poll", 100*time.Millisecond, "async job poll interval")
+	follow := fs.Bool("follow", false, "with -async: print each job's state and progress changes as it polls")
 	pipelineMode := fs.Bool("pipeline", false, "run the full netlist -> ATPG -> fill -> power pipeline (needs -spec or -netlist)")
 	spec := fs.String("spec", "", "pipeline: netgen circuit spec — a catalog name (b04), name@factor (b04@0.25), or pis=..,ffs=..,gates=..")
 	netlist := fs.String("netlist", "", "pipeline: ISCAS-89 .bench netlist file")

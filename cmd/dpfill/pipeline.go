@@ -17,7 +17,7 @@ import (
 // pipeline.Run in-process; with -server it posts the same request to
 // /v1/pipeline on a worker or coordinator (where -shards fans the
 // ATPG fault list across the fleet), and -async routes it through the
-// persistent job queue with SSE stage progress.
+// persistent job queue, polling it for stage progress.
 
 type pipelineOpts struct {
 	spec, netlist         string
@@ -100,7 +100,7 @@ func runPipelineMode(stdout io.Writer, o pipelineOpts) error {
 }
 
 // runRemoteAsyncPipeline submits through POST /v1/jobs and waits; with
-// -follow each pushed state/progress event narrates a pipeline stage
+// -follow each polled progress advance narrates a pipeline stage
 // completing (netlist, each ATPG shard, fill, power).
 func runRemoteAsyncPipeline(stdout io.Writer, o pipelineOpts, req pipeline.Request) (*pipeline.Report, error) {
 	c, err := client.New(client.Config{BaseURL: o.server})
@@ -112,19 +112,7 @@ func runRemoteAsyncPipeline(stdout io.Writer, o pipelineOpts, req pipeline.Reque
 		return nil, err
 	}
 	fmt.Fprintf(stdout, "submitted pipeline job %s (%d stages, %s)\n", st.ID, st.Total, st.State)
-	var onEvent func(client.JobStatus)
-	if o.follow {
-		last := client.JobStatus{Done: -1}
-		onEvent = func(st client.JobStatus) {
-			if st.State != last.State {
-				fmt.Fprintf(stdout, "job %s: %s\n", st.ID, st.State)
-			} else if st.Done != last.Done {
-				fmt.Fprintf(stdout, "job %s: %d/%d stages done\n", st.ID, st.Done, st.Total)
-			}
-			last = st
-		}
-	}
-	st, err = c.WaitJob(context.Background(), st.ID, o.poll, onEvent)
+	st, err = c.WaitJob(context.Background(), st.ID, o.poll, narrateJob(stdout, o.follow, "stages"))
 	if err != nil {
 		return nil, err
 	}

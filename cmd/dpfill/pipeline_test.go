@@ -107,6 +107,17 @@ func TestPipelineModeAsync(t *testing.T) {
 	if !strings.Contains(got, "peak input toggles") {
 		t.Fatalf("report missing: %s", got)
 	}
+	// -follow narrates every polled change, the terminal one last.
+	id := strings.Fields(got[strings.Index(got, "submitted pipeline job ")+len("submitted pipeline job "):])[0]
+	var last string
+	for _, line := range strings.Split(got, "\n") {
+		if strings.HasPrefix(line, "job ") {
+			last = line
+		}
+	}
+	if want := "job " + id + ": done"; last != want {
+		t.Fatalf("narration ends %q, want %q:\n%s", last, want, got)
+	}
 }
 
 // TestPipelineModeFlagErrors pins the mode's argument contract.

@@ -232,21 +232,7 @@ func runRemoteAsyncBatch(stdout io.Writer, serverURL string, inputs []string, or
 				items[jobIdx[k]] = client.BatchItem{Error: msg}
 			}
 		}
-		var onEvent func(client.JobStatus)
-		if follow {
-			// -follow narrates the server's pushed SSE events: each state
-			// transition and progress advance prints as it happens.
-			last := client.JobStatus{Done: -1}
-			onEvent = func(st client.JobStatus) {
-				if st.State != last.State {
-					fmt.Fprintf(stdout, "job %s: %s\n", st.ID, st.State)
-				} else if st.Done != last.Done {
-					fmt.Fprintf(stdout, "job %s: %d/%d inputs done\n", st.ID, st.Done, st.Total)
-				}
-				last = st
-			}
-		}
-		st, err := c.WaitJob(context.Background(), sub.id, poll, onEvent)
+		st, err := c.WaitJob(context.Background(), sub.id, poll, narrateJob(stdout, follow, "inputs"))
 		if err != nil {
 			fail(err.Error())
 			continue
@@ -336,4 +322,22 @@ func writeCubeLines(path string, cubes []string) error {
 		}
 	}
 	return nil
+}
+
+// narrateJob is the -follow narrator WaitJob calls with each polled
+// snapshot: it prints every change of state, and every advance of the
+// done count of unit ("inputs", "stages"). nil when follow is off.
+func narrateJob(stdout io.Writer, follow bool, unit string) func(client.JobStatus) {
+	if !follow {
+		return nil
+	}
+	last := client.JobStatus{Done: -1}
+	return func(st client.JobStatus) {
+		if st.State != last.State {
+			fmt.Fprintf(stdout, "job %s: %s\n", st.ID, st.State)
+		} else if st.Done != last.Done {
+			fmt.Fprintf(stdout, "job %s: %d/%d %s done\n", st.ID, st.Done, st.Total, unit)
+		}
+		last = st
+	}
 }

@@ -90,4 +90,12 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "999.999.999.999:0"}, &out); err == nil {
 		t.Fatal("unbindable address accepted")
 	}
+	// A bad -log-level is refused even with -access-log off. The context
+	// is already cancelled, so a daemon that accepted it would shut down
+	// at once instead of serving.
+	stopped, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := run(stopped, []string{"-addr", "127.0.0.1:0", "-log-level", "loud"}, &out); err == nil {
+		t.Fatal("-log-level loud accepted without -access-log")
+	}
 }

@@ -82,22 +82,23 @@ func TestSubmitJobRetriesAfterKilledConnection(t *testing.T) {
 	}
 }
 
-// TestWaitJobStreamsWithoutPolling: against a streaming server,
-// WaitJob rides one SSE request to the terminal snapshot — zero
-// status polls — and surfaces pushed events through its callback.
-func TestWaitJobStreamsWithoutPolling(t *testing.T) {
+// TestWaitJobPollsToTerminal: WaitJob reads the job through plain
+// GET /v1/jobs/{id} polls and hands every polled snapshot to its
+// callback, the terminal one last.
+func TestWaitJobPollsToTerminal(t *testing.T) {
 	srv, err := server.New(server.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
 	var polls atomic.Int64
-	h := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && r.URL.Path != "/v1/jobs" &&
-			len(r.URL.Path) > len("/v1/jobs/") && r.URL.Path[:len("/v1/jobs/")] == "/v1/jobs/" &&
-			r.URL.Query().Get("watch") == "" {
+		if r.Method == http.MethodGet && r.URL.Path != "/v1/jobs" {
 			polls.Add(1)
+			if r.URL.RawQuery != "" {
+				t.Errorf("poll carried query %q", r.URL.RawQuery)
+			}
 		}
 		h.ServeHTTP(w, r)
 	}))
@@ -111,63 +112,18 @@ func TestWaitJobStreamsWithoutPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := 0
-	final, err := c.WaitJob(context.Background(), st.ID, time.Hour, func(JobStatus) { events++ })
+	var events []JobStatus
+	final, err := c.WaitJob(context.Background(), st.ID, 5*time.Millisecond, func(st JobStatus) { events = append(events, st) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.State != jobs.StateDone {
 		t.Fatalf("terminal state %s", final.State)
 	}
-	if polls.Load() != 0 {
-		t.Fatalf("WaitJob polled %d times despite a streaming server", polls.Load())
+	if n := polls.Load(); n == 0 || int(n) != len(events) {
+		t.Fatalf("%d polls delivered %d callback events", n, len(events))
 	}
-	if events == 0 {
-		t.Fatal("no events surfaced through the callback")
-	}
-	resp, err := JobBatchResult(final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 2 || resp.Failed != 0 {
-		t.Fatalf("result: %+v", resp)
-	}
-}
-
-// TestWaitJobFallsBackToPolling: a server that answers the watch URL
-// with plain JSON (no SSE) — an older daemon — still completes
-// WaitJob through the poll loop.
-func TestWaitJobFallsBackToPolling(t *testing.T) {
-	srv, err := server.New(server.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	h := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("watch") != "" {
-			// Strip the watch param: the old daemon never streamed.
-			q := r.URL.Query()
-			q.Del("watch")
-			r.URL.RawQuery = q.Encode()
-		}
-		h.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	c, err := New(Config{BaseURL: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := c.SubmitJob(context.Background(), smallBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.WaitJob(context.Background(), st.ID, 5*time.Millisecond)
-	if err != nil {
-		t.Fatalf("poll fallback failed: %v", err)
-	}
-	if final.State != jobs.StateDone {
-		t.Fatalf("terminal state %s", final.State)
+	if last := events[len(events)-1]; last.State != jobs.StateDone || string(last.Result) != string(final.Result) {
+		t.Fatalf("last callback event %+v is not the terminal snapshot", last)
 	}
 }

@@ -1,16 +1,11 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"time"
 
 	"repro/internal/jobs"
@@ -69,104 +64,16 @@ func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
 	return &out, nil
 }
 
-// WatchJob subscribes to GET /v1/jobs/{id}?watch=1 and invokes onEvent
-// for every snapshot the server pushes (state transitions and progress
-// advances), returning the terminal snapshot. onEvent may be nil. The
-// stream is one long-lived request: no polling, and progress arrives
-// the moment the server records it. If the server does not speak SSE
-// (an older daemon), WatchJob returns an error that Retryable reports
-// false for; callers wanting transparent degradation use WaitJob.
-func (c *Client) WatchJob(ctx context.Context, id string, onEvent func(JobStatus)) (*JobStatus, error) {
-	path := "/v1/jobs/" + url.PathEscape(id) + "?watch=1"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: building watch request: %w", err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if tr := reqid.TraceFrom(ctx); tr.ID != "" {
-		req.Header.Set(reqid.Header, tr.ID)
-		if tr.Span != "" {
-			req.Header.Set(reqid.ParentHeader, tr.Span)
-		}
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		msg := strings.TrimSpace(string(data))
-		var payload struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &payload) == nil && payload.Error != "" {
-			msg = payload.Error
-		}
-		return nil, &APIError{Status: resp.StatusCode, Message: msg, RequestID: resp.Header.Get(reqid.Header)}
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		return nil, &ProtocolError{Path: path, Err: fmt.Errorf("server answered %q, not an event stream", ct)}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var last *JobStatus
-	for sc.Scan() {
-		line := sc.Bytes()
-		if !bytes.HasPrefix(line, []byte("data: ")) {
-			continue // event:/comment/blank framing lines
-		}
-		var st JobStatus
-		if err := json.Unmarshal(bytes.TrimPrefix(line, []byte("data: ")), &st); err != nil {
-			return nil, &ProtocolError{Path: path, Err: err}
-		}
-		if onEvent != nil {
-			onEvent(st)
-		}
-		last = &st
-		if st.State.Terminal() {
-			return last, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("client: watching job %s: %w", id, err)
-	}
-	// Stream ended cleanly without a terminal event: the server shut
-	// down mid-watch. Surface it as a transport-style failure so
-	// WaitJob's fallback keeps polling through the restart.
-	return nil, fmt.Errorf("client: watching job %s: stream ended before job settled", id)
-}
-
-// WaitJob waits for the job to settle and returns the terminal
-// snapshot. It first tries the server's SSE watch stream (no polling;
-// onEvent, when non-nil, receives every pushed snapshot); if the
-// stream is unsupported or breaks — an older daemon, a worker restart
-// mid-wait — it degrades to polling GET /v1/jobs/{id} every poll
-// interval (default 100ms when <= 0). A restart is survived naturally
-// either way: polls fail while the daemon is down, and the first
-// successful poll after WAL replay sees the job back in flight (or
-// settled).
+// WaitJob polls GET /v1/jobs/{id} every poll interval (default 100ms
+// when <= 0) until the job settles, and returns the terminal snapshot.
+// onEvent, when non-nil, receives every polled snapshot, the terminal
+// one included. A restart is survived naturally: polls fail while the
+// daemon is down, and the first successful poll after WAL replay sees
+// the job back in flight (or settled).
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration, onEvent ...func(JobStatus)) (*JobStatus, error) {
 	var cb func(JobStatus)
 	if len(onEvent) > 0 {
 		cb = onEvent[0]
-	}
-	if st, err := c.WatchJob(ctx, id, cb); err == nil {
-		return st, nil
-	} else if !Retryable(err) && ctx.Err() == nil {
-		// 404/409 mean polling would fail identically — stop. But a
-		// ProtocolError here is "server doesn't stream"; fall through
-		// to the poll loop old daemons expect.
-		var proto *ProtocolError
-		if !errors.As(err, &proto) {
-			return nil, err
-		}
 	}
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
@@ -175,13 +82,14 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration, onE
 	defer t.Stop()
 	for {
 		st, err := c.Job(ctx, id)
-		if err == nil && st.State.Terminal() {
-			return st, nil
-		}
-		if err == nil && cb != nil {
-			cb(*st)
-		}
-		if err != nil && !Retryable(err) {
+		if err == nil {
+			if cb != nil {
+				cb(*st)
+			}
+			if st.State.Terminal() {
+				return st, nil
+			}
+		} else if !Retryable(err) {
 			return nil, err
 		}
 		select {

@@ -4,11 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cube"
+	"repro/internal/engine"
+	"repro/internal/fill"
 	"repro/internal/jobs"
 	"repro/internal/server"
 )
@@ -226,4 +232,105 @@ func TestAsyncJobValidationThroughCoordinator(t *testing.T) {
 func isAPIStatus(err error, status int) bool {
 	var api *client.APIError
 	return errors.As(err, &api) && api.Status == status
+}
+
+// TestWatchParamAnswersPlainGet: on both tiers a watch query parameter
+// changes nothing — GET /v1/jobs/{id}?watch=1 answers the plain GET's
+// status, Content-Type and body for a queued job, an unknown ID and a
+// settled job.
+func TestWatchParamAnswersPlainGet(t *testing.T) {
+	// One single-slot engine under both tiers, its slot held by a
+	// blocked fill: each tier's first async job stalls in the engine, so
+	// its second stays queued until release closes.
+	eng := engine.New(1)
+	release := make(chan struct{})
+	set, err := cube.ParseSet("0X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := fill.Func{FillName: "blocker", F: func(s *cube.Set) (*cube.Set, error) {
+		<-release
+		return s.Clone(), nil
+	}}
+	go eng.Run(context.Background(), []engine.Job{{Set: set, Filler: blocker}})
+	for _, inflight := eng.Load(); inflight == 0; _, inflight = eng.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	cfg := server.Config{Engine: eng}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	// No worker: the coordinator's jobs run on its local fallback.
+	co := newTestCoordinator(t, Config{Local: cfg})
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock)
+	tiers := map[string]http.Handler{"dpfilld": srv.Handler(), "dpfill-coord": co.Handler()}
+
+	get := func(h http.Handler, url string) (int, string, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		return rec.Code, rec.Header().Get("Content-Type"), rec.Body.String()
+	}
+	check := func(tier, name, id string, status int, state jobs.State) {
+		t.Helper()
+		h := tiers[tier]
+		code, ctype, body := get(h, "/v1/jobs/"+id)
+		wcode, wctype, wbody := get(h, "/v1/jobs/"+id+"?watch=1")
+		if code != status || ctype != "application/json" {
+			t.Fatalf("%s %s: plain GET answered %d %q, want %d application/json", tier, name, code, ctype, status)
+		}
+		if wcode != code || wctype != ctype || wbody != body {
+			t.Fatalf("%s %s: watch GET answered %d %q %s, plain GET %d %q %s", tier, name, wcode, wctype, wbody, code, ctype, body)
+		}
+		var st jobs.Status
+		if err := json.Unmarshal([]byte(body), &st); err != nil || st.State != state {
+			t.Fatalf("%s %s: body %s is not a %q snapshot (%v)", tier, name, body, state, err)
+		}
+	}
+	queued := map[string]string{}
+	for tier, h := range tiers {
+		for range 2 {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"jobs":[{"cubes":["0X","X1"]}]}`)))
+			var st jobs.Status
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); rec.Code != http.StatusAccepted || err != nil {
+				t.Fatalf("%s: submit answered %d %s", tier, rec.Code, rec.Body)
+			}
+			queued[tier] = st.ID
+		}
+	}
+	for _, c := range []struct {
+		name, id string
+		status   int
+		state    jobs.State
+	}{
+		{"queued job", "", http.StatusOK, jobs.StateQueued},
+		{"unknown id", "ghost", http.StatusNotFound, ""},
+	} {
+		for tier := range tiers {
+			id := c.id
+			if id == "" {
+				id = queued[tier]
+			}
+			check(tier, c.name, id, c.status, c.state)
+		}
+	}
+	unblock()
+	for tier, h := range tiers {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			_, _, body := get(h, "/v1/jobs/"+queued[tier])
+			var st jobs.Status
+			if json.Unmarshal([]byte(body), &st) == nil && st.State.Terminal() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: job never settled: %s", tier, body)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		check(tier, "settled job", queued[tier], http.StatusOK, jobs.StateDone)
+	}
 }

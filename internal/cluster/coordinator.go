@@ -424,8 +424,8 @@ func (co *Coordinator) Batch(ctx context.Context, req client.BatchRequest) *clie
 	n := len(req.Jobs)
 	items := make([]client.BatchItem, n)
 	// When the batch runs as an async job, each finished shard advances
-	// the job's progress counter — that is what a ?watch=1 stream (and
-	// dpfill -follow) narrates while the batch is in flight.
+	// the job's progress counter — what GET /v1/jobs/{id} reports (and
+	// dpfill -follow narrates) while the batch is in flight.
 	progress := jobs.Progress(ctx)
 	var done atomic.Int64
 	nShards := (n + co.cfg.ShardSize - 1) / co.cfg.ShardSize

@@ -3,7 +3,6 @@ package jobs
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"repro/internal/reqid"
@@ -23,11 +22,10 @@ type DecodeSubmit func(w http.ResponseWriter, r *http.Request) (payload json.Raw
 
 // Mount registers the async job API on mux:
 //
-//	POST   /v1/jobs              submit, answers 202 + the queued snapshot
-//	GET    /v1/jobs              list retained jobs, newest first
-//	GET    /v1/jobs/{id}         status/progress/result
-//	GET    /v1/jobs/{id}?watch=1 SSE stream of state/progress events
-//	DELETE /v1/jobs/{id}         cancel
+//	POST   /v1/jobs      submit, answers 202 + the queued snapshot
+//	GET    /v1/jobs      list retained jobs, newest first
+//	GET    /v1/jobs/{id} status/progress/result
+//	DELETE /v1/jobs/{id} cancel
 //
 // The error payload shape ({"error": "..."}) matches the rest of the
 // /v1/* surface, so clients need exactly one error decoder.
@@ -48,10 +46,6 @@ func Mount(mux *http.ServeMux, m *Manager, decode DecodeSubmit) {
 		writeJobJSON(w, http.StatusOK, m.List())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("watch") != "" {
-			watchJob(w, r, m)
-			return
-		}
 		st, err := m.Get(r.PathValue("id"))
 		if err != nil {
 			writeJobError(w, err)
@@ -67,64 +61,6 @@ func Mount(mux *http.ServeMux, m *Manager, decode DecodeSubmit) {
 		}
 		writeJobJSON(w, http.StatusOK, st)
 	})
-}
-
-// watchJob serves GET /v1/jobs/{id}?watch=1 as a Server-Sent Events
-// stream: one "state" event per lifecycle transition, one "progress"
-// event per done-count advance, ending after the terminal event (which
-// carries the job's result like GET /v1/jobs/{id} does). Clients that
-// cannot stream keep polling the plain GET — the two views never
-// disagree, they are snapshots of the same job.
-func watchJob(w http.ResponseWriter, r *http.Request, m *Manager) {
-	ch, cancel, err := m.Watch(r.PathValue("id"))
-	if err != nil {
-		writeJobError(w, err)
-		return
-	}
-	defer cancel()
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		// No streaming support in the transport: degrade to the
-		// polling snapshot rather than buffering an endless stream.
-		st, gerr := m.Get(r.PathValue("id"))
-		if gerr != nil {
-			writeJobError(w, gerr)
-			return
-		}
-		writeJobJSON(w, http.StatusOK, st)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	var lastState State
-	for {
-		select {
-		case st, open := <-ch:
-			if !open {
-				// The manager shut down before the job settled; end the
-				// stream so the client falls back to polling.
-				return
-			}
-			event := "progress"
-			if st.State != lastState {
-				event, lastState = "state", st.State
-			}
-			data, jerr := json.Marshal(st)
-			if jerr != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-			flusher.Flush()
-			if st.State.Terminal() {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // writeJobError maps manager sentinels to HTTP statuses: full queue

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mountTestAPI serves a Manager through Mount with a pass-through
@@ -189,5 +190,95 @@ func TestWALReplayOfFailedAndCancelledJobs(t *testing.T) {
 	}
 	if st, _ := m2.Get(tocancel.ID); st.State != StateCancelled {
 		t.Fatalf("cancelled job replayed as %+v", st)
+	}
+}
+
+// TestGetReportsMidRunProgress: progress a Runner reports while it is
+// still running reaches GET /v1/jobs/{id} before the job settles.
+func TestGetReportsMidRunProgress(t *testing.T) {
+	gate := make(chan struct{})
+	m, err := Open(Config{Runner: func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		Progress(ctx)(1)
+		select {
+		case <-gate:
+			return payload, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	url := mountTestAPI(t, m)
+	var st Status
+	if code := httpJSON(t, http.MethodPost, url+"/v1/jobs", `{"work":1}`, &st); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st.Done == 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+		httpJSON(t, http.MethodGet, url+"/v1/jobs/"+st.ID, "", &st)
+	}
+	if st.State != StateRunning || st.Done != 1 {
+		t.Fatalf("before the gate opened: state %s done %d, want running 1", st.State, st.Done)
+	}
+	close(gate)
+	if got := waitState(t, m, st.ID, StateDone); got.Done != got.Total {
+		t.Fatalf("settled with done %d of %d", got.Done, got.Total)
+	}
+}
+
+// TestWatchUnknownJobAnswers404: a watch parameter on an unknown job
+// answers the plain GET's 404.
+func TestWatchUnknownJobAnswers404(t *testing.T) {
+	m, err := Open(Config{Runner: (&echoRunner{}).run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	url := mountTestAPI(t, m)
+	var out map[string]string
+	if code := httpJSON(t, http.MethodGet, url+"/v1/jobs/ghost?watch=1", "", &out); code != http.StatusNotFound {
+		t.Fatalf("status %d, want 404", code)
+	}
+}
+
+// TestSubmitHTTPDedupesOnIdempotencyKey: two POSTs with the same
+// X-Idempotency-Key answer the same job.
+func TestSubmitHTTPDedupesOnIdempotencyKey(t *testing.T) {
+	m, err := Open(Config{Runner: (&echoRunner{}).run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	url := mountTestAPI(t, m)
+
+	submit := func() Status {
+		req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", strings.NewReader(`{"work":3}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(IdempotencyHeader, "http-key")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+		var st Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, b := submit(), submit()
+	if a.ID != b.ID {
+		t.Fatalf("same key minted two jobs: %s, %s", a.ID, b.ID)
+	}
+	if got := len(m.List().Jobs); got != 1 {
+		t.Fatalf("%d jobs retained, want 1", got)
 	}
 }

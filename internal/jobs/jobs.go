@@ -93,7 +93,7 @@ type StatusList struct {
 // through it — and be deterministic if crash-replayed jobs are to
 // answer identically to the run the crash lost. The context carries a
 // progress reporter (Progress); runners that can see partial
-// completion call it so watchers stream per-shard progress.
+// completion call it, and GET /v1/jobs/{id} reports the count as done.
 type Runner func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error)
 
 type progressKey struct{}
@@ -254,8 +254,6 @@ type Manager struct {
 	// dpvet:guardedby mu
 	byKey map[string]*job // idempotency key -> job, while retained
 	// dpvet:guardedby mu
-	watchers map[string][]*watcher
-	// dpvet:guardedby mu
 	jobs []*job // creation order; retention evicts from the front
 	// dpvet:guardedby mu
 	queue []*job // FIFO of jobs awaiting a worker
@@ -286,13 +284,12 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:      cfg,
-		byID:     make(map[string]*job),
-		byKey:    make(map[string]*job),
-		watchers: make(map[string][]*watcher),
-		wake:     make(chan struct{}, 1),
-		ctx:      ctx,
-		stop:     stop,
+		cfg:   cfg,
+		byID:  make(map[string]*job),
+		byKey: make(map[string]*job),
+		wake:  make(chan struct{}, 1),
+		ctx:   ctx,
+		stop:  stop,
 	}
 	if cfg.Dir != "" {
 		w, recs, err := openWAL(cfg.Dir)
@@ -624,99 +621,12 @@ func (m *Manager) applySettleLocked(j *job, state State, result json.RawMessage,
 		j.done = j.total
 	}
 	m.active--
-	m.notifyLocked(j)
 	m.enforceRetention()
 }
 
-// watcher is one GET /v1/jobs/{id}?watch=1 subscription: a buffered
-// channel of status snapshots. Senders never block — when the buffer
-// is full the oldest pending snapshot is dropped, so a slow consumer
-// sees a thinned event stream but always the latest state, and always
-// the terminal one (nothing is sent after it).
-type watcher struct {
-	ch     chan Status
-	closed bool
-}
-
-// Watch subscribes to a job's lifecycle: the returned channel first
-// delivers the job's current snapshot, then one snapshot per state
-// transition or progress update, and is closed after the terminal
-// snapshot (which carries the result). The cancel function releases
-// the subscription early; it is safe to call more than once.
-func (m *Manager) Watch(id string) (<-chan Status, func(), error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.byID[id]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	w := &watcher{ch: make(chan Status, 16)}
-	w.ch <- j.status(j.state.Terminal())
-	if j.state.Terminal() || m.closed {
-		w.closed = true
-		close(w.ch)
-		return w.ch, func() {}, nil
-	}
-	m.watchers[id] = append(m.watchers[id], w)
-	cancel := func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if w.closed {
-			return
-		}
-		w.closed = true
-		close(w.ch)
-		ws := m.watchers[id]
-		for i, o := range ws {
-			if o == w {
-				m.watchers[id] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-		if len(m.watchers[id]) == 0 {
-			delete(m.watchers, id)
-		}
-	}
-	return w.ch, cancel, nil
-}
-
-// notifyLocked pushes a job's current snapshot to its watchers,
-// closing them after a terminal snapshot. Callers hold mu.
-func (m *Manager) notifyLocked(j *job) {
-	ws := m.watchers[j.id]
-	if len(ws) == 0 {
-		return
-	}
-	terminal := j.state.Terminal()
-	st := j.status(terminal)
-	for _, w := range ws {
-		select {
-		case w.ch <- st:
-		default:
-			// Full buffer: drop the oldest pending snapshot to stay
-			// non-blocking while preserving delivery of this newer one.
-			select {
-			case <-w.ch:
-			default:
-			}
-			select {
-			case w.ch <- st:
-			default:
-			}
-		}
-		if terminal {
-			w.closed = true
-			close(w.ch)
-		}
-	}
-	if terminal {
-		delete(m.watchers, j.id)
-	}
-}
-
-// setProgress advances a running job's done count and notifies
-// watchers. Regressions and post-settle reports are ignored — shard
-// completions racing the job's own settle must never resurrect it.
+// setProgress advances a running job's done count. Regressions and
+// post-settle reports are ignored — shard completions racing the job's
+// own settle must never resurrect it.
 func (m *Manager) setProgress(j *job, done int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -727,7 +637,6 @@ func (m *Manager) setProgress(j *job, done int) {
 		done = j.total
 	}
 	j.done = done
-	m.notifyLocked(j)
 }
 
 // journalSettle appends a job's terminal record; fsync latency is paid
@@ -847,7 +756,6 @@ func (m *Manager) next() *job {
 			}
 			j.state = StateRunning
 			j.started = time.Now().UTC()
-			m.notifyLocked(j)
 			more := len(m.queue) > 0
 			m.mu.Unlock()
 			// Chain the wakeup: wake is buffered(1), so a burst of
@@ -891,7 +799,7 @@ func (m *Manager) run(j *job) {
 	// execution logs or dispatches downstream correlates with the
 	// original request, plus the progress reporter: shard-aware runners
 	// (the coordinator's fleet dispatch) report per-shard completion,
-	// and watchers stream it as SSE progress events.
+	// which status snapshots carry as done.
 	rctx := jctx
 	if j.rid != "" {
 		rctx = reqid.With(jctx, j.rid)
@@ -946,20 +854,6 @@ func (m *Manager) Close() error {
 	m.mu.Unlock()
 	m.stop()
 	m.wg.Wait()
-	// Release watchers: their jobs will not settle in this process, so
-	// the streams end here (clients fall back to polling the next
-	// incarnation, which replays the journal).
-	m.mu.Lock()
-	for id, ws := range m.watchers {
-		for _, w := range ws {
-			if !w.closed {
-				w.closed = true
-				close(w.ch)
-			}
-		}
-		delete(m.watchers, id)
-	}
-	m.mu.Unlock()
 	if m.wal != nil {
 		return m.wal.close()
 	}

@@ -1,12 +1,14 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -327,6 +329,127 @@ func TestWALTornTailIsDropped(t *testing.T) {
 	}
 	if _, err := m2.Get("torn"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("torn record half-materialized a job")
+	}
+}
+
+// TestWALCrashAtEveryOffset cuts a real journal at every byte offset,
+// as a crash mid-append would, and opens each prefix in a fresh data
+// directory. Open always succeeds; every job whose accept line survived
+// whole, newline included, comes back under its ID and idempotency key,
+// settled exactly when its terminal line survived whole too; a job
+// whose accept line was cut does not appear.
+func TestWALCrashAtEveryOffset(t *testing.T) {
+	runner := func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		switch string(payload) {
+		case `"fail"`:
+			return nil, errors.New("boom")
+		case `"block"`:
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return payload, nil
+	}
+	src := t.TempDir()
+	m, err := Open(Config{Runner: runner, Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(payload, key string, want State) {
+		st, err := m.Submit(json.RawMessage(payload), 1, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == StateCancelled {
+			waitState(t, m, st.ID, StateRunning)
+			if _, err := m.Cancel(st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitState(t, m, st.ID, want)
+	}
+	submit(`"a"`, "key-a", StateDone)
+	submit(`"fail"`, "key-b", StateFailed)
+	submit(`"block"`, "key-c", StateCancelled)
+	submit(`"d"`, "key-d", StateDone)
+	// Left running: Close keeps its accept unsettled in the journal.
+	submit(`"block"`, "key-e", StateRunning)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(src, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type line struct {
+		end int // offset just past the line's newline
+		rec record
+	}
+	var lines []line
+	for off := 0; off < len(data); {
+		n := bytes.IndexByte(data[off:], '\n') + 1
+		var rec record
+		if err := json.Unmarshal(data[off:off+n], &rec); err != nil {
+			t.Fatal(err)
+		}
+		off += n
+		lines = append(lines, line{off, rec})
+	}
+	if len(lines) != 9 {
+		t.Fatalf("journal has %d records, want 5 accepts and 4 settles", len(lines))
+	}
+	settled := map[string]State{"done": StateDone, "fail": StateFailed, "cancel": StateCancelled}
+	hold := make(chan struct{}) // never closed: replayed jobs stay queued
+	base := t.TempDir()
+	for cut := 0; cut <= len(data); cut++ {
+		dir := filepath.Join(base, strconv.Itoa(cut))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walName), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(Config{Runner: runner, Dir: dir, Start: hold})
+		if err != nil {
+			t.Fatalf("cut at %d: Open: %v", cut, err)
+		}
+		want := map[string]State{}
+		for _, l := range lines {
+			switch {
+			case l.end > cut:
+			case l.rec.Op == "accept":
+				want[l.rec.ID] = StateQueued
+			default:
+				want[l.rec.ID] = settled[l.rec.Op]
+			}
+		}
+		for _, l := range lines {
+			if l.rec.Op != "accept" {
+				continue
+			}
+			st, err := m.Get(l.rec.ID)
+			if l.end > cut {
+				if !errors.Is(err, ErrNotFound) {
+					t.Fatalf("cut at %d: job %s with a torn accept came back: %+v, %v", cut, l.rec.ID, st, err)
+				}
+				continue
+			}
+			if err != nil || st.State != want[l.rec.ID] {
+				t.Fatalf("cut at %d: job %s is %+v, %v; want %s", cut, l.rec.ID, st, err, want[l.rec.ID])
+			}
+			dup, err := m.Submit(l.rec.Payload, 1, l.rec.Key)
+			if err != nil || dup.ID != l.rec.ID {
+				t.Fatalf("cut at %d: resend of key %s answered %+v, %v; want job %s", cut, l.rec.Key, dup, err, l.rec.ID)
+			}
+		}
+		if got := len(m.List().Jobs); got != len(want) {
+			t.Fatalf("cut at %d: %d jobs retained, want %d", cut, got, len(want))
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package jobs
 
 import (
-	"context"
 	"encoding/json"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestSubmitIdempotencyKeyDedupes pins the double-submit fix: a resend
@@ -110,150 +108,5 @@ func TestIdempotencyKeySurvivesReplay(t *testing.T) {
 	}
 	if dup.ID != st.ID {
 		t.Fatalf("resend after replay minted job %s, want the journaled %s", dup.ID, st.ID)
-	}
-}
-
-// TestWatchDeliversTransitionsAndProgress subscribes before the job
-// runs and asserts the pushed snapshots: queued -> running with
-// progress advances -> terminal with result, then channel close.
-func TestWatchDeliversTransitionsAndProgress(t *testing.T) {
-	release := make(chan struct{})
-	m, err := Open(Config{Runner: func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		<-release
-		report := Progress(ctx)
-		report(1)
-		report(2)
-		return payload, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`"p"`), 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, cancel, err := m.Watch(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	close(release)
-
-	var got []Status
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case s, open := <-ch:
-			if !open {
-				t.Fatalf("channel closed before terminal; got %+v", got)
-			}
-			got = append(got, s)
-			if s.State.Terminal() {
-				if s.State != StateDone || string(s.Result) != `"p"` {
-					t.Fatalf("terminal event: %+v", s)
-				}
-				// Progress must have been pushed mid-run, not only at
-				// the end.
-				seen := false
-				for _, g := range got {
-					if g.State == StateRunning && g.Done == 1 {
-						seen = true
-					}
-				}
-				if !seen {
-					t.Fatalf("no mid-run progress event in %+v", got)
-				}
-				// After the terminal event the channel closes.
-				if _, open := <-ch; open {
-					t.Fatal("channel stayed open after terminal event")
-				}
-				return
-			}
-		case <-deadline:
-			t.Fatalf("no terminal event; got %+v", got)
-		}
-	}
-}
-
-// TestWatchTerminalJobAnswersImmediately: watching a settled job
-// yields one terminal snapshot (with result) and a closed channel —
-// no waiting.
-func TestWatchTerminalJobAnswersImmediately(t *testing.T) {
-	r := &echoRunner{}
-	m, err := Open(Config{Runner: r.run})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`1`), 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m, st.ID, StateDone)
-	ch, cancel, err := m.Watch(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	select {
-	case s := <-ch:
-		if !s.State.Terminal() || s.Result == nil {
-			t.Fatalf("snapshot of settled job: %+v", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no snapshot for settled job")
-	}
-	if _, open := <-ch; open {
-		t.Fatal("channel stayed open after terminal snapshot")
-	}
-}
-
-// TestWatchUnknownJob errors with ErrNotFound.
-func TestWatchUnknownJob(t *testing.T) {
-	m, err := Open(Config{Runner: (&echoRunner{}).run})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, _, err := m.Watch("nope"); err == nil {
-		t.Fatal("watching an unknown job succeeded")
-	}
-}
-
-// TestWatchCancelStopsDelivery: a cancelled watcher's channel closes
-// and later notifications don't block the manager.
-func TestWatchCancelStopsDelivery(t *testing.T) {
-	gate := make(chan struct{})
-	r := &echoRunner{gate: gate}
-	m, err := Open(Config{Runner: r.run})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`1`), 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, cancel, err := m.Watch(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	cancel() // idempotent
-	close(gate)
-	waitState(t, m, st.ID, StateDone)
-	// Drain: the channel must be closed, not leaking live snapshots
-	// forever.
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, open := <-ch:
-			if !open {
-				return
-			}
-		case <-deadline:
-			t.Fatal("cancelled watcher channel never closed")
-		}
 	}
 }

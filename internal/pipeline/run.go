@@ -19,7 +19,7 @@ import (
 type RunOptions struct {
 	// Progress, when non-nil, receives the cumulative completed step
 	// count (out of Request.Steps()) as stages finish — the async job
-	// layer forwards it to SSE watchers.
+	// layer reports it as the job's done count.
 	Progress func(done int)
 	// MaxGates, when positive, rejects resolved circuits with more
 	// gates — the serving layer's shape limit, so a one-line spec

@@ -131,12 +131,3 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
 }
-
-// Flush forwards to the underlying writer when it supports streaming,
-// so SSE responses (GET /v1/jobs/{id}?watch=1) flush through the
-// access-log wrapper instead of buffering until the job settles.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}

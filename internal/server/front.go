@@ -73,12 +73,10 @@ type FrontConfig struct {
 // LoggerFromFlags resolves the daemons' -access-log, -log-level and
 // -log-format flags into a logger writing to w: logfmt through
 // slog.TextHandler or one JSON object per line through
-// slog.JSONHandler. It returns nil when enabled is false, which turns
+// slog.JSONHandler. A bad level or format is an error whether or not
+// logging is on; with enabled false the logger is nil, which turns
 // logging off.
 func LoggerFromFlags(w io.Writer, enabled bool, level, format string) (*slog.Logger, error) {
-	if !enabled {
-		return nil, nil
-	}
 	opts := &slog.HandlerOptions{}
 	switch strings.ToLower(strings.TrimSpace(level)) {
 	case "debug":
@@ -92,13 +90,19 @@ func LoggerFromFlags(w io.Writer, enabled bool, level, format string) (*slog.Log
 	default:
 		return nil, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", level)
 	}
+	var h slog.Handler
 	switch strings.ToLower(strings.TrimSpace(format)) {
 	case "", "logfmt", "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
+		h = slog.NewTextHandler(w, opts)
 	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
+		h = slog.NewJSONHandler(w, opts)
+	default:
+		return nil, fmt.Errorf("unknown log format %q (want logfmt or json)", format)
 	}
-	return nil, fmt.Errorf("unknown log format %q (want logfmt or json)", format)
+	if !enabled {
+		return nil, nil
+	}
+	return slog.New(h), nil
 }
 
 // WithDefaults resolves every unset field.

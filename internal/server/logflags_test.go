@@ -58,11 +58,11 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
-// TestFromFlags: logging off is a nil logger whatever the other flags
-// say; on, the level and format flags shape the lines, and a bad value
-// of either is an error.
+// TestFromFlags: logging off is a nil logger, and a bad level or
+// format is an error whether logging is on or off; on, the level and
+// format flags shape the lines.
 func TestFromFlags(t *testing.T) {
-	if l, err := LoggerFromFlags(nil, false, "loud", "xml"); l != nil || err != nil {
+	if l, err := LoggerFromFlags(nil, false, "warn", "json"); l != nil || err != nil {
 		t.Fatalf("disabled: %v, %v; want nil, nil", l, err)
 	}
 	var buf strings.Builder
@@ -75,9 +75,11 @@ func TestFromFlags(t *testing.T) {
 	if out := buf.String(); strings.Contains(out, "dropped") || !strings.Contains(out, `"msg":"kept"`) {
 		t.Fatalf("warn-level JSON logger wrote %q", out)
 	}
-	for _, bad := range [][2]string{{"loud", "json"}, {"info", "xml"}} {
-		if _, err := LoggerFromFlags(&buf, true, bad[0], bad[1]); err == nil {
-			t.Errorf("LoggerFromFlags accepted level %q format %q", bad[0], bad[1])
+	for _, bad := range [][2]string{{"loud", "json"}, {"info", "xml"}, {"loud", "xml"}} {
+		for _, on := range []bool{true, false} {
+			if _, err := LoggerFromFlags(&buf, on, bad[0], bad[1]); err == nil {
+				t.Errorf("LoggerFromFlags(enabled=%v) accepted level %q format %q", on, bad[0], bad[1])
+			}
 		}
 	}
 }

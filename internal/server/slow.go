@@ -175,8 +175,7 @@ func CaptureSlow(ring *SlowRing, slo *prom.SLO, next http.Handler) http.Handler 
 	})
 }
 
-// captureWriter records the response status for the slow snapshot,
-// forwarding Flush for SSE streams.
+// captureWriter records the response status for the slow snapshot.
 type captureWriter struct {
 	http.ResponseWriter
 	status int
@@ -185,10 +184,4 @@ type captureWriter struct {
 func (w *captureWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *captureWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }

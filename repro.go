@@ -97,9 +97,10 @@ type (
 	FillBatchRequest  = server.BatchRequest
 	FillBatchResponse = server.BatchResponse
 	// FillClient is the typed HTTP client for the dpfilld/dpfill-coord
-	// API: fill/batch/pipeline, the async job API (SubmitJob/Job/
-	// WaitJob/CancelJob) plus health and stats, with retries, backoff
-	// and request-ID propagation.
+	// API: fill/batch/pipeline, the async job API (SubmitJob/Job/Jobs/
+	// CancelJob, and WaitJob, which polls Job until the job settles)
+	// plus health and stats, with retries, backoff and request-ID
+	// propagation.
 	FillClient = client.Client
 	// FillJobStatus is an async job snapshot: ID, lifecycle state,
 	// progress, and (once done) the journaled batch result.
