@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
@@ -305,7 +306,10 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	// The server's rule for request bodies: an honest Content-Length
+	// gives an exact buffer, a lying one costs at most four times what
+	// arrived.
+	data, err := server.ReadBody(resp.Body, resp.ContentLength, math.MaxInt64)
 	if err != nil {
 		return fmt.Errorf("client: reading %s response: %w", path, err)
 	}
@@ -323,7 +327,10 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	// Fill and batch answers decode in one pass over data, everything
+	// else through encoding/json; data is never reused, so decoded
+	// strings may alias it.
+	if err := server.DecodeAnswer(data, out); err != nil {
 		return &ProtocolError{Path: path, Err: err}
 	}
 	return nil

@@ -408,6 +408,27 @@ func TestDisableFallback(t *testing.T) {
 	}
 }
 
+// TestShardFailureLoggedWithoutAccessLog: with the daemon's
+// -access-log off, a failed shard dispatch still leaves its error
+// record, and the request leaves no access record.
+func TestShardFailureLoggedWithoutAccessLog(t *testing.T) {
+	var logs strings.Builder
+	logger, err := server.LoggerFromFlags(&logs, false, "info", "logfmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := newTestCoordinator(t, Config{DisableFallback: true, FrontConfig: server.FrontConfig{Log: logger}})
+	rec := httptest.NewRecorder()
+	co.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(`{"jobs":[{"cubes":["0X"]}]}`)))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "no healthy workers") {
+		t.Fatalf("answered %d %s", rec.Code, rec.Body.String())
+	}
+	out := logs.String()
+	if !strings.Contains(out, `level=ERROR msg="shard dispatch failed" jobs=1`) || strings.Contains(out, "msg=request") {
+		t.Fatalf("log %q: want the shard failure and no access record", out)
+	}
+}
+
 // TestHedgedRequestBeatsStraggler: worker A sits on the shard; with
 // hedging on, a duplicate goes to B and its answer wins.
 func TestHedgedRequestBeatsStraggler(t *testing.T) {

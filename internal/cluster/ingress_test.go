@@ -5,12 +5,17 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/cube"
+	"repro/internal/jobs"
 	"repro/internal/server"
 )
 
@@ -124,27 +129,148 @@ func setsTimeout(body []byte) bool {
 	return false
 }
 
-// fuzzServe sends every fuzzed body to path on both tiers.
+// fuzzServe sends every fuzzed body to path on both tiers and checks
+// each 2xx answer with checkAnswer; when both tiers answer 2xx to a
+// body that sets no deadline of its own (which one tier may meet and
+// the other miss), the coordinator's answer is dpfilld's once
+// measurements are zeroed.
 func fuzzServe(f *testing.F, path string, seeds []string) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	tiers := ingressTiers(f, 64<<10)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		answers := map[string]any{}
 		for tier, h := range tiers {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			checkServed(t, tier, path, body, rec)
+			if rec.Code/100 == 2 {
+				answers[tier] = checkAnswer(t, tier, path, body, rec.Body.Bytes())
+			}
+		}
+		worker, coord := answers["dpfilld"], answers["dpfill-coord"]
+		if worker == nil || coord == nil || setsTimeout(body) {
+			return
+		}
+		if w, c := unmeasured(worker), unmeasured(coord); !reflect.DeepEqual(w, c) {
+			t.Fatalf("%s %.300q: coordinator answered %+v, dpfilld %+v", path, body, c, w)
 		}
 	})
 }
 
+// checkAnswer decodes a 2xx answer with a strict encoding/json decoder
+// and with the client's decoder, requires the two to agree, checks
+// every result that carries cubes against its job, and returns the
+// decoded answer.
+func checkAnswer(t *testing.T, tier, path string, body, answer []byte) any {
+	t.Helper()
+	strict, scanned := any(new(client.FillResponse)), any(new(client.FillResponse))
+	if path == "/v1/batch" {
+		strict, scanned = new(client.BatchResponse), new(client.BatchResponse)
+	}
+	if err := jobs.DecodeStrict(answer, strict); err != nil {
+		t.Fatalf("%s %s %.300q: answer %.300q does not decode strictly: %v", tier, path, body, answer, err)
+	}
+	if err := server.DecodeAnswer(answer, scanned); err != nil || !reflect.DeepEqual(scanned, strict) {
+		t.Fatalf("%s %s %.300q: the client decoded %+v (%v), encoding/json %+v", tier, path, body, scanned, err, strict)
+	}
+	switch a := strict.(type) {
+	case *client.FillResponse:
+		var req client.FillRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%s %s %.300q: answered 2xx to a body json.Unmarshal refuses: %v", tier, path, body, err)
+		}
+		checkFilled(t, tier, req, a)
+	case *client.BatchResponse:
+		var req client.BatchRequest
+		if err := json.Unmarshal(body, &req); err != nil || len(a.Results) != len(req.Jobs) {
+			t.Fatalf("%s %s %.300q: %d results for the body's jobs (%v)", tier, path, body, len(a.Results), err)
+		}
+		for k, it := range a.Results {
+			if it.Result != nil {
+				checkFilled(t, tier, req.Jobs[k], it.Result)
+			}
+		}
+	}
+	return strict
+}
+
+// checkFilled checks a result that carries cubes against its job: the
+// k-th output cube keeps every care bit of input cube perm[k], no X is
+// left, and peak, total and profile are the filled set's recount.
+func checkFilled(t *testing.T, tier string, req client.FillRequest, r *client.FillResponse) {
+	t.Helper()
+	if len(r.Cubes) == 0 {
+		return
+	}
+	in, err := cube.ParseSet(req.Cubes...)
+	if req.STIL != "" {
+		in, err = cube.ReadSTIL(strings.NewReader(req.STIL))
+	}
+	if err != nil {
+		t.Fatalf("%s: answered a job whose input does not parse: %v", tier, err)
+	}
+	out, err := cube.ParseSet(r.Cubes...)
+	if err != nil || len(r.Perm) != in.Len() || !slices.Equal(slices.Sorted(slices.Values(r.Perm)), seq(in.Len())) {
+		t.Fatalf("%s: cubes %q with perm %v for %d inputs (%v)", tier, r.Cubes, r.Perm, in.Len(), err)
+	}
+	if !in.Reorder(r.Perm).Covers(out) {
+		t.Fatalf("%s: %s cubes %q do not cover the input %q in perm order %v", tier, r.Filler, r.Cubes, req.Cubes, r.Perm)
+	}
+	profile := out.ToggleProfile()
+	total := 0
+	for _, v := range profile {
+		total += v
+	}
+	if r.Peak != out.PeakToggles() || r.Total != total || !slices.Equal(r.Profile, profile) {
+		t.Fatalf("%s: %s answered peak %d total %d profile %v; the cubes recount to %d, %d, %v",
+			tier, r.Filler, r.Peak, r.Total, r.Profile, out.PeakToggles(), total, profile)
+	}
+}
+
+// seq is 0, 1, ..., n-1.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// unmeasured zeroes what differs between two correct answers to one
+// body: durations, cache hits, explain traces (kept only as present or
+// absent) and the coordinator's shard breakdown.
+func unmeasured(answer any) any {
+	clean := func(r *client.FillResponse) {
+		r.DurationMillis, r.Cached = 0, false
+		if r.Explain != nil {
+			r.Explain = &core.Trace{}
+		}
+	}
+	switch a := answer.(type) {
+	case *client.FillResponse:
+		clean(a)
+	case *client.BatchResponse:
+		a.Shards = nil
+		for _, it := range a.Results {
+			if it.Result != nil {
+				clean(it.Result)
+			}
+		}
+	}
+	return answer
+}
+
 // FuzzServeFill sends arbitrary bodies through POST /v1/fill on
 // dpfilld and on the coordinator: no panic, no 5xx but a requested
-// deadline's 504.
+// deadline's 504, every 2xx answer strict JSON that the client decodes
+// alike, every filled set a covering completion with its statistics,
+// and the two tiers agreeing.
 func FuzzServeFill(f *testing.F) {
 	fuzzServe(f, "/v1/fill", []string{
 		`{"cubes":["0X1X","1XX0","X01X"],"orderer":"xstat","filler":"dp","omit_cubes":true}`,
+		`{"name":"a<b>&\u2028","cubes":["0X1X","1XX0","X01X","XXXX","1x-0"],"orderer":"i","filler":"dp","debug":true}`,
 		`{"cubes":["0X","X1"],"orderer":"isa","filler":"r","seed":-9223372036854775808}`,
 		`{"cubes":[""]}`,
 		`{"cubes":["0X"],"stil":"x"}`,
@@ -162,6 +288,7 @@ func FuzzServeFill(f *testing.F) {
 func FuzzServeBatch(f *testing.F) {
 	fuzzServe(f, "/v1/batch", []string{
 		`{"jobs":[{"cubes":["0X1","1X0"]},{"cubes":["0z"]}],"debug":true}`,
+		`{"jobs":[{"cubes":["0XX1","XX10","1XXX"],"orderer":"i"},{"cubes":["0XX1","XX10","1XXX"],"filler":"mt"},{"cubes":["0XX1","XX10","1XXX"],"orderer":"i"}]}`,
 		`{"jobs":[{"cubes":["0X"],"timeout_ms":1},{"cubes":["0X"],"timeout_ms":1}]}`,
 		`{"jobs":[{"cubes":["0X"],"filler":"nope"},{"stil":"bad"}]}`,
 		`{"jobs":[]}`,

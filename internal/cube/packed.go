@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"slices"
 	"unsafe"
 )
 
@@ -274,8 +273,8 @@ func (p *Packed) Expected2(i, j int) int {
 // pre-filling a stretch becomes a handful of word ORs.
 //
 // Unlike Packed, PackedRows is mutable: FillSpan specifies previously-X
-// columns in place, and UnpackRow/UnpackTo convert rows back into the
-// cube-major Set layout. Distinct rows are independent, so concurrent
+// columns in place, and UnpackCubes/Unpack convert the columns back
+// into the cube-major Set layout. Distinct rows are independent, so concurrent
 // use is safe as long as no two goroutines touch the same row.
 type PackedRows struct {
 	// Width is the number of pin rows m; N the number of cubes
@@ -418,28 +417,8 @@ func setRange(words []uint64, lo, hi int) {
 	words[hw] |= hiMask
 }
 
-// UnpackRow decodes row i into dst, which must have length N. X columns
-// stay X.
-func (p *PackedRows) UnpackRow(i int, dst []Trit) {
-	if len(dst) != p.N {
-		panic("cube: UnpackRow destination length mismatch")
-	}
-	care, val := p.care[i], p.val[i]
-	for j := 0; j < p.N; j++ {
-		w, bit := j/64, uint64(1)<<(j%64)
-		switch {
-		case care[w]&bit == 0:
-			dst[j] = X
-		case val[w]&bit != 0:
-			dst[j] = One
-		default:
-			dst[j] = Zero
-		}
-	}
-}
-
 // UnpackCubes decodes columns [lo, hi) into the corresponding cubes of
-// s: the column-major counterpart of UnpackRow. Disjoint column ranges
+// s, X columns staying X. Disjoint column ranges
 // decode independently, so callers can fan the ranges out across
 // goroutines.
 //
@@ -544,23 +523,6 @@ func (p *PackedRows) Strings() []string {
 		out[j] = all[j*m : (j+1)*m]
 	}
 	return out
-}
-
-// Clone returns an independent deep copy of the snapshot.
-func (p *PackedRows) Clone() *PackedRows {
-	out := &PackedRows{Width: p.Width, N: p.N, Words: p.Words,
-		careBuf: slices.Clone(p.careBuf), valBuf: slices.Clone(p.valBuf)}
-	out.care = rowViews(nil, out.careBuf, p.Width, p.Words)
-	out.val = rowViews(nil, out.valBuf, p.Width, p.Words)
-	return out
-}
-
-// UnpackTo writes every row back into s, which must have matching shape.
-func (p *PackedRows) UnpackTo(s *Set) {
-	if s.Width != p.Width || len(s.Cubes) != p.N {
-		panic("cube: UnpackTo shape mismatch")
-	}
-	p.UnpackCubes(s, 0, p.N)
 }
 
 // ColumnWord returns 64 consecutive columns of row i starting at

@@ -75,13 +75,7 @@ func TestPackRowsRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		// Cross the 64-column word boundary regularly.
 		s := randomSet(r, 1+r.Intn(8), 1+r.Intn(200), 0.6)
-		p := PackRows(s)
-		got := NewSet(s.Width)
-		for j := 0; j < s.Len(); j++ {
-			got.Append(New(s.Width))
-		}
-		p.UnpackTo(got)
-		return got.Equal(s)
+		return PackRows(s).Unpack().Equal(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -112,15 +106,14 @@ func TestPackRowsFillSpan(t *testing.T) {
 	for _, span := range [][2]int{{0, 0}, {0, 63}, {5, 64}, {63, 64}, {64, 127}, {60, 140}, {199, 199}, {10, 5}} {
 		p := PackRows(s)
 		p.FillSpan(0, span[0], span[1], One)
-		row := make([]Trit, n)
-		p.UnpackRow(0, row)
+		got := p.Unpack()
 		for j := 0; j < n; j++ {
 			want := X
 			if j >= span[0] && j <= span[1] {
 				want = One
 			}
-			if row[j] != want {
-				t.Fatalf("span %v: column %d = %v, want %v", span, j, row[j], want)
+			if got.Cubes[j][0] != want {
+				t.Fatalf("span %v: column %d = %v, want %v", span, j, got.Cubes[j][0], want)
 			}
 		}
 	}

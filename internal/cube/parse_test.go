@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -207,8 +208,9 @@ func FuzzParseSet(f *testing.F) {
 
 // TestPackedRowsRenderAndCopy pins the packed output edge to the
 // per-trit set across word and transpose-tile boundaries: Strings is
-// Cube.String per cube, Unpack decodes the same set, Clone is deep
-// and writing the clone leaves the original alone.
+// Cube.String per cube, Unpack decodes the same set, and the
+// cube-major copy NewFilled makes of the set with its X read as 1
+// writes the strings encoding/json writes for it, after what dst held.
 func TestPackedRowsRenderAndCopy(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for _, shape := range []struct{ w, n int }{{0, 3}, {3, 0}, {1, 1}, {63, 5}, {64, 64}, {65, 65}, {130, 129}, {200, 70}} {
@@ -231,19 +233,31 @@ func TestPackedRowsRenderAndCopy(t *testing.T) {
 		if u := p.Unpack(); !u.Equal(s) || u.Width != s.Width {
 			t.Fatalf("%dx%d: Unpack differs from the packed set", shape.w, shape.n)
 		}
-		cl := p.Clone()
-		if !slices.Equal(cl.Strings(), want) {
-			t.Fatalf("%dx%d: Clone renders differently", shape.w, shape.n)
-		}
-		if shape.w > 0 && shape.n > 0 {
-			_, val := cl.RowWords(0)
-			val[0] ^= 1
-			care, _ := cl.RowWords(0)
-			care[0] |= 1
-			if p.At(0, 0) != s.Cubes[0][0] {
-				t.Fatalf("%dx%d: writing the clone reached the original", shape.w, shape.n)
+		for j := range want {
+			want[j] = strings.ReplaceAll(want[j], "X", "1")
+			for i, c := range s.Cubes[j] {
+				if c == X {
+					p.FillSpan(i, j, j, One)
+				}
 			}
 		}
+		f, err := NewFilled(p)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", shape.w, shape.n, err)
+		}
+		wantJSON, _ := json.Marshal(want)
+		if got := f.AppendJSON([]byte("> ")); string(got) != "> "+string(wantJSON) {
+			t.Fatalf("%dx%d: AppendJSON %s, want %s", shape.w, shape.n, got, wantJSON)
+		}
+	}
+}
+
+// TestNewFilledRefusesX: a matrix with an X left is not a fill, and
+// the error names the first X, in pin order.
+func TestNewFilledRefusesX(t *testing.T) {
+	_, err := NewFilled(PackRows(MustParseSet("0"+strings.Repeat("1", 69), strings.Repeat("1", 68)+"X0")))
+	if err == nil || err.Error() != "cube: pin 68 of cube 1 is X in a filled matrix" {
+		t.Fatalf("err %v", err)
 	}
 }
 

@@ -81,11 +81,11 @@ func TraceFrom(ctx context.Context) Trace {
 // minted when absent), an incoming ParentHeader value is recorded as
 // this hop's parent span, and a fresh span ID is minted for the hop
 // itself. The full trace rides the request context for downstream
-// hops, and — when logger is non-nil — every request writes one
-// structured access-log record: method, path, status, duration, trace
-// ID, span ID and parent span. Both the worker and the coordinator
-// serve through this, so their log lines join on rid= and nest by
-// span=/parent=.
+// hops, and — when logger is non-nil and takes info records — every
+// request writes one structured access-log record: method, path,
+// status, duration, trace ID, span ID and parent span. Both the worker
+// and the coordinator serve through this, so their log lines join on
+// rid= and nest by span=/parent=.
 func Middleware(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tr := Trace{
@@ -98,7 +98,7 @@ func Middleware(logger *slog.Logger, next http.Handler) http.Handler {
 		}
 		w.Header().Set(Header, tr.ID)
 		r = r.WithContext(WithTrace(r.Context(), tr))
-		if logger == nil {
+		if logger == nil || !logger.Enabled(r.Context(), slog.LevelInfo) {
 			next.ServeHTTP(w, r)
 			return
 		}

@@ -76,6 +76,10 @@ type FillResponse struct {
 	// set debug and the job ran DP-fill. On a cache hit it is the trace
 	// of the run that populated the entry (Cached says so).
 	Explain *core.Trace `json:"explain,omitempty"`
+	// filled is the filled matrix of a response Server builds, written
+	// into the answer as its cubes (Cubes stays nil): the cache entry's
+	// own bits, never rendered to strings in the server.
+	filled *cube.Filled
 }
 
 // BatchRequest is the POST /v1/batch payload: many fill jobs run as

@@ -72,7 +72,8 @@ func BenchmarkServeFillCold(b *testing.B) {
 
 // BenchmarkServeFillHotHit is one /v1/fill cache hit at a fill-hot
 // shape (128 pins × 500 vectors, 80% X, full cubes back): decode,
-// parse, digest, the cache's deep copy, the render and the encode.
+// parse, digest, the cache's deep copy, and the answer appended from
+// the entry's bits.
 func BenchmarkServeFillHotHit(b *testing.B) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {

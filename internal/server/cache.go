@@ -4,8 +4,8 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -18,11 +18,11 @@ import (
 // response being served — a handler (present or future) mutating what
 // it serializes cannot poison the answer every later request gets.
 //
-// The filled matrix stays in the filler's packed row planes, two bits
-// per trit: a quarter of the one-byte-per-trit cube set, and rendered
-// to strings only for a response that carries cubes.
+// The filled matrix is kept cube-major at one bit per trit (a fill
+// leaves no X to mark), the form an answer that carries cubes is
+// written from.
 type cachedFill struct {
-	Filled  *cube.PackedRows
+	Filled  *cube.Filled
 	Perm    []int
 	Peak    int
 	Total   int
@@ -43,7 +43,9 @@ func (e *cachedFill) clone() *cachedFill {
 		Profile: slices.Clone(e.Profile),
 	}
 	if e.Filled != nil {
-		out.Filled = e.Filled.Clone()
+		f := *e.Filled
+		f.Val = slices.Clone(f.Val)
+		out.Filled = &f
 	}
 	if e.Explain != nil {
 		tr := *e.Explain
@@ -64,7 +66,14 @@ func (e *cachedFill) clone() *cachedFill {
 // a key. The key never leaves the process.
 func fillDigest(p *cube.Packed, orderer, filler string, seed int64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", p.Width, p.Len(), orderer, filler, seed)
+	// "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", in one buffer rather than
+	// through fmt, which boxes each argument.
+	hdr := make([]byte, 0, 64)
+	hdr = strconv.AppendInt(append(hdr, "w="...), int64(p.Width), 10)
+	hdr = strconv.AppendInt(append(hdr, "|n="...), int64(p.Len()), 10)
+	hdr = append(append(append(append(hdr, "|ord="...), orderer...), "|fill="...), filler...)
+	hdr = strconv.AppendInt(append(hdr, "|seed="...), seed, 10)
+	h.Write(append(hdr, '\n'))
 	_ = p.WritePlanes(h) // a hash.Hash never fails a write
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -46,8 +46,12 @@ func TestLRUCacheEviction(t *testing.T) {
 
 func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	c := newLRUCache(4)
+	filled, err := cube.NewFilled(cube.PackRows(cube.MustParseSet("0101", "1010")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	entry := &cachedFill{
-		Filled:  cube.PackRows(cube.MustParseSet("0101", "1010")),
+		Filled:  filled,
 		Perm:    []int{1, 0},
 		Peak:    4,
 		Total:   4,
@@ -62,7 +66,7 @@ func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	if served.Filled.At(0, 0) != cube.Zero || served.Perm[0] != 1 || served.Profile[0] != 4 {
+	if pin(served.Filled, 0, 0) != 0 || served.Perm[0] != 1 || served.Profile[0] != 4 {
 		t.Fatalf("Put aliased the caller's data: %+v", served)
 	}
 	// Mutating a served response must not reach the cache either.
@@ -73,16 +77,19 @@ func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing on second get")
 	}
-	if again.Filled.At(1, 1) != cube.Zero || again.Perm[1] != 0 || again.Profile[0] != 4 {
+	if pin(again.Filled, 1, 1) != 0 || again.Perm[1] != 0 || again.Profile[0] != 4 {
 		t.Fatalf("Get handed out a live pointer into the cache: %+v", again)
 	}
 }
 
-// flip inverts the value bit of pin i in cube j, writing through the
-// plane slices the way a careless holder of the entry could.
-func flip(p *cube.PackedRows, i, j int) {
-	_, val := p.RowWords(i)
-	val[j/64] ^= 1 << (j % 64)
+// flip inverts pin i of cube j, writing through the value slice the
+// way a careless holder of the entry could; pin reads it.
+func flip(f *cube.Filled, i, j int) {
+	f.Val[j*f.Words+i/64] ^= 1 << (i % 64)
+}
+
+func pin(f *cube.Filled, i, j int) uint64 {
+	return f.Val[j*f.Words+i/64] >> (i % 64) & 1
 }
 
 func TestCachedFillCloneHandlesNilFields(t *testing.T) {

@@ -6,9 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/cube"
 )
@@ -28,7 +32,7 @@ import (
 // bytes, so its answer is the one this decoder has always given.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	body, err := readBody(r.Body, r.ContentLength, limit)
+	body, err := ReadBody(r.Body, r.ContentLength, limit)
 	if err == nil && scanRequest(body, v) {
 		return true
 	}
@@ -72,23 +76,24 @@ func decodeStrict(src io.Reader, v any) error {
 	return nil
 }
 
-// firstRead is the most readBody allocates before any body byte has
+// firstRead is the most ReadBody allocates before any body byte has
 // arrived.
 const firstRead = 64 << 10
 
-// readBody reads r to EOF. The buffer starts at the declared
+// ReadBody reads r to EOF. The buffer starts at the declared
 // Content-Length, but at no more than firstRead bytes, and each time it
 // fills it grows fourfold up to the declared length (the limit when
 // there is no declaration or it is over the limit). An honest body
-// takes a few allocations; a client that declares a large body and
-// stalls makes the server hold no more than firstRead bytes or four
-// times what it has sent, whichever is more.
-func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+// takes a few allocations and ends in a buffer of its exact length; a
+// peer that declares a large body and stalls makes the reader hold no
+// more than firstRead bytes or four times what it has sent, whichever
+// is more. The server reads requests with it, the client answers.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared < 0 || declared > limit {
 		declared = limit
 	}
 	// One spare byte lets the final Read report EOF without a regrow.
-	want := int(declared) + 1
+	want := int(min(declared, math.MaxInt-1)) + 1
 	buf := make([]byte, 0, min(want, firstRead+1))
 	for {
 		if len(buf) == cap(buf) {
@@ -129,35 +134,65 @@ func (f failReader) Read([]byte) (int, error) { return 0, f.err }
 // It reports false, leaving v untouched, for everything else.
 func scanRequest(body []byte, v any) bool {
 	// The body is copied into one string; the cube strings are
-	// substrings of it. A failed scan resets the target, which was zero.
-	var s scanner
-	switch p := v.(type) {
-	case *FillRequest:
-		if !zero(p) {
-			return false
-		}
-		s.b = string(body)
-		if s.fill(p) && s.end() {
-			return true
-		}
-		*p = FillRequest{}
-	case *BatchRequest:
-		if !zero(p) {
-			return false
-		}
-		s.b = string(body)
-		if s.batch(p) && s.end() {
-			return true
-		}
-		*p = BatchRequest{}
+	// substrings of it.
+	switch v.(type) {
+	case *FillRequest, *BatchRequest:
+		return scan(string(body), v)
 	}
 	return false
 }
 
-// zero reports whether p is non-nil and points at a zero value: the
-// only target encoding/json does not merge into.
-func zero[T any](p *T) bool {
-	return p != nil && reflect.ValueOf(p).Elem().IsZero()
+// DecodeAnswer decodes body, a /v1/fill or /v1/batch answer, into v:
+// in one pass when v points at a zero FillResponse or BatchResponse and
+// body lies inside scanAnswer's subset, through json.Unmarshal over the
+// same bytes otherwise, with the same result either way. Cube strings
+// may alias body, which the caller must not modify afterwards.
+func DecodeAnswer(body []byte, v any) error {
+	if scanAnswer(body, v) {
+		return nil
+	}
+	return json.Unmarshal(body, v)
+}
+
+// scanAnswer is scanRequest for the answers: it decodes body into v
+// when v points at a zero FillResponse or BatchResponse and body lies
+// inside the subset scanRequest accepts, with canonical int arrays and
+// JSON-grammar floats besides. An explain trace, a shard breakdown and
+// null leave it. It reports false, leaving v untouched, for everything
+// else. The body is not copied: cube strings alias it.
+func scanAnswer(body []byte, v any) bool {
+	return scan(unsafe.String(unsafe.SliceData(body), len(body)), v)
+}
+
+// scan decodes the object b into v, which points at one of the four
+// scanned types.
+func scan(b string, v any) bool {
+	s := &scanner{b: b}
+	switch p := v.(type) {
+	case *FillRequest:
+		return scanZero(s, p, s.fill)
+	case *BatchRequest:
+		return scanZero(s, p, s.batch)
+	case *FillResponse:
+		return scanZero(s, p, s.fillAnswer)
+	case *BatchResponse:
+		return scanZero(s, p, s.batchAnswer)
+	}
+	return false
+}
+
+// scanZero scans one object into p and then the end of the body. p
+// must be non-nil and point at a zero value, the only target
+// encoding/json does not merge into; a failed scan resets it to zero.
+func scanZero[T any](s *scanner, p *T, object func(*T) bool) bool {
+	if p == nil || !reflect.ValueOf(p).Elem().IsZero() {
+		return false
+	}
+	if object(p) && s.end() {
+		return true
+	}
+	*p = *new(T)
+	return false
 }
 
 // scanner walks a body inside scanRequest's subset. Each method
@@ -320,6 +355,91 @@ func (s *scanner) integer() (int64, bool) {
 	return int64(u), true
 }
 
+// number scans an int-typed field: a canonical integer that fits an
+// int.
+func (s *scanner) number() (int, bool) {
+	v, ok := s.integer()
+	return int(v), ok && int64(int(v)) == v
+}
+
+// ints scans an array of canonical integers. Its length is counted
+// first from the commas before the first ']' (no element holds either
+// byte), so the slice is allocated once.
+func (s *scanner) ints() ([]int, bool) {
+	if !s.lit('[') {
+		return nil, false
+	}
+	s.ws()
+	end := strings.IndexByte(s.b[s.i:], ']')
+	switch end {
+	case -1:
+		return nil, false
+	case 0:
+		s.i++
+		return []int{}, true
+	}
+	out := make([]int, strings.Count(s.b[s.i:s.i+end], ",")+1)
+	for k := range out {
+		if k > 0 && !s.lit(',') {
+			return nil, false
+		}
+		var ok bool
+		if out[k], ok = s.number(); !ok {
+			return nil, false
+		}
+	}
+	return out, s.lit(']')
+}
+
+// float scans a number in the JSON grammar and parses it as
+// encoding/json does, with strconv.ParseFloat; one out of float64's
+// range leaves the subset.
+func (s *scanner) float() (float64, bool) {
+	s.ws()
+	digits := func(j int) int {
+		for j < len(s.b) && s.b[j] >= '0' && s.b[j] <= '9' {
+			j++
+		}
+		return j
+	}
+	j := s.i
+	if j < len(s.b) && s.b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(s.b) && s.b[j] == '0':
+		j++
+	case j < len(s.b) && s.b[j] >= '1' && s.b[j] <= '9':
+		j = digits(j)
+	default:
+		return 0, false
+	}
+	if j < len(s.b) && s.b[j] == '.' {
+		k := digits(j + 1)
+		if k == j+1 {
+			return 0, false
+		}
+		j = k
+	}
+	if j < len(s.b) && (s.b[j] == 'e' || s.b[j] == 'E') {
+		j++
+		if j < len(s.b) && (s.b[j] == '+' || s.b[j] == '-') {
+			j++
+		}
+		k := digits(j)
+		if k == j {
+			return 0, false
+		}
+		j = k
+	}
+	f, err := strconv.ParseFloat(s.b[s.i:j], 64)
+	if err != nil {
+		return 0, false
+	}
+	s.i = j
+	return f, true
+}
+
 // boolean scans true or false.
 func (s *scanner) boolean() (bool, bool) {
 	s.ws()
@@ -334,85 +454,66 @@ func (s *scanner) boolean() (bool, bool) {
 	return false, false
 }
 
-// fill scans one FillRequest object.
-func (s *scanner) fill(req *FillRequest) bool {
+// object scans one object, handing each member's key to field, which
+// scans the value and reports false for an unknown key or a value
+// outside the subset. A repeated key leaves the subset too.
+func (s *scanner) object(field func(key string) bool) bool {
 	if !s.lit('{') {
 		return false
 	}
-	var seen uint16
+	var seen [16]string
 	for n := 0; ; n++ {
 		key, done, ok := s.member(n)
 		if !ok || done {
 			return ok
 		}
-		var bit uint16
-		switch key {
-		case "name":
-			bit = 1 << 0
-			req.Name, ok = s.copyStr()
-		case "cubes":
-			bit = 1 << 1
-			req.Cubes, ok = s.cubes()
-		case "stil":
-			bit = 1 << 2
-			req.STIL, ok = s.copyStr()
-		case "orderer":
-			bit = 1 << 3
-			req.Orderer, ok = s.copyStr()
-		case "filler":
-			bit = 1 << 4
-			req.Filler, ok = s.copyStr()
-		case "seed":
-			bit = 1 << 5
-			req.Seed, ok = s.integer()
-		case "priority":
-			bit = 1 << 6
-			var p int64
-			p, ok = s.integer()
-			req.Priority = int(p)
-			ok = ok && int64(req.Priority) == p
-		case "timeout_ms":
-			bit = 1 << 7
-			req.TimeoutMillis, ok = s.integer()
-		case "omit_cubes":
-			bit = 1 << 8
-			req.OmitCubes, ok = s.boolean()
-		case "debug":
-			bit = 1 << 9
-			req.Debug, ok = s.boolean()
-		}
-		if !ok || bit == 0 || seen&bit != 0 {
+		if n == len(seen) || slices.Contains(seen[:n], key) || !field(key) {
 			return false
 		}
-		seen |= bit
+		seen[n] = key
 	}
+}
+
+// fill scans one FillRequest object.
+func (s *scanner) fill(req *FillRequest) bool {
+	return s.object(func(key string) (ok bool) {
+		switch key {
+		case "name":
+			req.Name, ok = s.copyStr()
+		case "cubes":
+			req.Cubes, ok = s.cubes()
+		case "stil":
+			req.STIL, ok = s.copyStr()
+		case "orderer":
+			req.Orderer, ok = s.copyStr()
+		case "filler":
+			req.Filler, ok = s.copyStr()
+		case "seed":
+			req.Seed, ok = s.integer()
+		case "priority":
+			req.Priority, ok = s.number()
+		case "timeout_ms":
+			req.TimeoutMillis, ok = s.integer()
+		case "omit_cubes":
+			req.OmitCubes, ok = s.boolean()
+		case "debug":
+			req.Debug, ok = s.boolean()
+		}
+		return ok
+	})
 }
 
 // batch scans one BatchRequest object.
 func (s *scanner) batch(req *BatchRequest) bool {
-	if !s.lit('{') {
-		return false
-	}
-	var seen uint8
-	for n := 0; ; n++ {
-		key, done, ok := s.member(n)
-		if !ok || done {
-			return ok
-		}
-		var bit uint8
+	return s.object(func(key string) (ok bool) {
 		switch key {
 		case "jobs":
-			bit = 1 << 0
 			req.Jobs, ok = s.jobs()
 		case "debug":
-			bit = 1 << 1
 			req.Debug, ok = s.boolean()
 		}
-		if !ok || bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-	}
+		return ok
+	})
 }
 
 // jobs scans an array of FillRequest objects.
@@ -427,6 +528,82 @@ func (s *scanner) jobs() ([]FillRequest, bool) {
 		}
 		out = append(out, FillRequest{})
 		if !s.fill(&out[n]) {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
+// fillAnswer scans one FillResponse object.
+func (s *scanner) fillAnswer(r *FillResponse) bool {
+	return s.object(func(key string) (ok bool) {
+		switch key {
+		case "name":
+			r.Name, ok = s.copyStr()
+		case "rows":
+			r.Rows, ok = s.number()
+		case "width":
+			r.Width, ok = s.number()
+		case "x_percent":
+			r.XPercent, ok = s.float()
+		case "orderer":
+			r.Orderer, ok = s.copyStr()
+		case "filler":
+			r.Filler, ok = s.copyStr()
+		case "perm":
+			r.Perm, ok = s.ints()
+		case "cubes":
+			r.Cubes, ok = s.cubes()
+		case "peak":
+			r.Peak, ok = s.number()
+		case "total":
+			r.Total, ok = s.number()
+		case "profile":
+			r.Profile, ok = s.ints()
+		case "duration_ms":
+			r.DurationMillis, ok = s.float()
+		case "cached":
+			r.Cached, ok = s.boolean()
+		}
+		return ok
+	})
+}
+
+// batchAnswer scans one BatchResponse object.
+func (s *scanner) batchAnswer(r *BatchResponse) bool {
+	return s.object(func(key string) (ok bool) {
+		switch key {
+		case "results":
+			r.Results, ok = s.items()
+		case "failed":
+			r.Failed, ok = s.number()
+		}
+		return ok
+	})
+}
+
+// items scans an array of BatchItem objects.
+func (s *scanner) items() ([]BatchItem, bool) {
+	if !s.lit('[') {
+		return nil, false
+	}
+	out := []BatchItem{}
+	for n := 0; !s.lit(']'); n++ {
+		if n > 0 && !s.lit(',') {
+			return nil, false
+		}
+		out = append(out, BatchItem{})
+		it := &out[n]
+		if !s.object(func(key string) (ok bool) {
+			switch key {
+			case "result":
+				it.Result = new(FillResponse)
+				ok = s.fillAnswer(it.Result)
+			case "error":
+				it.Error, ok = s.copyStr()
+			}
+			return ok
+		}) {
 			return nil, false
 		}
 	}

@@ -61,7 +61,9 @@ type FrontConfig struct {
 	// Log, when non-nil, receives one structured access-log record per
 	// request (with its trace and span IDs) plus job and dispatch
 	// events, so a request can be followed across coordinator and
-	// worker logs. nil disables logging.
+	// worker logs. The request and job records are info-level: a
+	// logger whose floor is above info keeps only the failures. nil
+	// disables logging.
 	Log *slog.Logger
 	// SlowThreshold is the latency SLO: slower requests count as
 	// breaches and their trace and explain evidence land in the /stats
@@ -74,8 +76,10 @@ type FrontConfig struct {
 // -log-format flags into a logger writing to w: logfmt through
 // slog.TextHandler or one JSON object per line through
 // slog.JSONHandler. A bad level or format is an error whether or not
-// logging is on; with enabled false the logger is nil, which turns
-// logging off.
+// access logging is on. The per-request access records and the
+// job-settle records are info-level; with enabled false the floor is
+// raised to at least warn, which drops them and keeps the error
+// records (a failed shard dispatch).
 func LoggerFromFlags(w io.Writer, enabled bool, level, format string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{}
 	switch strings.ToLower(strings.TrimSpace(level)) {
@@ -90,6 +94,9 @@ func LoggerFromFlags(w io.Writer, enabled bool, level, format string) (*slog.Log
 	default:
 		return nil, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", level)
 	}
+	if !enabled {
+		opts.Level = max(opts.Level.Level(), slog.LevelWarn)
+	}
 	var h slog.Handler
 	switch strings.ToLower(strings.TrimSpace(format)) {
 	case "", "logfmt", "text":
@@ -98,9 +105,6 @@ func LoggerFromFlags(w io.Writer, enabled bool, level, format string) (*slog.Log
 		h = slog.NewJSONHandler(w, opts)
 	default:
 		return nil, fmt.Errorf("unknown log format %q (want logfmt or json)", format)
-	}
-	if !enabled {
-		return nil, nil
 	}
 	return slog.New(h), nil
 }
@@ -475,12 +479,4 @@ func writeError(w http.ResponseWriter, err error) {
 		status = 499
 	}
 	writeJSON(w, status, errorResponse{Error: msg})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
 }

@@ -58,12 +58,25 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
-// TestFromFlags: logging off is a nil logger, and a bad level or
-// format is an error whether logging is on or off; on, the level and
-// format flags shape the lines.
+// TestFromFlags: access logging off is a logger whose floor is at
+// least warn — the info-level request and job records drop, the error
+// records print — and a bad level or format is an error whether access
+// logging is on or off; the level and format flags shape the lines.
 func TestFromFlags(t *testing.T) {
-	if l, err := LoggerFromFlags(nil, false, "warn", "json"); l != nil || err != nil {
-		t.Fatalf("disabled: %v, %v; want nil, nil", l, err)
+	for level, floor := range map[string]slog.Level{"debug": slog.LevelWarn, "info": slog.LevelWarn, "error": slog.LevelError} {
+		var off strings.Builder
+		l, err := LoggerFromFlags(&off, false, level, "json")
+		if err != nil {
+			t.Fatalf("access log off, level %s: %v", level, err)
+		}
+		if ctx := context.Background(); !l.Enabled(ctx, floor) || l.Enabled(ctx, floor-1) {
+			t.Fatalf("access log off, level %s: floor is not %v", level, floor)
+		}
+		l.Info("request")
+		l.Error("shard dispatch failed")
+		if out := off.String(); strings.Contains(out, `"msg":"request"`) || !strings.Contains(out, `"msg":"shard dispatch failed"`) {
+			t.Fatalf("access log off, level %s, wrote %q", level, out)
+		}
 	}
 	var buf strings.Builder
 	l, err := LoggerFromFlags(&buf, true, "warn", "json")

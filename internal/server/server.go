@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cube"
 	"repro/internal/engine"
 	"repro/internal/fill"
 	"repro/internal/jobs"
@@ -221,12 +222,33 @@ func finishFill(resp *FillResponse, entry *cachedFill, omitCubes, cached bool, e
 	resp.Total = entry.Total
 	resp.Profile = entry.Profile
 	if !omitCubes {
-		resp.Cubes = entry.Filled.Strings()
+		resp.filled = entry.Filled
 	}
 	resp.Cached = cached
 	// Nanoseconds in float64: microsecond flooring would zero out
 	// cache-hit latencies entirely.
 	resp.DurationMillis = float64(elapsed.Nanoseconds()) / 1e6
+}
+
+// newEntry is the cache entry of an engine result, or the result's
+// error: the job's own, or the filled matrix's when a filler broke its
+// contract and left an X.
+func newEntry(r engine.Result, tr *core.Trace) (*cachedFill, error) {
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	filled, err := cube.NewFilled(r.Filled)
+	if err != nil {
+		return nil, err
+	}
+	return &cachedFill{
+		Filled:  filled,
+		Perm:    r.Perm,
+		Peak:    r.Peak,
+		Total:   r.Total,
+		Profile: r.Profile,
+		Explain: tr,
+	}, nil
 }
 
 // Fill answers one fill job (POST /v1/fill): cache lookup, then one
@@ -246,17 +268,10 @@ func (s *Server) Fill(ctx context.Context, req FillRequest) (*FillResponse, erro
 		return &resp, nil
 	}
 	r := s.eng.Run(ctx, []engine.Job{job})[0]
-	if r.Err != nil {
+	entry, err := newEntry(r, tr)
+	if err != nil {
 		s.met.observeError()
-		return nil, r.Err
-	}
-	entry := &cachedFill{
-		Filled:  r.Filled,
-		Perm:    r.Perm,
-		Peak:    r.Peak,
-		Total:   r.Total,
-		Profile: r.Profile,
-		Explain: tr,
+		return nil, err
 	}
 	s.cache.Put(digest, entry)
 	finishFill(&resp, entry, req.OmitCubes, false, time.Since(start))
@@ -338,18 +353,11 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) *BatchResponse {
 		i := jobIdx[k]
 		done++
 		progress(done)
-		if res.Err != nil {
-			items[i] = BatchItem{Error: res.Err.Error()}
+		entry, err := newEntry(res, traces[k])
+		if err != nil {
+			items[i] = BatchItem{Error: err.Error()}
 			s.met.observeError()
 			continue
-		}
-		entry := &cachedFill{
-			Filled:  res.Filled,
-			Perm:    res.Perm,
-			Peak:    res.Peak,
-			Total:   res.Total,
-			Profile: res.Profile,
-			Explain: traces[k],
 		}
 		entries[k] = entry
 		s.cache.Put(digests[k], entry)
@@ -368,7 +376,7 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) *BatchResponse {
 		i := d.item
 		entry := entries[d.job]
 		if entry == nil {
-			items[i] = BatchItem{Error: results[d.job].Err.Error()}
+			items[i] = items[jobIdx[d.job]]
 			s.met.observeError()
 			continue
 		}
