@@ -130,7 +130,7 @@ func setsTimeout(body []byte) bool {
 }
 
 // fuzzServe sends every fuzzed body to path on both tiers and checks
-// each 2xx answer with checkAnswer; when both tiers answer 2xx to a
+// each 2xx answer with checkAnswer and checkOmitted; when both tiers answer 2xx to a
 // body that sets no deadline of its own (which one tier may meet and
 // the other miss), the coordinator's answer is dpfilld's once
 // measurements are zeroed.
@@ -147,6 +147,7 @@ func fuzzServe(f *testing.F, path string, seeds []string) {
 			checkServed(t, tier, path, body, rec)
 			if rec.Code/100 == 2 {
 				answers[tier] = checkAnswer(t, tier, path, body, rec.Body.Bytes())
+				checkOmitted(t, tier, h, path, body, answers[tier])
 			}
 		}
 		worker, coord := answers["dpfilld"], answers["dpfill-coord"]
@@ -204,13 +205,7 @@ func checkFilled(t *testing.T, tier string, req client.FillRequest, r *client.Fi
 	if len(r.Cubes) == 0 {
 		return
 	}
-	in, err := cube.ParseSet(req.Cubes...)
-	if req.STIL != "" {
-		in, err = cube.ReadSTIL(strings.NewReader(req.STIL))
-	}
-	if err != nil {
-		t.Fatalf("%s: answered a job whose input does not parse: %v", tier, err)
-	}
+	in := jobInput(t, tier, req)
 	out, err := cube.ParseSet(r.Cubes...)
 	if err != nil || len(r.Perm) != in.Len() || !slices.Equal(slices.Sorted(slices.Values(r.Perm)), seq(in.Len())) {
 		t.Fatalf("%s: cubes %q with perm %v for %d inputs (%v)", tier, r.Cubes, r.Perm, in.Len(), err)
@@ -227,6 +222,129 @@ func checkFilled(t *testing.T, tier string, req client.FillRequest, r *client.Fi
 		t.Fatalf("%s: %s answered peak %d total %d profile %v; the cubes recount to %d, %d, %v",
 			tier, r.Filler, r.Peak, r.Total, r.Profile, out.PeakToggles(), total, profile)
 	}
+}
+
+// jobInput parses an answered job's cubes.
+func jobInput(t *testing.T, tier string, req client.FillRequest) *cube.Set {
+	t.Helper()
+	in, err := cube.ParseSet(req.Cubes...)
+	if req.STIL != "" {
+		in, err = cube.ReadSTIL(strings.NewReader(req.STIL))
+	}
+	if err != nil {
+		t.Fatalf("%s: answered a job whose input does not parse: %v", tier, err)
+	}
+	return in
+}
+
+// checkOmitted holds every DP-fill omit_cubes result of a 2xx answer to
+// the paper's theorem at the door. The same body with omit_cubes off,
+// sent to the same tier, must answer the same perm, peak, total and
+// profile, with cubes that pass checkAnswer; and when the job's input
+// has at most 16 X, the peak must be the exhaustive minimum over every
+// completion in perm order.
+func checkOmitted(t *testing.T, tier string, h http.Handler, path string, body []byte, answer any) {
+	t.Helper()
+	var reqs []client.FillRequest
+	var results []*client.FillResponse
+	switch a := answer.(type) {
+	case *client.FillResponse:
+		var req client.FillRequest
+		_ = json.Unmarshal(body, &req) // checkAnswer has decoded it
+		reqs, results = []client.FillRequest{req}, []*client.FillResponse{a}
+	case *client.BatchResponse:
+		var req client.BatchRequest
+		_ = json.Unmarshal(body, &req)
+		reqs = req.Jobs
+		for _, it := range a.Results {
+			results = append(results, it.Result)
+		}
+	}
+	full := slices.Clone(reqs)
+	omitted := false
+	for k := range full {
+		omitted = omitted || full[k].OmitCubes && results[k] != nil && results[k].Filler == "DP-fill"
+		full[k].OmitCubes = false
+	}
+	if !omitted {
+		return
+	}
+	var fullBody []byte
+	var err error
+	if path == "/v1/batch" {
+		fullBody, err = json.Marshal(client.BatchRequest{Jobs: full})
+	} else {
+		fullBody, err = json.Marshal(full[0])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(fullBody)))
+	if rec.Code == http.StatusGatewayTimeout && setsTimeout(body) {
+		return
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s %s %.300q: the body with omit_cubes off answered %d %s", tier, path, fullBody, rec.Code, rec.Body.String())
+	}
+	fullResults := []*client.FillResponse{}
+	switch a := checkAnswer(t, tier, path, fullBody, rec.Body.Bytes()).(type) {
+	case *client.FillResponse:
+		fullResults = append(fullResults, a)
+	case *client.BatchResponse:
+		for _, it := range a.Results {
+			fullResults = append(fullResults, it.Result)
+		}
+	}
+	for k, r := range results {
+		if r == nil || !reqs[k].OmitCubes || r.Filler != "DP-fill" {
+			continue
+		}
+		f := fullResults[k]
+		if f == nil {
+			if setsTimeout(body) {
+				continue
+			}
+			t.Fatalf("%s %s %.300q: job %d answered with omit_cubes and failed without it", tier, path, body, k)
+		}
+		if !slices.Equal(r.Perm, f.Perm) || r.Peak != f.Peak || r.Total != f.Total || !slices.Equal(r.Profile, f.Profile) {
+			t.Fatalf("%s %s %.300q: job %d answered perm %v peak %d total %d profile %v with omit_cubes, %v %d %d %v without",
+				tier, path, body, k, r.Perm, r.Peak, r.Total, r.Profile, f.Perm, f.Peak, f.Total, f.Profile)
+		}
+		in := jobInput(t, tier, reqs[k])
+		if in.XCount() <= 16 {
+			if least := exhaustivePeak(in.Reorder(r.Perm)); r.Peak != least {
+				t.Fatalf("%s %s %.300q: job %d answered peak %d, the exhaustive minimum is %d", tier, path, body, k, r.Peak, least)
+			}
+		}
+	}
+}
+
+// exhaustivePeak is the least peak toggle count over every completion
+// of s, found by trying each assignment of its Xs.
+func exhaustivePeak(s *cube.Set) int {
+	var xs [][2]int // cube, pin
+	for j, c := range s.Cubes {
+		for i, v := range c {
+			if v == cube.X {
+				xs = append(xs, [2]int{j, i})
+			}
+		}
+	}
+	work := s.Clone()
+	least := -1
+	for m := 0; m < 1<<len(xs); m++ {
+		for k, x := range xs {
+			work.Cubes[x[0]][x[1]] = cube.Zero
+			if m>>k&1 == 1 {
+				work.Cubes[x[0]][x[1]] = cube.One
+			}
+		}
+		if p := work.PeakToggles(); least < 0 || p < least {
+			least = p
+		}
+	}
+	return least
 }
 
 // seq is 0, 1, ..., n-1.
@@ -295,5 +413,6 @@ func FuzzServeBatch(f *testing.F) {
 		`{"jobs":null}`,
 		`{"jobs":[{}]}`,
 		`{"jobs":[{"cubes":["0X"],"seed":1},{"cubes":["0X"],"seed":1},{"cubes":["0X"],"seed":1}]}`,
+		`{"jobs":[{"cubes":["0XX1","XX10","1XXX"],"orderer":"i","omit_cubes":true},{"cubes":["0XX1","XX10","1XXX"],"orderer":"i"},{"cubes":["0X1X","1XX0","X01X"],"omit_cubes":true,"debug":true}]}`,
 	})
 }

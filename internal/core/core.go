@@ -138,9 +138,10 @@ func FillPlanes(s *cube.Set, opt Options) (*cube.PackedRows, *Result, error) {
 // perm order (nil: snapshot order): what FillPlanes returns for
 // s.Reorder(perm) when p = cube.Pack(s), with the row planes built
 // from p's words (Packed.Rows) instead of from trits. It is the
-// served path: a request parsed into a snapshot is ordered and filled
-// without a cube set in between. The trace's pack stage covers the
-// row build.
+// served path of a request that wants the cubes: a request parsed
+// into a snapshot is ordered and filled without a cube set in between
+// (CountPacked serves one that does not). The trace's pack stage
+// covers the row build.
 func FillPacked(p *cube.Packed, perm []int, opt Options) (*cube.PackedRows, *Result, error) {
 	return fillPlanes(func() *cube.PackedRows { return p.Rows(perm) }, opt)
 }
@@ -169,36 +170,19 @@ func fillPlanes(pack func() *cube.PackedRows, opt Options) (*cube.PackedRows, *R
 	intervals := ar.ivs
 
 	bcpIvs := ar.bcpIvs[:0]
-	forced := 0
 	for _, ti := range intervals {
 		bcpIvs = append(bcpIvs, ti.Interval())
-		if ti.RightCol == ti.LeftCol+1 {
-			forced++
-		}
 	}
 	ar.bcpIvs = bcpIvs
+	forced := unitIntervals(bcpIvs)
 	if tr != nil {
 		tr.ScanNS += time.Since(mark).Nanoseconds()
 	}
-	inst, err := bcp.NewInstance(maxInt(0, n-1), bcpIvs)
+	sol, err := solve(n, bcpIvs, tr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: building BCP instance: %w", err)
-	}
-	var solveStats bcp.Stats
-	var bcpStats *bcp.Stats
-	if tr != nil {
-		bcpStats = &solveStats
-	}
-	sol, err := inst.SolveStats(bcpStats)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: solving BCP: %w", err)
+		return nil, nil, err
 	}
 	if tr != nil {
-		// The bound/assign split comes from the solver's own clocks;
-		// the sliver around them (instance validation) lands in OtherNS.
-		tr.BCP.Add(solveStats)
-		tr.BoundNS += solveStats.BoundNS
-		tr.AssignNS += solveStats.AssignNS
 		mark = time.Now()
 	}
 
@@ -211,41 +195,138 @@ func fillPlanes(pack func() *cube.PackedRows, opt Options) (*cube.PackedRows, *R
 		pr.FillSpan(ti.Row, j+1, ti.RightCol-1, ti.LeftVal.Neg())
 	}
 
-	profile := pr.ToggleProfile()
-	peak, total := 0, 0
+	res, err := newResult(pr.ToggleProfile(), sol, len(bcpIvs), forced)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr != nil {
+		tr.ReconstructNS += time.Since(mark).Nanoseconds()
+		tr.finish(res, rows, n, shards, reused, start)
+	}
+	return pr, res, nil
+}
+
+// CountPacked returns the Result FillPacked returns for the cubes of p
+// in perm order (nil: snapshot order), without building the filled
+// matrix. Every interval toggles exactly once, at the cycle its colour
+// names, and pre-filled stretches never toggle, so the per-cycle
+// profile of the filled set is the histogram of the Algorithm 2
+// colouring: peak, total and profile follow from it, and the peak is
+// still checked against the Algorithm 1 bound.
+//
+// The intervals come from BottleneckOrder's cube-major sweep, not the
+// row scan, so they are listed in another order; the histogram does
+// not depend on it, since EDF only swaps which of two equal-deadline
+// entries it pops at a colour. The trace's scan stage is the sweep,
+// reconstruct is the histogram, and pack stays zero.
+func CountPacked(p *cube.Packed, perm []int, opt Options) (*Result, error) {
+	tr := opt.Trace
+	var start, mark time.Time
+	if tr != nil {
+		start = time.Now()
+	}
+	ar := getArena()
+	defer putArena(ar)
+	reused := cap(ar.bcpIvs) > 0
+	ivs, err := ar.sweep(p, perm)
+	if err != nil {
+		return nil, err
+	}
+	forced := unitIntervals(ivs)
+	n := p.Len()
+	if tr != nil {
+		tr.ScanNS += time.Since(start).Nanoseconds()
+	}
+	sol, err := solve(n, ivs, tr)
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		mark = time.Now()
+	}
+	var profile []int
+	if n >= 2 {
+		inst := bcp.Instance{NumColors: n - 1, Intervals: ivs}
+		profile = inst.Histogram(sol.Colors)
+	}
+	res, err := newResult(profile, sol, len(ivs), forced)
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		tr.ReconstructNS += time.Since(mark).Nanoseconds()
+		tr.finish(res, p.Width, n, 1, reused, start)
+	}
+	return res, nil
+}
+
+// solve runs Algorithms 1 and 2 on the intervals of an n-cube fill,
+// whose colours are its n-1 cycles. With tr set, the solver's prune
+// counters and its bound/assign clocks land in the trace; the sliver
+// around them (instance validation) is left to OtherNS.
+func solve(n int, ivs []bcp.Interval, tr *Trace) (*bcp.Solution, error) {
+	inst, err := bcp.NewInstance(maxInt(0, n-1), ivs)
+	if err != nil {
+		return nil, fmt.Errorf("core: building BCP instance: %w", err)
+	}
+	var solveStats bcp.Stats
+	var bcpStats *bcp.Stats
+	if tr != nil {
+		bcpStats = &solveStats
+	}
+	sol, err := inst.SolveStats(bcpStats)
+	if err != nil {
+		return nil, fmt.Errorf("core: solving BCP: %w", err)
+	}
+	if tr != nil {
+		tr.BCP.Add(solveStats)
+		tr.BoundNS += solveStats.BoundNS
+		tr.AssignNS += solveStats.AssignNS
+	}
+	return sol, nil
+}
+
+// newResult assembles a fill's Result from its toggle profile and BCP
+// solution, and refuses one whose peak is not the lower bound.
+func newResult(profile []int, sol *bcp.Solution, intervals, forced int) (*Result, error) {
+	peak, total := tally(profile)
+	if peak != sol.LowerBound {
+		// Cannot happen if the optimality theorem holds; guard anyway so
+		// corruption is loud rather than silently sub-optimal.
+		return nil, fmt.Errorf("core: reconstruction peak %d != lower bound %d",
+			peak, sol.LowerBound)
+	}
+	return &Result{
+		Peak:         peak,
+		Total:        total,
+		LowerBound:   sol.LowerBound,
+		NumIntervals: intervals,
+		ForcedUnit:   forced,
+		Profile:      profile,
+	}, nil
+}
+
+// dpvet:hot
+// tally returns the peak and the total of a toggle profile.
+func tally(profile []int) (peak, total int) {
 	for _, v := range profile {
 		peak = max(peak, v)
 		total += v
 	}
-	if tr != nil {
-		tr.ReconstructNS += time.Since(mark).Nanoseconds()
+	return peak, total
+}
+
+// dpvet:hot
+// unitIntervals counts the one-colour intervals among ivs: the forced
+// toggles between adjacent differing care bits.
+func unitIntervals(ivs []bcp.Interval) int {
+	unit := 0
+	for _, iv := range ivs {
+		if iv.Start == iv.End {
+			unit++
+		}
 	}
-	res := &Result{
-		Peak:         peak,
-		Total:        total,
-		LowerBound:   sol.LowerBound,
-		NumIntervals: len(bcpIvs),
-		ForcedUnit:   forced,
-		Profile:      profile,
-	}
-	if res.Peak != sol.LowerBound {
-		// Cannot happen if the optimality theorem holds; guard anyway so
-		// corruption is loud rather than silently sub-optimal.
-		return nil, nil, fmt.Errorf("core: reconstruction peak %d != lower bound %d",
-			res.Peak, sol.LowerBound)
-	}
-	if tr != nil {
-		tr.Rows = rows
-		tr.Cols = n
-		tr.Shards = shards
-		tr.ArenaReused = tr.ArenaReused || reused
-		tr.Intervals += len(bcpIvs)
-		tr.ForcedUnit += forced
-		tr.Peak = res.Peak
-		tr.LowerBound = res.LowerBound
-		tr.seal(time.Since(start).Nanoseconds())
-	}
-	return pr, res, nil
+	return unit
 }
 
 // Bottleneck computes the optimal peak toggle count of the ordered set
@@ -260,32 +341,46 @@ func Bottleneck(s *cube.Set) (int, error) {
 }
 
 // BottleneckOrder computes the optimal peak toggle count of the cubes
-// of p applied in perm order — what Bottleneck returns for
-// s.Reorder(perm) when p = cube.Pack(s) — without reordering or
-// repacking any trit. It is the evaluation primitive Algorithm 3
-// (I-Ordering) calls once per candidate interleaving: the orderer packs
-// once and every candidate is one sweep over the care bits plus the
-// Algorithm 1 bound.
+// of p applied in perm order (nil: snapshot order) — what Bottleneck
+// returns for s.Reorder(perm) when p = cube.Pack(s) — without
+// reordering or repacking any trit. It is the evaluation primitive
+// Algorithm 3 (I-Ordering) calls once per candidate interleaving: the
+// orderer packs once and every candidate is one sweep over the care
+// bits plus the Algorithm 1 bound. Scratch comes from the fill arena
+// pool, so a warm call allocates nothing.
+func BottleneckOrder(p *cube.Packed, perm []int) (int, error) {
+	ar := getArena()
+	defer putArena(ar)
+	ivs, err := ar.sweep(p, perm)
+	if err != nil {
+		return 0, err
+	}
+	// Every interval lies in [0, n-2] by construction (0 <= last < t <=
+	// n-1), so the instance needs no validation pass.
+	inst := bcp.Instance{NumColors: maxInt(0, p.Len()-1), Intervals: ivs}
+	return inst.LowerBound(), nil
+}
+
+// sweep checks that perm (nil: snapshot order) is a permutation of p's
+// cubes and returns the BCP intervals of the cubes applied in that
+// order, held in the arena. It is the interval source of both
+// BottleneckOrder and CountPacked.
 //
 // The sweep walks the cubes in perm order and keeps each pin's last
 // care column and value; a pin whose value flips at column t adds the
 // BCP interval [last, t-1]. That is exactly the interval multiset of
-// the row scan FillWith runs (consecutive care bits of a row with
+// the row scan FillPacked runs (consecutive care bits of a row with
 // unequal values, forced unit toggles included), listed cube-major
-// instead of row-major, and the Algorithm 1 bound does not depend on
-// interval order. Scratch comes from the fill arena pool, so a warm
-// call allocates nothing.
-func BottleneckOrder(p *cube.Packed, perm []int) (int, error) {
+// instead of row-major.
+func (ar *fillArena) sweep(p *cube.Packed, perm []int) ([]bcp.Interval, error) {
 	n := p.Len()
-	if len(perm) != n {
-		return 0, fmt.Errorf("core: order of length %d for %d cubes", len(perm), n)
+	if perm != nil && len(perm) != n {
+		return nil, fmt.Errorf("core: order of length %d for %d cubes", len(perm), n)
 	}
-	ar := getArena()
-	defer putArena(ar)
 	ar.used = zeroWords(ar.used, (n+63)/64)
 	for t, c := range perm {
 		if c < 0 || c >= n || ar.used[c/64]&(1<<(c%64)) != 0 {
-			return 0, fmt.Errorf("core: order is not a permutation: entry %d is %d", t, c)
+			return nil, fmt.Errorf("core: order is not a permutation: entry %d is %d", t, c)
 		}
 		ar.used[c/64] |= 1 << (c % 64)
 	}
@@ -295,23 +390,25 @@ func BottleneckOrder(p *cube.Packed, perm []int) (int, error) {
 		ar.lastCol = make([]int, p.Width)
 	}
 	ar.bcpIvs = sweepOrder(ar.bcpIvs[:0], p, perm, ar.lastCol[:p.Width], ar.seen, ar.lastVal)
-	// Every interval lies in [0, n-2] by construction (0 <= last < t <=
-	// n-1), so the instance needs no validation pass.
-	inst := bcp.Instance{NumColors: maxInt(0, n-1), Intervals: ar.bcpIvs}
-	return inst.LowerBound(), nil
+	return ar.bcpIvs, nil
 }
 
 // dpvet:hot
 // sweepOrder appends to dst the BCP intervals of p's cubes applied in
-// perm order. lastCol[pin] is the column of the pin's last care bit and
-// is meaningful only where the pin's bit of seen is set; lastVal holds
-// that care bit's value. seen and lastVal must start zeroed. Value bits
-// are a subset of care bits, so the flip test and the value update are
-// word-parallel; only care bits touch lastCol, and only flips append.
+// perm order (nil: snapshot order). lastCol[pin] is the column of the
+// pin's last care bit and is meaningful only where the pin's bit of
+// seen is set; lastVal holds that care bit's value. seen and lastVal
+// must start zeroed. Value bits are a subset of care bits, so the flip
+// test and the value update are word-parallel; only care bits touch
+// lastCol, and only flips append.
 func sweepOrder(dst []bcp.Interval, p *cube.Packed, perm, lastCol []int, seen, lastVal []uint64) []bcp.Interval {
 	seen = seen[:p.Words]
 	lastVal = lastVal[:p.Words]
-	for t, c := range perm {
+	for t := range p.Len() {
+		c := t
+		if perm != nil {
+			c = perm[t]
+		}
 		care, val := p.CubeWords(c)
 		for w, cw := range care {
 			if cw == 0 {

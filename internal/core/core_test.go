@@ -378,3 +378,18 @@ func BenchmarkCoreFillColdShape(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCoreCountColdShape runs the count-only kernel the server
+// runs for an omit_cubes DP job on BenchmarkCoreFillColdShape's set:
+// the sweep, the BCP solve and the colouring's histogram, with no
+// matrix built.
+func BenchmarkCoreCountColdShape(b *testing.B) {
+	p := cube.Pack(fillColdSet(rand.New(rand.NewSource(1250)), 768, 1250, 0.85))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CountPacked(p, nil, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -39,6 +39,8 @@ func fuzzFillSet(width, n uint8, allXRow bool, data []byte) *cube.Set {
 // ToggleStats of the unpacked planes (the count-once contract), the
 // peak equals the BottleneckOrder bound and, for at most 16 Xs, the
 // exhaustive minimum — and the FillWith edge unpacks to the same set.
+// CountPacked returns the same Result on the snapshot, in snapshot
+// order and in a permutation drawn from data, as FillPacked does.
 func FuzzFill(f *testing.F) {
 	f.Add(uint8(5), uint8(7), false, []byte("\x1b\xe4\x00\xff\x42"))
 	f.Add(uint8(65), uint8(3), true, []byte("\x55\xaa\x0f\xf0\x33\xcc\x01\x10"))
@@ -82,5 +84,34 @@ func FuzzFill(f *testing.F) {
 			t.Fatal("FillWith unpacks to a different set than FillPlanes' planes")
 		}
 		sameResult(t, edgeRes, res)
+		p := cube.Pack(s)
+		count, err := CountPacked(p, nil, Options{})
+		if err != nil {
+			t.Fatalf("CountPacked: %v", err)
+		}
+		sameResult(t, count, res)
+		perm = fuzzPerm(s.Len(), data)
+		_, permRes, err := FillPacked(p, perm, Options{Shards: 1})
+		if err != nil {
+			t.Fatalf("FillPacked: %v", err)
+		}
+		if count, err = CountPacked(p, perm, Options{}); err != nil {
+			t.Fatalf("CountPacked in order %v: %v", perm, err)
+		}
+		sameResult(t, count, permRes)
 	})
+}
+
+// fuzzPerm is a permutation of n cubes shuffled by data's bytes: a
+// Fisher-Yates pass whose draws read data from its end.
+func fuzzPerm(n int, data []byte) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := n - 1; i > 0 && len(data) > 0; i-- {
+		j := int(data[(n-1-i)%len(data)]) % (i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm
 }

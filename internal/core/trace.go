@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/bcp"
+import (
+	"time"
+
+	"repro/internal/bcp"
+)
 
 // Trace is a fill's explain record: per-stage wall time over the
 // packed hot path, the BCP solver's prune counters and arena reuse.
@@ -70,4 +74,18 @@ type StageTime struct {
 func (t *Trace) seal(totalNS int64) {
 	t.TotalNS = totalNS
 	t.OtherNS = totalNS - (t.PackNS + t.ScanNS + t.BoundNS + t.AssignNS + t.ReconstructNS + t.UnpackNS)
+}
+
+// finish records a fill's shape, schedule and outcome, and seals the
+// trace at the time since the fill's start.
+func (t *Trace) finish(res *Result, rows, cols, shards int, reused bool, start time.Time) {
+	t.Rows = rows
+	t.Cols = cols
+	t.Shards = shards
+	t.ArenaReused = t.ArenaReused || reused
+	t.Intervals += res.NumIntervals
+	t.ForcedUnit += res.ForcedUnit
+	t.Peak = res.Peak
+	t.LowerBound = res.LowerBound
+	t.seal(time.Since(start).Nanoseconds())
 }

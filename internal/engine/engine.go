@@ -48,6 +48,11 @@ type Job struct {
 	Orderer order.Orderer
 	// Filler completes the (re)ordered set. Required.
 	Filler fill.Filler
+	// CountOnly asks for the toggle statistics without the filled
+	// matrix. A filler with a count entry point (DP-fill) then builds
+	// no matrix and Result.Filled is nil; other fillers, and every job
+	// of an Engine with Verify set, fill as usual.
+	CountOnly bool
 	// Priority biases dispatch order: higher-priority jobs start before
 	// lower-priority ones when workers are scarce. Equal priorities keep
 	// submission order. Results always come back in submission order
@@ -76,7 +81,8 @@ type Result struct {
 	// set.
 	Perm []int
 	// Filled is the fully specified output in the applied order, as the
-	// filler's packed row planes (Filled.Unpack gives the cube set).
+	// filler's packed row planes (Filled.Unpack gives the cube set);
+	// nil when a CountOnly job ran a count entry point.
 	Filled *cube.PackedRows
 	// Peak and Total are the peak and total toggle counts of Filled;
 	// Profile is its per-cycle toggle count (nil below two vectors).
@@ -314,8 +320,10 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 	// reads the snapshot; baseline fills of a set pay for no pack.
 	po, orderPacked := job.Orderer.(packedOrderer)
 	pf, fillPacked := job.Filler.(packedFiller)
+	cf, count := job.Filler.(countFiller)
+	count = count && job.CountOnly && !e.Verify
 	p := job.Packed
-	if p == nil && (orderPacked || fillPacked) {
+	if p == nil && (orderPacked || fillPacked || count) {
 		p = cube.Pack(job.Set)
 	}
 	if job.Orderer != nil {
@@ -342,9 +350,12 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 	}
 	var filled *fill.Result
 	var err error
-	if fillPacked {
+	switch {
+	case count:
+		filled, err = cf.CountPacked(p, res.Perm)
+	case fillPacked:
 		filled, err = pf.FillPacked(p, res.Perm)
-	} else {
+	default:
 		filled, err = job.Filler.Fill(cubeSet(job.Set, p, res.Perm))
 	}
 	if err != nil {
@@ -382,6 +393,13 @@ type packedOrderer interface {
 // one; the heuristic fillers walk trits.
 type packedFiller interface {
 	FillPacked(p *cube.Packed, perm []int) (*fill.Result, error)
+}
+
+// countFiller is a filler with a count-only entry point:
+// CountPacked(p, perm) returns FillPacked(p, perm)'s Peak, Total and
+// Profile with a nil Rows. DP-fill has one.
+type countFiller interface {
+	CountPacked(p *cube.Packed, perm []int) (*fill.Result, error)
 }
 
 // cubeSet returns a job's cubes in perm order (nil: as given) as a

@@ -243,6 +243,44 @@ func TestRunPackedJobsMatchSetJobs(t *testing.T) {
 	}
 }
 
+// TestRunCountOnly: a CountOnly DP job answers the perm and statistics
+// of the full job with no matrix; a filler without a count entry
+// point, and any job under Verify, still fills.
+func TestRunCountOnly(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	var full, counted []Job
+	for _, ord := range []order.Orderer{nil, order.Tool(), order.Interleaved()} {
+		for _, fl := range []fill.Filler{fill.DP(), fill.Backward()} {
+			s := randomSet(r, 1+r.Intn(100), 1+r.Intn(40), 0.7)
+			full = append(full, Job{Set: s, Orderer: ord, Filler: fl})
+			counted = append(counted, Job{Packed: cube.Pack(s), Orderer: ord, Filler: fl, CountOnly: true})
+		}
+	}
+	for _, verify := range []bool{false, true} {
+		e := &Engine{Workers: 2, Verify: verify}
+		want := e.Run(context.Background(), full)
+		for i, got := range e.Run(context.Background(), counted) {
+			w := want[i]
+			if got.Err != nil || w.Err != nil {
+				t.Fatalf("job %d: %v / %v", i, got.Err, w.Err)
+			}
+			if !slices.Equal(got.Perm, w.Perm) || got.Peak != w.Peak || got.Total != w.Total ||
+				!slices.Equal(got.Profile, w.Profile) {
+				t.Fatalf("job %d (%s, verify %v): counted %d/%d/%v, filled %d/%d/%v", i, counted[i].Filler.Name(),
+					verify, got.Peak, got.Total, got.Profile, w.Peak, w.Total, w.Profile)
+			}
+			wantMatrix := verify || !fill.IsDP(counted[i].Filler)
+			if (got.Filled != nil) != wantMatrix {
+				t.Fatalf("job %d (%s, verify %v): matrix %v, want one: %v", i, counted[i].Filler.Name(),
+					verify, got.Filled != nil, wantMatrix)
+			}
+			if wantMatrix && !slices.Equal(got.Filled.Strings(), w.Filled.Strings()) {
+				t.Fatalf("job %d (%s, verify %v): filled matrix differs", i, counted[i].Filler.Name(), verify)
+			}
+		}
+	}
+}
+
 func TestRunVerifyCatchesBadFiller(t *testing.T) {
 	s := cube.MustParseSet("0X", "X1")
 	bad := fill.Func{FillName: "liar", F: func(in *cube.Set) (*cube.Set, error) {

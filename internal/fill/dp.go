@@ -44,6 +44,17 @@ func (d dpFiller) FillPacked(p *cube.Packed, perm []int) (*Result, error) {
 	return dpResult(core.FillPacked(p, perm, d.opt))
 }
 
+// CountPacked returns FillPacked's Peak, Total and Profile without the
+// filled matrix (Rows is nil): core.CountPacked counts them from the
+// BCP colouring instead of building the planes.
+func (d dpFiller) CountPacked(p *cube.Packed, perm []int) (*Result, error) {
+	res, err := core.CountPacked(p, perm, d.opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Peak: res.Peak, Total: res.Total, Profile: res.Profile}, nil
+}
+
 // dpResult passes the kernel's planes and counts through.
 func dpResult(pr *cube.PackedRows, res *core.Result, err error) (*Result, error) {
 	if err != nil {

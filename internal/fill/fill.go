@@ -34,7 +34,8 @@ type Filler interface {
 // Profile from here instead of recounting; Set unpacks the trits for
 // the few that need them.
 type Result struct {
-	// Rows is the fully specified matrix in the filled set's order.
+	// Rows is the fully specified matrix in the filled set's order;
+	// nil from a count-only entry point (DP-fill's CountPacked).
 	Rows *cube.PackedRows
 	// Peak and Total are the peak and total toggle counts; Profile is
 	// the per-cycle count (nil below two vectors).

@@ -20,7 +20,8 @@ import (
 //
 // The filled matrix is kept cube-major at one bit per trit (a fill
 // leaves no X to mark), the form an answer that carries cubes is
-// written from.
+// written from. An omit_cubes DP fill builds no matrix, so its entry
+// has no Filled and answers only omit_cubes requests.
 type cachedFill struct {
 	Filled  *cube.Filled
 	Perm    []int
@@ -109,15 +110,16 @@ func newLRUCache(capacity int) *lruCache {
 }
 
 // Get returns a private deep copy of the entry for key and marks it
-// most recently used: the caller may do anything with the result.
-func (c *lruCache) Get(key string) (*cachedFill, bool) {
+// most recently used: the caller may do anything with the result. A
+// lookup that needs the cubes misses an entry without them.
+func (c *lruCache) Get(key string, cubes bool) (*cachedFill, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	if !ok {
+	if !ok || cubes && el.Value.(*lruEntry).val.Filled == nil {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
@@ -126,7 +128,8 @@ func (c *lruCache) Get(key string) (*cachedFill, bool) {
 
 // Put inserts or refreshes key with a deep copy of v — the caller
 // keeps sole ownership of what it passed in — evicting the least
-// recently used entry when the cache is full.
+// recently used entry when the cache is full. An entry without cubes
+// never replaces one with them.
 func (c *lruCache) Put(key string, v *cachedFill) {
 	if c == nil {
 		return
@@ -135,7 +138,9 @@ func (c *lruCache) Put(key string, v *cachedFill) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*lruEntry).val = v
+		if e := el.Value.(*lruEntry); v.Filled != nil || e.val.Filled == nil {
+			e.val = v
+		}
 		c.order.MoveToFront(el)
 		return
 	}

@@ -19,18 +19,18 @@ func TestLRUCacheEviction(t *testing.T) {
 	c.Put("b", b)
 	// Touch "a" so "b" is the eviction victim. (The cache copies
 	// entries both ways, so identity is by value, not pointer.)
-	if got, ok := c.Get("a"); !ok || got.Peak != a.Peak {
+	if got, ok := c.Get("a", false); !ok || got.Peak != a.Peak {
 		t.Fatal("a missing before eviction")
 	}
 	c.Put("d", d)
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get("b", false); ok {
 		t.Fatal("b survived eviction despite being least recently used")
 	}
 	for key, want := range map[string]*cachedFill{"a": a, "d": d} {
-		if got, ok := c.Get(key); !ok || got.Peak != want.Peak {
+		if got, ok := c.Get(key, false); !ok || got.Peak != want.Peak {
 			t.Fatalf("%s evicted or replaced", key)
 		}
 	}
@@ -39,7 +39,7 @@ func TestLRUCacheEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len %d after refresh, want 2", c.Len())
 	}
-	if got, _ := c.Get("a"); got.Peak != d.Peak {
+	if got, _ := c.Get("a", false); got.Peak != d.Peak {
 		t.Fatal("refresh did not replace the value")
 	}
 }
@@ -62,7 +62,7 @@ func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	flip(entry.Filled, 0, 0)
 	entry.Perm[0] = 99
 	entry.Profile[0] = 99
-	served, ok := c.Get("k")
+	served, ok := c.Get("k", true)
 	if !ok {
 		t.Fatal("entry missing")
 	}
@@ -73,7 +73,7 @@ func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	flip(served.Filled, 1, 1)
 	served.Perm[1] = 99
 	served.Profile[0] = 99
-	again, ok := c.Get("k")
+	again, ok := c.Get("k", true)
 	if !ok {
 		t.Fatal("entry missing on second get")
 	}
@@ -103,7 +103,7 @@ func TestCachedFillCloneHandlesNilFields(t *testing.T) {
 func TestNilCacheNeverHits(t *testing.T) {
 	var c *lruCache
 	c.Put("k", &cachedFill{})
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Get("k", false); ok {
 		t.Fatal("nil cache returned a hit")
 	}
 	if c.Len() != 0 {
@@ -139,7 +139,7 @@ func TestLRUCacheStress(t *testing.T) {
 	c := newLRUCache(8)
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprintf("k%d", i%16), &cachedFill{Peak: i})
-		c.Get(fmt.Sprintf("k%d", (i*7)%16))
+		c.Get(fmt.Sprintf("k%d", (i*7)%16), i%2 == 0)
 		if c.Len() > 8 {
 			t.Fatalf("cache grew past capacity: %d", c.Len())
 		}

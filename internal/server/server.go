@@ -179,12 +179,13 @@ func (s *Server) resolveFill(req FillRequest) (engine.Job, FillResponse, string,
 		return job, resp, "", nil, badRequestf("%v", err)
 	}
 	job = engine.Job{
-		Name:     req.Name,
-		Packed:   p,
-		Orderer:  ord,
-		Filler:   fl,
-		Priority: req.Priority,
-		Timeout:  s.clampTimeout(req.TimeoutMillis),
+		Name:      req.Name,
+		Packed:    p,
+		Orderer:   ord,
+		Filler:    fl,
+		CountOnly: req.OmitCubes,
+		Priority:  req.Priority,
+		Timeout:   s.clampTimeout(req.TimeoutMillis),
 	}
 	resp = FillResponse{
 		Name:     req.Name,
@@ -232,23 +233,27 @@ func finishFill(resp *FillResponse, entry *cachedFill, omitCubes, cached bool, e
 
 // newEntry is the cache entry of an engine result, or the result's
 // error: the job's own, or the filled matrix's when a filler broke its
-// contract and left an X.
+// contract and left an X. A count-only result has no matrix, and its
+// entry no cubes.
 func newEntry(r engine.Result, tr *core.Trace) (*cachedFill, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	filled, err := cube.NewFilled(r.Filled)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedFill{
-		Filled:  filled,
+	entry := &cachedFill{
 		Perm:    r.Perm,
 		Peak:    r.Peak,
 		Total:   r.Total,
 		Profile: r.Profile,
 		Explain: tr,
-	}, nil
+	}
+	if r.Filled != nil {
+		filled, err := cube.NewFilled(r.Filled)
+		if err != nil {
+			return nil, err
+		}
+		entry.Filled = filled
+	}
+	return entry, nil
 }
 
 // Fill answers one fill job (POST /v1/fill): cache lookup, then one
@@ -259,7 +264,7 @@ func (s *Server) Fill(ctx context.Context, req FillRequest) (*FillResponse, erro
 	if err != nil {
 		return nil, err
 	}
-	if entry, ok := s.cache.Get(digest); ok {
+	if entry, ok := s.cache.Get(digest, !req.OmitCubes); ok {
 		finishFill(&resp, entry, req.OmitCubes, true, time.Since(start))
 		if req.Debug {
 			resp.Explain = entry.Explain
@@ -319,7 +324,7 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) *BatchResponse {
 			continue
 		}
 		resps[i] = resp
-		if entry, ok := s.cache.Get(digest); ok {
+		if entry, ok := s.cache.Get(digest, !jr.OmitCubes); ok {
 			finishFill(&resps[i], entry, jr.OmitCubes, true, time.Since(starts[i]))
 			if debug {
 				resps[i].Explain = entry.Explain
@@ -335,7 +340,9 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) *BatchResponse {
 		pendingKey := fmt.Sprintf("%s|%d", digest, job.Timeout)
 		if k, ok := pending[pendingKey]; ok {
 			// An identical job earlier in this batch will compute the
-			// result; share it instead of recomputing.
+			// result; share it instead of recomputing. The run builds
+			// the matrix if any twin wants the cubes.
+			engineJobs[k].CountOnly = engineJobs[k].CountOnly && jr.OmitCubes
 			dups = append(dups, dupRef{item: i, job: k})
 			continue
 		}
