@@ -102,7 +102,7 @@ func run(args []string, stdout io.Writer) error {
 	netlist := fs.String("netlist", "", "pipeline: ISCAS-89 .bench netlist file")
 	scheme := fs.String("scheme", "", "pipeline: capture scheme los|loc (default los)")
 	chains := fs.Int("chains", 0, "pipeline: scan chain count (0 = 1)")
-	tiles := fs.Int("tiles", 0, "pipeline: IR-drop analysis grid dimension (0 = 4)")
+	tiles := fs.Int("tiles", 0, "pipeline: IR-drop analysis grid dimension (0 = 4, at most 256)")
 	shards := fs.Int("shards", 0, "pipeline: ATPG fault shards (0/1 = unsharded; a coordinator fans shards across its fleet)")
 	if err := fs.Parse(args); err != nil {
 		return err

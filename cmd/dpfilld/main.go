@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	accessLog := fs.Bool("access-log", false, "log one structured record per request (with X-Request-ID) to stderr")
 	logLevel := fs.String("log-level", "info", "log severity floor: debug, info, warn or error")
 	logFormat := fs.String("log-format", "logfmt", "log line encoding: logfmt or json")
-	debugAddr := fs.String("debug-addr", "", "serve pprof profiles and /metrics on this admin address (empty disables)")
+	debugAddr := fs.String("debug-addr", "", "serve pprof profiles on this admin address (empty disables)")
 	slowThreshold := fs.Duration("slow-threshold", time.Second, "latency SLO: slower /v1/* requests are captured in /stats slow_requests (negative disables)")
 	dataDir := fs.String("data-dir", "", "journal async jobs here so they survive restarts (empty = memory only)")
 	maxJobs := fs.Int("max-jobs", 256, "largest accepted async job backlog before 429")
@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *debugAddr != "" {
 		go func() {
-			if derr := debugz.ListenAndServe(ctx, *debugAddr, srv.Metrics()); derr != nil {
+			if derr := debugz.ListenAndServe(ctx, *debugAddr); derr != nil {
 				fmt.Fprintln(os.Stderr, "dpfilld: debug listener:", derr)
 			}
 		}()

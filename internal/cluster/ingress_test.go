@@ -19,18 +19,24 @@ import (
 	"repro/internal/server"
 )
 
+// ingressMaxGates caps the pipeline circuits of ingressTiers: b01,
+// b02, b06 and small custom specs fit, so a fuzzed pipeline run takes
+// milliseconds.
+const ingressMaxGates = 80
+
 // ingressTiers stands up both serving tiers in process with small shape
 // limits: a dpfilld handler, and a coordinator without a fleet, whose
 // local in-process service answers every dispatch.
 func ingressTiers(tb testing.TB, limit int64) map[string]http.Handler {
 	tb.Helper()
-	cfg := server.Config{Workers: 1, MaxRows: 16, MaxCols: 16, DefaultTimeout: time.Minute, FrontConfig: server.FrontConfig{MaxBodyBytes: limit}}
+	front := server.FrontConfig{MaxBodyBytes: limit, MaxGates: ingressMaxGates}
+	cfg := server.Config{Workers: 1, MaxRows: 16, MaxCols: 16, DefaultTimeout: time.Minute, FrontConfig: front}
 	srv, err := server.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { srv.Close() })
-	co, err := New(Config{Local: cfg, FrontConfig: server.FrontConfig{MaxBodyBytes: limit}})
+	co, err := New(Config{Local: cfg, FrontConfig: front})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -116,7 +122,9 @@ func checkServed(t *testing.T, tier, path string, body []byte, rec *httptest.Res
 func setsTimeout(body []byte) bool {
 	var fill client.FillRequest
 	var batch client.BatchRequest
-	if json.Unmarshal(body, &fill) == nil && fill.TimeoutMillis != 0 {
+	var pipe client.PipelineRequest
+	if json.Unmarshal(body, &fill) == nil && fill.TimeoutMillis != 0 ||
+		json.Unmarshal(body, &pipe) == nil && pipe.TimeoutMillis != 0 {
 		return true
 	}
 	if json.Unmarshal(body, &batch) == nil {
@@ -414,5 +422,59 @@ func FuzzServeBatch(f *testing.F) {
 		`{"jobs":[{}]}`,
 		`{"jobs":[{"cubes":["0X"],"seed":1},{"cubes":["0X"],"seed":1},{"cubes":["0X"],"seed":1}]}`,
 		`{"jobs":[{"cubes":["0XX1","XX10","1XXX"],"orderer":"i","omit_cubes":true},{"cubes":["0XX1","XX10","1XXX"],"orderer":"i"},{"cubes":["0X1X","1XX0","X01X"],"omit_cubes":true,"debug":true}]}`,
+	})
+}
+
+// FuzzServePipeline sends arbitrary bodies through POST /v1/pipeline
+// on dpfilld and on the coordinator: no panic, no 5xx but a requested
+// deadline's 504, every 2xx answer a report that decodes strictly, and
+// without a deadline of its own the two tiers answering the same
+// status and, on 2xx, the same report once stage timings are removed.
+func FuzzServePipeline(f *testing.F) {
+	for _, s := range []string{
+		`{"spec":"b02"}`,
+		`{"spec":"b01","atpg":{"shards":3},"include_cubes":true}`,
+		`{"spec":"b06","stage":"atpg","atpg":{"shards":2},"shard_index":1}`,
+		`{"spec":"pis=3,ffs=4,gates=20,seed=7","orderer":"i","filler":"dp","power":{"scheme":"loc","chains":2,"tiles":3}}`,
+		`{"spec":"b01","atpg":{"max_faults":20,"backtrack_limit":5,"max_patterns":4,"no_compact":true},"seed":3,"filler":"mt","name":"x"}`,
+		`{"netlist":"INPUT(a)\nINPUT(b)\nOUTPUT(z)\nq = DFF(z)\nz = NAND(a, q)\ny = NOR(b, q)\n","include_cubes":true}`,
+		`{"netlist":"INPUT(a)\nOUTPUT(z)\nna = NOT(a)\nz = AND(a, na)\n","atpg":{"max_faults":1}}`,
+		`{"spec":"b19"}`,
+		`{"spec":"pis=1,ffs=1,gates=1048576"}`,
+		`{"spec":"b02","power":{"tiles":100000}}`,
+		`{"spec":"b02","timeout_ms":1}`,
+		`{"spec":"b02","netlist":"INPUT(a)"}`,
+		`{"spec":"b02","stage":"atpg","shard_index":5}`,
+		`null`,
+	} {
+		f.Add([]byte(s))
+	}
+	tiers := ingressTiers(f, 64<<10)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		status := map[string]int{}
+		reports := map[string]*client.PipelineReport{}
+		for tier, h := range tiers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/pipeline", bytes.NewReader(body)))
+			checkServed(t, tier, "/v1/pipeline", body, rec)
+			status[tier] = rec.Code
+			if rec.Code/100 == 2 {
+				rep := new(client.PipelineReport)
+				if err := jobs.DecodeStrict(rec.Body.Bytes(), rep); err != nil {
+					t.Fatalf("%s %.300q: answer %.300q does not decode strictly: %v", tier, body, rec.Body.Bytes(), err)
+				}
+				rep.Stages = nil
+				reports[tier] = rep
+			}
+		}
+		if setsTimeout(body) {
+			return
+		}
+		if status["dpfilld"] != status["dpfill-coord"] {
+			t.Fatalf("%.300q: dpfilld answered %d, the coordinator %d", body, status["dpfilld"], status["dpfill-coord"])
+		}
+		if w, c := reports["dpfilld"], reports["dpfill-coord"]; !reflect.DeepEqual(w, c) {
+			t.Fatalf("%.300q: coordinator reported %+v, dpfilld %+v", body, c, w)
+		}
 	})
 }

@@ -372,7 +372,8 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 		"# TYPE dpfill_coord_workers_healthy gauge",
 		"# TYPE dpfill_coord_shard_latency_seconds histogram",
 		"# TYPE dpfill_coord_heartbeat_rtt_seconds histogram",
-		"# TYPE dpfill_coord_wal_records_total counter",
+		"# TYPE dpfill_wal_records_total counter",
+		`dpfill_wal_records_total{tier="coord"} `,
 		`dpfill_coord_worker_outstanding{worker="`,
 		`dpfill_coord_shard_latency_seconds_bucket{le="+Inf"}`,
 	} {

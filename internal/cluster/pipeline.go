@@ -51,13 +51,9 @@ func (co *Coordinator) Pipeline(ctx context.Context, req client.PipelineRequest)
 // fault list would silently report the wrong peak.
 func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineRequest) (*client.PipelineReport, error) {
 	start := time.Now()
-	c, err := pipeline.ResolveCircuit(req)
+	c, err := pipeline.ResolveCircuit(req, co.cfg.MaxGates)
 	if err != nil {
 		return nil, err
-	}
-	if len(c.Gates) > co.cfg.MaxGates {
-		return nil, fmt.Errorf("%w: circuit %q has %d gates, exceeding the limit %d",
-			pipeline.ErrBadRequest, c.Name, len(c.Gates), co.cfg.MaxGates)
 	}
 	stages := []pipeline.StageTiming{{
 		Stage:          "netlist",

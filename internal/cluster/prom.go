@@ -52,9 +52,8 @@ func (co *Coordinator) newProm() *prom.Registry {
 		"Per-shard wall-clock dispatch time, failover and fallback included.",
 		prom.DefBuckets)
 	hb := r.Histogram("dpfill_coord_heartbeat_rtt_seconds",
-		"Per-worker heartbeat round-trip time.", prom.RTTBuckets)
+		"Per-worker heartbeat time: one /stats round trip.", prom.RTTBuckets)
 	co.reg.onHeartbeat = func(rtt time.Duration, _ bool) { hb.Observe(rtt) }
-	co.RegisterProm(r, "dpfill_coord")
-	prom.RegisterRuntime(r)
+	co.RegisterProm(r, "coord")
 	return r
 }

@@ -12,7 +12,7 @@ import (
 // production-safe defaults.
 type RegistryConfig struct {
 	// HeartbeatInterval is the period between health sweeps (default
-	// 2s). Every sweep polls each worker's /healthz and /stats.
+	// 2s). Every sweep polls each worker's /stats once.
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout bounds one worker's poll (default 1s).
 	HeartbeatTimeout time.Duration
@@ -191,8 +191,9 @@ func (r *registry) run(ctx context.Context, afterFirst func()) {
 	}
 }
 
-// sweep polls every worker concurrently: /healthz decides liveness,
-// /stats refreshes the load view used for dispatch.
+// sweep polls every worker concurrently with one /stats request: an
+// answer admits the worker and refreshes the load view used for
+// dispatch, a failure counts toward ejection.
 func (r *registry) sweep(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, w := range r.workers {
@@ -204,9 +205,6 @@ func (r *registry) sweep(ctx context.Context) {
 			defer cancel()
 			start := time.Now()
 			st, err := w.c.Stats(hctx)
-			if err == nil {
-				err = w.c.Healthz(hctx)
-			}
 			if r.onHeartbeat != nil {
 				r.onHeartbeat(time.Since(start), err == nil)
 			}

@@ -28,7 +28,8 @@ type fillArena struct {
 
 // arenaGets counts arena checkouts and arenaMisses the subset that
 // found the pool empty (a fresh allocation); hits = gets - misses.
-// They feed the dpfill_go_arena_* metric families, making the pool's
+// Through PoolStats they feed the worker's dpfill_go_arena_hits_total
+// and dpfill_go_arena_misses_total families, making the pool's
 // steady-state claim ("serving load reuses scratch") observable.
 var (
 	arenaGets   atomic.Uint64

@@ -2,7 +2,6 @@ package debugz
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -21,7 +20,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 }
 
 func TestHandlerPprofIndex(t *testing.T) {
-	h := Handler(nil)
+	h := Handler()
 	code, body := get(t, h, "/debug/pprof/")
 	if code != http.StatusOK {
 		t.Fatalf("GET /debug/pprof/ = %d, want 200", code)
@@ -36,7 +35,7 @@ func TestHandlerPprofIndex(t *testing.T) {
 }
 
 func TestHandlerPprofProfiles(t *testing.T) {
-	h := Handler(nil)
+	h := Handler()
 	for _, path := range []string{
 		"/debug/pprof/goroutine?debug=1",
 		"/debug/pprof/cmdline",
@@ -48,24 +47,11 @@ func TestHandlerPprofProfiles(t *testing.T) {
 	}
 }
 
-func TestHandlerMetricsMirror(t *testing.T) {
-	metrics := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "dpfill_jobs_total 7")
-	})
-	h := Handler(metrics)
-	code, body := get(t, h, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("GET /metrics = %d, want 200", code)
-	}
-	if !strings.Contains(body, "dpfill_jobs_total 7") {
-		t.Errorf("metrics mirror did not serve the scrape, got %q", body)
-	}
-}
-
 func TestHandlerNoMetrics(t *testing.T) {
-	// Without a metrics handler the route is simply absent.
-	if code, _ := get(t, Handler(nil), "/metrics"); code != http.StatusNotFound {
-		t.Errorf("GET /metrics without handler = %d, want 404", code)
+	// The scrape lives on the serving port only; the admin port has no
+	// /metrics route.
+	if code, _ := get(t, Handler(), "/metrics"); code != http.StatusNotFound {
+		t.Errorf("GET /metrics on the admin mux = %d, want 404", code)
 	}
 }
 
@@ -82,16 +68,14 @@ func TestListenAndServeLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- ListenAndServe(ctx, addr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "scrape ok")
-		}))
+		done <- ListenAndServe(ctx, addr)
 	}()
 
 	// Poll until the listener is up.
 	var resp *http.Response
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err = http.Get("http://" + addr + "/metrics")
+		resp, err = http.Get("http://" + addr + "/debug/pprof/cmdline")
 		if err == nil || time.Now().After(deadline) {
 			break
 		}
@@ -102,8 +86,8 @@ func TestListenAndServeLifecycle(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != "scrape ok" {
-		t.Fatalf("GET /metrics = %d %q", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("GET /debug/pprof/cmdline = %d %q", resp.StatusCode, body)
 	}
 
 	cancel()
@@ -127,7 +111,7 @@ func TestListenAndServeBindError(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := ListenAndServe(ctx, l.Addr().String(), nil); err == nil {
+	if err := ListenAndServe(ctx, l.Addr().String()); err == nil {
 		t.Fatal("binding an occupied port should fail")
 	}
 }

@@ -668,12 +668,12 @@ func (m *Manager) journalSettle(id string, state State, finished time.Time, resu
 	m.maybeCompact()
 }
 
-// WALAppends counts journal records written since Open — the
-// dpfill_wal_records_total metric.
+// WALAppends counts journal records written since Open — the tier's
+// dpfill_wal_records_total{tier=...} series.
 func (m *Manager) WALAppends() uint64 { return m.walAppends.Load() }
 
 // JournalBytes is the journal file's current size, 0 without
-// persistence — the journal-size gauge.
+// persistence — the tier's dpfill_wal_journal_bytes{tier=...} series.
 func (m *Manager) JournalBytes() int64 {
 	if m.wal == nil {
 		return 0

@@ -3,11 +3,11 @@
 // in the Prometheus text exposition format (version 0.0.4), mounted as
 // GET /metrics on every daemon.
 //
-// The hot-path contract: Counter.Add, Gauge.Set and Histogram.Observe
-// are atomic-only — no mutex, no allocation — so instrumenting the
-// fill serving path costs a handful of uncontended atomic adds per
-// request and the benchmark trajectory gate stays green. The registry
-// mutex is taken only at registration time and at scrape time.
+// A subsystem owns its counters and gauges; the registry reads them at
+// scrape time through CounterFunc and GaugeFunc. The one eagerly-fed
+// type is Histogram, whose Observe is atomic-only — no mutex, no
+// allocation. The registry mutex is taken only at registration time
+// and at scrape time.
 package metrics
 
 import (
@@ -39,11 +39,8 @@ const (
 // value sources is set, matching the family's kind.
 type series struct {
 	labels []Label
-	ctr    *Counter
-	gauge  *Gauge
 	fn     func() float64
 	hist   *Histogram
-	histFn func() HistogramSnapshot
 }
 
 // family groups every series registered under one metric name.
@@ -86,49 +83,6 @@ func (r *Registry) register(name, help string, k kind, s *series) {
 	}
 	f.series = append(f.series, s)
 }
-
-// Counter is a monotonically increasing value. The zero value is
-// usable but unregistered; obtain one from Registry.Counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &series{labels: labels, ctr: c})
-	return c
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, &series{labels: labels, gauge: g})
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —
 // the fit for occupancy read off another subsystem (engine queue
@@ -192,28 +146,6 @@ func (r *Registry) Histogram(name, help string, buckets []time.Duration, labels 
 	return h
 }
 
-// HistogramSnapshot is a scrape-time view of an externally maintained
-// histogram, for HistogramFunc sources such as runtime/metrics.
-type HistogramSnapshot struct {
-	// Bounds are the ascending bucket upper bounds in seconds.
-	Bounds []float64
-	// Counts has len(Bounds)+1 entries; the last is the +Inf overflow.
-	Counts []uint64
-	// Sum is the total of all observations in seconds. Sources that
-	// cannot provide one (runtime/metrics pause histograms) leave it 0.
-	Sum float64
-}
-
-// HistogramFunc registers a histogram whose buckets are read at scrape
-// time from an external source — the fit for the Go runtime's own
-// histograms (GC pause distribution), which the runtime maintains and
-// this registry only renders. A snapshot whose Counts length is not
-// len(Bounds)+1 is skipped at scrape time rather than rendered
-// malformed.
-func (r *Registry) HistogramFunc(name, help string, fn func() HistogramSnapshot, labels ...Label) {
-	r.register(name, help, kindHistogram, &series{labels: labels, histFn: fn})
-}
-
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
@@ -263,10 +195,6 @@ func (r *Registry) Write(w io.Writer) {
 
 func writeSeries(w io.Writer, f *family, s *series) {
 	switch {
-	case s.ctr != nil:
-		fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(s.labels), s.ctr.Value())
-	case s.gauge != nil:
-		fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(s.labels), s.gauge.Value())
 	case s.fn != nil:
 		fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(s.labels), formatFloat(s.fn()))
 	case s.hist != nil:
@@ -288,22 +216,6 @@ func writeSeries(w io.Writer, f *family, s *series) {
 			labelString(append(append([]Label{}, s.labels...), Label{"le", "+Inf"})), cum)
 		fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(s.labels),
 			formatFloat(time.Duration(h.sum.Load()).Seconds()))
-		fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(s.labels), cum)
-	case s.histFn != nil:
-		snap := s.histFn()
-		if len(snap.Counts) != len(snap.Bounds)+1 {
-			return
-		}
-		var cum uint64
-		for i, bound := range snap.Bounds {
-			cum += snap.Counts[i]
-			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-				labelString(append(append([]Label{}, s.labels...), Label{"le", formatFloat(bound)})), cum)
-		}
-		cum += snap.Counts[len(snap.Bounds)]
-		fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-			labelString(append(append([]Label{}, s.labels...), Label{"le", "+Inf"})), cum)
-		fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(s.labels), formatFloat(snap.Sum))
 		fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(s.labels), cum)
 	}
 }
@@ -339,14 +251,4 @@ func formatFloat(v float64) string {
 		return "NaN"
 	}
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.9f", v), "0"), ".")
-}
-
-// Names returns the registered family names in registration order —
-// tests assert required families are present through this.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,10 +16,8 @@ var lineRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9
 
 func TestRenderFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_jobs_total", "Jobs answered.")
-	c.Add(3)
-	g := r.Gauge("test_queue_depth", "Live queue depth.")
-	g.Set(7)
+	r.CounterFunc("test_jobs_total", "Jobs answered.", func() uint64 { return 3 })
+	r.GaugeFunc("test_queue_depth", "Live queue depth.", func() float64 { return 7 })
 	r.GaugeFunc("test_workers_healthy", "Admitted workers.", func() float64 { return 2 },
 		Label{"tier", "coord"})
 	h := r.Histogram("test_latency_seconds", "Fill latency.", nil)
@@ -100,11 +99,13 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserve exercises the atomic hot paths under -race.
+// TestConcurrentObserve exercises the atomic hot paths under -race:
+// histogram observations and a counter the registry reads at scrape
+// time, both landing while scrapes run.
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("conc_total", "x")
-	g := r.Gauge("conc_gauge", "x")
+	var c atomic.Uint64
+	r.CounterFunc("conc_total", "x", c.Load)
 	h := r.Histogram("conc_seconds", "x", nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -112,8 +113,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc()
-				g.Add(1)
+				c.Add(1)
 				h.Observe(time.Duration(j) * time.Microsecond)
 			}
 		}()
@@ -129,18 +129,21 @@ func TestConcurrentObserve(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if c.Value() != 8000 || g.Value() != 8000 || h.Count() != 8000 {
-		t.Fatalf("counts = %d/%d/%d, want 8000 each", c.Value(), g.Value(), h.Count())
+	if c.Load() != 8000 || h.Count() != 8000 {
+		t.Fatalf("counts = %d/%d, want 8000 each", c.Load(), h.Count())
+	}
+	if out := scrape(r); !strings.Contains(out, "conc_total 8000\n") || !strings.Contains(out, "conc_seconds_count 8000\n") {
+		t.Fatalf("final scrape does not show 8000 of each:\n%s", out)
 	}
 }
 
 func TestDuplicateKindPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup_name", "x")
+	r.CounterFunc("dup_name", "x", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("registering dup_name as a gauge after a counter did not panic")
 		}
 	}()
-	r.Gauge("dup_name", "x")
+	r.GaugeFunc("dup_name", "x", func() float64 { return 0 })
 }

@@ -73,20 +73,21 @@ func (s *SLO) BurnRate() float64 {
 // Threshold returns the configured breach threshold.
 func (s *SLO) Threshold() time.Duration { return s.threshold }
 
-// Register mounts the SLO's families under the given prefix:
-// <prefix>_slo_requests_total, <prefix>_slo_breaches_total,
-// <prefix>_slo_burn_rate and <prefix>_slo_threshold_seconds.
-func (s *SLO) Register(r *Registry, prefix string) {
-	r.CounterFunc(prefix+"_slo_requests_total",
+// Register mounts the SLO's four families on r, each series labelled
+// tier=<tier>: dpfill_slo_requests_total, dpfill_slo_breaches_total,
+// dpfill_slo_burn_rate and dpfill_slo_threshold_seconds.
+func (s *SLO) Register(r *Registry, tier string) {
+	l := Label{Name: "tier", Value: tier}
+	r.CounterFunc("dpfill_slo_requests_total",
 		"Requests measured against the latency SLO.",
-		s.total.Load)
-	r.CounterFunc(prefix+"_slo_breaches_total",
+		s.total.Load, l)
+	r.CounterFunc("dpfill_slo_breaches_total",
 		"Requests that exceeded the SLO threshold.",
-		s.breaches.Load)
-	r.GaugeFunc(prefix+"_slo_burn_rate",
+		s.breaches.Load, l)
+	r.GaugeFunc("dpfill_slo_burn_rate",
 		"Fraction of recent requests over the SLO threshold.",
-		s.BurnRate)
-	r.GaugeFunc(prefix+"_slo_threshold_seconds",
+		s.BurnRate, l)
+	r.GaugeFunc("dpfill_slo_threshold_seconds",
 		"Configured SLO latency threshold.",
-		func() float64 { return s.threshold.Seconds() })
+		func() float64 { return s.threshold.Seconds() }, l)
 }

@@ -36,6 +36,10 @@ type Profile struct {
 // Inputs returns the test cube width |PIs| + |FFs|.
 func (p Profile) Inputs() int { return p.PIs + p.FFs }
 
+// Size returns len(Generate(p).Gates) without generating: one gate per
+// PI, a DFF and its D-driving Buf per FF, and the logic gates.
+func (p Profile) Size() int { return p.PIs + 2*p.FFs + p.Gates }
+
 // ITC99 returns the benchmark profiles of Table I (plus b09, which the
 // result tables include). Input totals and gate counts follow the
 // paper; the PI/FF split approximates the real suite (control-dominated

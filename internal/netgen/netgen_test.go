@@ -104,6 +104,9 @@ func TestGenerateMatchesProfile(t *testing.T) {
 		if c.NumLogicGates() != want {
 			t.Errorf("%s: logic gates=%d want %d", name, c.NumLogicGates(), want)
 		}
+		if len(c.Gates) != p.Size() {
+			t.Errorf("%s: %d gates, Size() says %d", name, len(c.Gates), p.Size())
+		}
 		if len(c.POs) == 0 {
 			t.Errorf("%s: no primary outputs", name)
 		}

@@ -34,6 +34,10 @@ const StageATPG = "atpg"
 // MaxShards bounds the ATPG fault partitioning.
 const MaxShards = 64
 
+// MaxTiles bounds the IR-drop grid side: the power stage keeps two
+// tiles×tiles grids and sweeps them once per capture cycle.
+const MaxTiles = 256
+
 // ErrBadRequest wraps every validation failure of a Request — bad
 // netlist text, unknown algorithm names, out-of-range shard indices —
 // so serving layers can answer 400 instead of 422.
@@ -109,7 +113,8 @@ type PowerConfig struct {
 	// Chains is the scan chain count (default 1; clamped to the FF
 	// count).
 	Chains int `json:"chains,omitempty"`
-	// Tiles is the IR-drop grid side length (default 4).
+	// Tiles is the IR-drop grid side length (default 4, at most
+	// MaxTiles).
 	Tiles int `json:"tiles,omitempty"`
 }
 
@@ -164,6 +169,9 @@ func (r Request) Validate() error {
 	if r.Power.Tiles < 0 {
 		return badf("power tiles %d < 0", r.Power.Tiles)
 	}
+	if r.Power.Tiles > MaxTiles {
+		return badf("power tiles %d exceed the limit %d", r.Power.Tiles, MaxTiles)
+	}
 	return nil
 }
 
@@ -194,14 +202,33 @@ func ParseNetlist(text string) (*circuit.Circuit, error) {
 }
 
 // ResolveCircuit resolves the request's circuit source: inline netlist
-// text or a generated netgen spec.
-func ResolveCircuit(req Request) (*circuit.Circuit, error) {
+// text or a generated netgen spec. With maxGates positive, a circuit
+// of more gates is refused. A spec is refused before synthesis, since
+// its profile gives the size, so a one-line request cannot make the
+// server build a million-gate netlist only to reject it.
+func ResolveCircuit(req Request, maxGates int) (*circuit.Circuit, error) {
+	checkSize := func(name string, gates int) error {
+		if maxGates > 0 && gates > maxGates {
+			return badf("circuit %q has %d gates, exceeding the limit %d", name, gates, maxGates)
+		}
+		return nil
+	}
 	if req.Netlist != "" {
-		return ParseNetlist(req.Netlist)
+		c, err := ParseNetlist(req.Netlist)
+		if err == nil {
+			err = checkSize(c.Name, len(c.Gates))
+		}
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
 	}
 	p, err := netgen.ParseSpec(req.Spec)
 	if err != nil {
 		return nil, badf("%v", err)
+	}
+	if err := checkSize(p.Name, p.Size()); err != nil {
+		return nil, err
 	}
 	c, err := netgen.Generate(p)
 	if err != nil {

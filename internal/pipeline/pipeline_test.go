@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestShardedRunMatchesShardMerge(t *testing.T) {
 
 	// Re-run the same request as a coordinator would: one StageATPG
 	// request per shard, MergeShards, one Finish.
-	c, err := ResolveCircuit(req)
+	c, err := ResolveCircuit(req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +229,40 @@ func TestMaxGatesLimit(t *testing.T) {
 	}
 }
 
+// TestMaxGatesRefusesSpecBeforeSynthesis: an over-limit spec is refused
+// from its profile, naming the gate count the synthesized circuit
+// would have had; a netlist is refused after parsing.
+func TestMaxGatesRefusesSpecBeforeSynthesis(t *testing.T) {
+	for _, tc := range []struct {
+		req  Request
+		want string
+	}{
+		// Built, b19 has 158499 gates and the custom spec 1048579;
+		// neither is built here.
+		{Request{Spec: "b19"}, `pipeline: bad request: circuit "b19" has 158499 gates, exceeding the limit 100`},
+		{Request{Spec: "pis=1,ffs=1,gates=1048576"}, `pipeline: bad request: circuit "custom" has 1048579 gates, exceeding the limit 100`},
+		{Request{Netlist: "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"}, ""},
+	} {
+		c, err := ResolveCircuit(tc.req, 100)
+		if tc.want == "" {
+			if err != nil || c == nil {
+				t.Errorf("ResolveCircuit(%+v) = %v, want a circuit", tc.req, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ResolveCircuit(%+v) = %v, want %s", tc.req, err, tc.want)
+		}
+	}
+	big := "INPUT(a)\nOUTPUT(z0)\n"
+	for i := range 100 {
+		big += fmt.Sprintf("z%d = NOT(a)\n", i)
+	}
+	if _, err := ResolveCircuit(Request{Netlist: big}, 100); err == nil || !isBadRequest(err) {
+		t.Errorf("a 101-gate netlist under a 100-gate limit: got %v, want ErrBadRequest", err)
+	}
+}
+
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -248,6 +283,7 @@ func TestValidateErrors(t *testing.T) {
 		{Spec: "b01", Power: PowerConfig{Scheme: "bist"}},
 		{Spec: "b01", Power: PowerConfig{Chains: -1}},
 		{Spec: "b01", Power: PowerConfig{Tiles: -1}},
+		{Spec: "b01", Power: PowerConfig{Tiles: MaxTiles + 1}},
 	}
 	for _, req := range cases {
 		if err := req.Validate(); err == nil || !isBadRequest(err) {
@@ -297,7 +333,7 @@ func TestMergeShardsErrors(t *testing.T) {
 
 func TestFinishEmptySet(t *testing.T) {
 	req := Request{Spec: testSpec}
-	c, err := ResolveCircuit(req)
+	c, err := ResolveCircuit(req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,13 +100,9 @@ func Run(ctx context.Context, req Request, opt RunOptions) (*Report, error) {
 		return nil, err
 	}
 	start := time.Now()
-	c, err := ResolveCircuit(req)
+	c, err := ResolveCircuit(req, opt.MaxGates)
 	if err != nil {
 		return nil, err
-	}
-	if opt.MaxGates > 0 && len(c.Gates) > opt.MaxGates {
-		return nil, badf("circuit %q has %d gates, exceeding the limit %d",
-			c.Name, len(c.Gates), opt.MaxGates)
 	}
 	stages := []StageTiming{{Stage: "netlist", DurationMillis: millis(time.Since(start))}}
 	opt.progress(1)

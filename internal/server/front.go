@@ -211,25 +211,26 @@ func (f *Front) Mount(t Tier) {
 	jobs.Mount(f.mux, f.jobs, f.decodeJobSubmit)
 }
 
-// RegisterProm adds the front's families to a tier's registry under
-// its prefix: async job occupancy, the job journal and the SLO. They
-// read the job queue at scrape time, so a registry built before
-// OpenJobs may carry them.
-func (f *Front) RegisterProm(r *prom.Registry, prefix string) {
-	r.GaugeFunc(prefix+"_async_jobs_active",
+// RegisterProm adds the front's families to a tier's registry, each
+// series labelled tier=<tier> ("worker" or "coord"): async job
+// occupancy, the job journal and the SLO. They read the job queue at
+// scrape time, so a registry built before OpenJobs may carry them.
+func (f *Front) RegisterProm(r *prom.Registry, tier string) {
+	l := prom.Label{Name: "tier", Value: tier}
+	r.GaugeFunc("dpfill_async_jobs_active",
 		"Async jobs queued or running.",
-		func() float64 { active, _ := f.jobs.Occupancy(); return float64(active) })
-	r.GaugeFunc(prefix+"_async_jobs_retained",
+		func() float64 { active, _ := f.jobs.Occupancy(); return float64(active) }, l)
+	r.GaugeFunc("dpfill_async_jobs_retained",
 		"Settled async jobs still queryable.",
-		func() float64 { _, retained := f.jobs.Occupancy(); return float64(retained) })
-	r.CounterFunc(prefix+"_wal_records_total",
+		func() float64 { _, retained := f.jobs.Occupancy(); return float64(retained) }, l)
+	r.CounterFunc("dpfill_wal_records_total",
 		"Records appended to the async job journal.",
-		func() uint64 { return f.jobs.WALAppends() })
-	r.GaugeFunc(prefix+"_wal_journal_bytes",
+		func() uint64 { return f.jobs.WALAppends() }, l)
+	r.GaugeFunc("dpfill_wal_journal_bytes",
 		"Async job journal size on disk.",
-		func() float64 { return float64(f.jobs.JournalBytes()) })
+		func() float64 { return float64(f.jobs.JournalBytes()) }, l)
 	if f.slo != nil {
-		f.slo.Register(r, prefix)
+		f.slo.Register(r, tier)
 	}
 }
 
@@ -244,10 +245,6 @@ func (f *Front) SlowRequests() []SlowRequest { return f.slow.Snapshot() }
 func (f *Front) Handler() http.Handler {
 	return reqid.Middleware(f.cfg.Log, CaptureSlow(f.slow, f.slo, f.mux))
 }
-
-// Metrics returns the tier's Prometheus scrape handler, for mounting
-// on an admin mux (-debug-addr) alongside pprof.
-func (f *Front) Metrics() http.Handler { return f.tier.Metrics.Handler() }
 
 // Close stops the async job workers and the journal, then the tier's
 // own resources; unsettled jobs resume on the next start over the same

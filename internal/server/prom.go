@@ -5,27 +5,27 @@ import (
 	prom "repro/internal/metrics"
 )
 
-// fillStages is the fixed stage set of a fill-core explain trace, in
-// trace order (see core.Trace.StageNS).
-var fillStages = []string{"pack", "scan", "bound", "assign", "reconstruct", "unpack", "other"}
+// fillStages is the stage set of a served fill-core explain trace, in
+// trace order (see core.Trace.StageNS). "unpack" is left out: a served
+// fill stays in packed planes, so that stage always reads zero.
+var fillStages = []string{"pack", "scan", "bound", "assign", "reconstruct", "other"}
 
 // newProm builds the worker's Prometheus registry. Counters and gauges
 // read at scrape time from the state the service already maintains —
-// the mutex-guarded /stats accounting, the engine's occupancy, the job
-// journal — so serving hot paths gain no new synchronization; the one
-// eagerly-fed series is the fill-latency histogram, whose Observe is
-// atomic-only.
+// the /stats atomics, the engine's occupancy, the job journal — so
+// serving hot paths gain no new synchronization; the eagerly-fed
+// series are histograms, whose Observe is atomic-only.
 func (s *Server) newProm() *prom.Registry {
 	r := prom.NewRegistry()
 	m := s.met
 	r.CounterFunc("dpfill_jobs_total",
-		"Fill jobs answered, cache hits included.", m.jobsTotal)
+		"Fill jobs answered, cache hits included.", m.jobs.Load)
 	r.CounterFunc("dpfill_errors_total",
-		"Jobs that ended in an error response.", m.errorsTotal)
+		"Jobs that ended in an error response.", m.errors.Load)
 	r.CounterFunc("dpfill_cache_hits_total",
-		"Result-cache lookups answered from the LRU.", m.cacheHitsTotal)
+		"Result-cache lookups answered from the LRU.", m.cacheHits.Load)
 	r.CounterFunc("dpfill_cache_misses_total",
-		"Result-cache lookups that ran the engine.", m.cacheMissesTotal)
+		"Result-cache lookups that ran the engine.", m.cacheMisses.Load)
 	r.GaugeFunc("dpfill_cache_entries",
 		"Current result-cache LRU entry count.",
 		func() float64 { return float64(s.cache.Len()) })
@@ -41,9 +41,9 @@ func (s *Server) newProm() *prom.Registry {
 	m.fillLatency = r.Histogram("dpfill_fill_latency_seconds",
 		"Per-job wall-clock latency, cache hits included.", prom.DefBuckets)
 	r.CounterFunc("dpfill_pipeline_runs_total",
-		"Pipeline runs answered, sync and async.", m.pipelinesTotal)
+		"Pipeline runs answered, sync and async.", m.pipelines.Load)
 	r.CounterFunc("dpfill_pipeline_errors_total",
-		"Pipeline runs that ended in an error response.", m.pipelineErrorsTotal)
+		"Pipeline runs that ended in an error response.", m.pipelineErrors.Load)
 	m.pipelineLatency = r.Histogram("dpfill_pipeline_latency_seconds",
 		"End-to-end pipeline wall-clock latency.", prom.DefBuckets)
 	// One labelled series per pipeline stage; ATPG shard timings
@@ -72,47 +72,6 @@ func (s *Server) newProm() *prom.Registry {
 	// The front's job-queue families read the queue lazily: the
 	// registry is built before OpenJobs so journal replay can't race
 	// histogram wiring, and no scrape can arrive before New returns.
-	s.RegisterProm(r, "dpfill")
-	prom.RegisterRuntime(r)
+	s.RegisterProm(r, "worker")
 	return r
-}
-
-// Scrape-time accessors over the mutex-guarded serving counters. A
-// scrape takes the stats mutex a handful of times; request hot paths
-// never wait on a scrape longer than one field copy.
-
-func (m *metrics) jobsTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.jobs
-}
-
-func (m *metrics) errorsTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.errors
-}
-
-func (m *metrics) cacheHitsTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cacheHits
-}
-
-func (m *metrics) cacheMissesTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cacheMisses
-}
-
-func (m *metrics) pipelinesTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pipelines
-}
-
-func (m *metrics) pipelineErrorsTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pipelineErrors
 }

@@ -262,6 +262,7 @@ func (s *Server) Fill(ctx context.Context, req FillRequest) (*FillResponse, erro
 	start := time.Now()
 	job, resp, digest, tr, err := s.resolveFill(req)
 	if err != nil {
+		s.met.observeError()
 		return nil, err
 	}
 	if entry, ok := s.cache.Get(digest, !req.OmitCubes); ok {

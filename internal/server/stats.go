@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -56,21 +57,17 @@ type Stats struct {
 	SlowRequests []SlowRequest `json:"slow_requests,omitempty"`
 }
 
-// metrics accumulates serving statistics behind one mutex; every field
-// is touched only under mu, so snapshots are consistent. fillLatency
-// additionally mirrors each job's latency into the Prometheus
-// histogram (atomic-only, set once at construction).
+// metrics accumulates serving statistics. The counters are atomics the
+// registry reads at scrape time; the latency window sits behind mu.
+// fillLatency additionally mirrors each job's latency into the
+// Prometheus histogram (atomic-only, set once at construction).
 type metrics struct {
-	mu    sync.Mutex
 	start time.Time // immutable after newMetrics
-	// dpvet:guardedby mu
-	jobs uint64
-	// dpvet:guardedby mu
-	errors uint64
-	// dpvet:guardedby mu
-	cacheHits uint64
-	// dpvet:guardedby mu
-	cacheMisses uint64
+
+	jobs, errors, cacheHits, cacheMisses atomic.Uint64
+	pipelines, pipelineErrors            atomic.Uint64
+
+	mu sync.Mutex
 	// dpvet:guardedby mu
 	lat [latencyWindow]time.Duration
 	// dpvet:guardedby mu
@@ -79,18 +76,14 @@ type metrics struct {
 	latCount    int
 	fillLatency *prom.Histogram
 
-	// dpvet:guardedby mu
-	pipelines uint64
-	// dpvet:guardedby mu
-	pipelineErrors  uint64
 	pipelineLatency *prom.Histogram
 	// stageLatency maps a pipeline stage's base name (shard stages
 	// "atpg/K" fold into "atpg") to its Prometheus histogram; set once
 	// at construction by newProm, read-only afterwards.
 	stageLatency map[string]*prom.Histogram
-	// fillStage maps a fill-core trace stage (pack, scan, bound, assign,
-	// reconstruct, unpack, other) to its Prometheus histogram; set once
-	// at construction by newProm, read-only afterwards.
+	// fillStage maps a served fill-core trace stage (see fillStages) to
+	// its Prometheus histogram; set once at construction by newProm,
+	// read-only afterwards.
 	fillStage map[string]*prom.Histogram
 }
 
@@ -101,27 +94,19 @@ func newMetrics() *metrics {
 // observeJob records one answered job that went through a cache
 // lookup, and its wall-clock latency.
 func (m *metrics) observeJob(d time.Duration, cached bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if cached {
-		m.cacheHits++
+		m.cacheHits.Add(1)
 	} else {
-		m.cacheMisses++
+		m.cacheMisses.Add(1)
 	}
-	m.recordJob(d)
-}
-
-// recordJob counts one job and pushes its latency into the window.
-// Callers hold mu.
-//
-// dpvet:locked mu
-func (m *metrics) recordJob(d time.Duration) {
-	m.jobs++
+	m.jobs.Add(1)
+	m.mu.Lock()
 	m.lat[m.latNext] = d
 	m.latNext = (m.latNext + 1) % latencyWindow
 	if m.latCount < latencyWindow {
 		m.latCount++
 	}
+	m.mu.Unlock()
 	if m.fillLatency != nil {
 		m.fillLatency.Observe(d)
 	}
@@ -131,9 +116,7 @@ func (m *metrics) recordJob(d time.Duration) {
 // wall-clock latency plus the per-stage timings the report carries,
 // fanned into the stage-labelled histogram family.
 func (m *metrics) observePipeline(d time.Duration, stages []pipeline.StageTiming) {
-	m.mu.Lock()
-	m.pipelines++
-	m.mu.Unlock()
+	m.pipelines.Add(1)
 	if m.pipelineLatency != nil {
 		m.pipelineLatency.Observe(d)
 	}
@@ -162,42 +145,34 @@ func (m *metrics) observeFillTrace(tr *core.Trace) {
 
 // observePipelineError records one pipeline run that ended in an
 // error response.
-func (m *metrics) observePipelineError() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pipelineErrors++
-}
+func (m *metrics) observePipelineError() { m.pipelineErrors.Add(1) }
 
 // observeError records one job that ended in an error response.
-func (m *metrics) observeError() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.errors++
-}
+func (m *metrics) observeError() { m.errors.Add(1) }
 
 // snapshot renders the current statistics. cacheEntries and the
 // engine occupancy are passed in so metrics stays decoupled from the
 // cache and engine implementations.
 func (m *metrics) snapshot(cacheEntries, queued, inflight, workers int) Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := Stats{
 		UptimeSeconds:  time.Since(m.start).Seconds(),
-		JobsServed:     m.jobs,
-		Errors:         m.errors,
-		CacheHits:      m.cacheHits,
-		CacheMisses:    m.cacheMisses,
+		JobsServed:     m.jobs.Load(),
+		Errors:         m.errors.Load(),
+		CacheHits:      m.cacheHits.Load(),
+		CacheMisses:    m.cacheMisses.Load(),
 		CacheEntries:   cacheEntries,
 		QueueDepth:     queued,
 		InFlight:       inflight,
 		EngineWorkers:  workers,
-		Pipelines:      m.pipelines,
-		PipelineErrors: m.pipelineErrors,
-		LatencySamples: m.latCount,
+		Pipelines:      m.pipelines.Load(),
+		PipelineErrors: m.pipelineErrors.Load(),
 	}
-	if total := m.cacheHits + m.cacheMisses; total > 0 {
-		st.CacheHitRate = float64(m.cacheHits) / float64(total)
+	if total := st.CacheHits + st.CacheMisses; total > 0 {
+		st.CacheHitRate = float64(st.CacheHits) / float64(total)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st.LatencySamples = m.latCount
 	if m.latCount > 0 {
 		window := make([]time.Duration, m.latCount)
 		copy(window, m.lat[:m.latCount])
