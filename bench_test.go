@@ -311,7 +311,7 @@ func BenchmarkAblationPhase1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		totalGap = 0
 		for _, s := range sets {
-			xs, err := fill.XStat().Fill(s)
+			xs, err := fill.XStat().Fill(cube.Pack(s), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -332,7 +332,7 @@ func BenchmarkDPFillSmall(b *testing.B) {
 	s := randomCubeSet(r, 64, 100, 0.7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Fill(s); err != nil {
+		if _, _, err := core.FillWith(s, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,7 +343,7 @@ func BenchmarkDPFillWide(b *testing.B) {
 	s := randomCubeSet(r, 2000, 400, 0.85)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Fill(s); err != nil {
+		if _, _, err := core.FillWith(s, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +364,7 @@ func BenchmarkIOrdering(b *testing.B) {
 //
 // BenchmarkEngine* prove the two parallelism layers: the batch engine
 // beats a serial loop over the same jobs at 4+ workers, and the sharded
-// core.Fill scan beats the single-shard scan on wide sets — with output
+// core.FillWith scan beats the single-shard scan on wide sets — with output
 // byte-identical to the serial path in both cases (verified once per
 // benchmark run).
 

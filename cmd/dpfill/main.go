@@ -228,11 +228,12 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	perm, err := ord.Order(set)
+	p := cube.Pack(set)
+	perm, err := ord.OrderPacked(p)
 	if err != nil {
 		return err
 	}
-	filled, err := fl.Fill(set.Reorder(perm))
+	filled, err := fl.Fill(p, perm)
 	if err != nil {
 		return err
 	}
@@ -409,15 +410,15 @@ func runGrid(stdout io.Writer, set *cube.Set, seed int64) error {
 		names[i] = fl.Name()
 	}
 	fmt.Fprintf(tw, "ordering\\fill\t%s\n", strings.Join(names, "\t"))
+	p := cube.Pack(set)
 	for _, ord := range orderers {
-		perm, err := ord.Order(set)
+		perm, err := ord.OrderPacked(p)
 		if err != nil {
 			return err
 		}
-		re := set.Reorder(perm)
 		cells := make([]string, len(fillers))
 		for i, fl := range fillers {
-			filled, err := fl.Fill(re)
+			filled, err := fl.Fill(p, perm)
 			if err != nil {
 				return err
 			}

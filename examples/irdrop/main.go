@@ -58,18 +58,19 @@ func main() {
 			label, filled.PeakToggles(), mp.WorstUA, mp.MeanUA, mp.HotspotRatio())
 	}
 
+	packed := repro.PackCubes(cubes)
 	for _, fl := range []repro.Filler{fill.Zero(), fill.Random(3), fill.Backward()} {
-		filled, err := fl.Fill(cubes)
+		filled, err := fl.Fill(packed, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		show("tool + "+fl.Name(), filled.Set())
 	}
-	perm, err := order.Interleaved().Order(cubes)
+	perm, err := order.Interleaved().OrderPacked(packed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dp, err := fill.DP().Fill(cubes.Reorder(perm))
+	dp, err := fill.DP().Fill(packed, perm)
 	if err != nil {
 		log.Fatal(err)
 	}

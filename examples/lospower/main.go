@@ -70,19 +70,20 @@ func main() {
 		_ = ordered
 	}
 
-	zeroFilled, err := fill.Zero().Fill(cubes)
+	packed := repro.PackCubes(cubes)
+	zeroFilled, err := fill.Zero().Fill(packed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("tool order + 0-fill:", cubes, zeroFilled.Set())
 
-	bFilled, err := fill.Backward().Fill(cubes)
+	bFilled, err := fill.Backward().Fill(packed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("tool order + B-fill:", cubes, bFilled.Set())
 
-	perm, err := order.Interleaved().Order(cubes)
+	perm, err := order.Interleaved().OrderPacked(packed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,15 +50,16 @@ func main() {
 		fmt.Fprintf(tw, "\t%s", fl.Name())
 	}
 	fmt.Fprintln(tw, "\tmean stretch")
+	packed := repro.PackCubes(cubes)
 	for _, ord := range repro.Orderings(1) {
-		perm, err := ord.Order(cubes)
+		perm, err := ord.OrderPacked(packed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		re := cubes.Reorder(perm)
 		fmt.Fprintf(tw, "%s", ord.Name())
 		for _, fl := range fillers {
-			filled, err := fl.Fill(re)
+			filled, err := fl.Fill(packed, perm)
 			if err != nil {
 				log.Fatal(err)
 			}

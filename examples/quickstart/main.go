@@ -45,8 +45,9 @@ func main() {
 
 	// Compare every fill the paper's tables use.
 	fmt.Println("fill comparison (same ordering):")
+	packed := repro.PackCubes(cubes)
 	for _, fl := range repro.Fills(1) {
-		out, err := fl.Fill(cubes)
+		out, err := fl.Fill(packed, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

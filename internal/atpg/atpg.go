@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -79,7 +80,14 @@ func (s Stats) Coverage() float64 {
 // the undetected fault list in 64-pattern batches (fault dropping). The
 // returned set's order is the "tool ordering" of Table II.
 func Generate(c *circuit.Circuit, opts Options) (*cube.Set, Stats, error) {
-	return generateWith(c, opts, newPodem(c))
+	return GenerateContext(context.Background(), c, opts)
+}
+
+// GenerateContext is Generate under ctx: it checks ctx once per
+// targeted fault and, once ctx is done, stops and returns ctx.Err().
+// An uncancelled run returns exactly what Generate returns.
+func GenerateContext(ctx context.Context, c *circuit.Circuit, opts Options) (*cube.Set, Stats, error) {
+	return generateWith(ctx, c, opts, newPodem(c))
 }
 
 // testGenerator is a PODEM engine for one circuit: generate returns a
@@ -88,9 +96,9 @@ type testGenerator interface {
 	generate(f Fault, backtrackLimit int) (cube.Cube, int)
 }
 
-// generateWith is Generate on a given PODEM engine; the tests run it on
-// the reference engine to compare whole runs.
-func generateWith(c *circuit.Circuit, opts Options, eng testGenerator) (*cube.Set, Stats, error) {
+// generateWith is GenerateContext on a given PODEM engine; the tests
+// run it on the reference engine to compare whole runs.
+func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng testGenerator) (*cube.Set, Stats, error) {
 	opts = opts.withDefaults()
 	cc := logicsim.Compile(c)
 	faults := Collapse(c, AllFaults(c))
@@ -159,6 +167,9 @@ func generateWith(c *circuit.Circuit, opts Options, eng testGenerator) (*cube.Se
 		}
 		if opts.MaxPatterns > 0 && set.Len() >= opts.MaxPatterns {
 			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
 		}
 		t, status := eng.generate(faults[fi], opts.BacktrackLimit)
 		switch status {

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -48,8 +49,8 @@ func checkMatchesReference(t testing.TB, c *circuit.Circuit, limits ...int) {
 			}
 		}
 		opts := Options{BacktrackLimit: limit}
-		gotSet, gotStats, gotErr := generateWith(c, opts, newPodem(c))
-		wantSet, wantStats, wantErr := generateWith(c, opts, newRefPodem(c))
+		gotSet, gotStats, gotErr := generateWith(context.Background(), c, opts, newPodem(c))
+		wantSet, wantStats, wantErr := generateWith(context.Background(), c, opts, newRefPodem(c))
 		if (gotErr == nil) != (wantErr == nil) || gotStats != wantStats {
 			t.Fatalf("%s limit %d: Generate stats %+v err %v, reference %+v err %v",
 				c.Name, limit, gotStats, gotErr, wantStats, wantErr)

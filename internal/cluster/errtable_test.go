@@ -141,3 +141,26 @@ func TestErrorTable(t *testing.T) {
 		})
 	}
 }
+
+// TestPipelineDeadlineStopsATPG: a /v1/pipeline request whose
+// timeout_ms fires while ATPG runs answers 504 soon after its deadline
+// on both tiers, whole or fault-sharded, not when b12's seconds-long
+// ATPG would have finished.
+func TestPipelineDeadlineStopsATPG(t *testing.T) {
+	h := errTiers(t)
+	for _, tier := range []string{"dpfilld", "dpfill-coord"} {
+		for _, body := range []string{`{"spec":"b12","timeout_ms":100}`, `{"spec":"b12","timeout_ms":100,"atpg":{"shards":2}}`} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/pipeline", strings.NewReader(body))
+			rec := httptest.NewRecorder()
+			start := time.Now()
+			h[tier].ServeHTTP(rec, req)
+			took := time.Since(start)
+			if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "context deadline exceeded") {
+				t.Fatalf("%s %s: status %d %s, want 504 context deadline exceeded", tier, body, rec.Code, rec.Body.String())
+			}
+			if took >= 500*time.Millisecond {
+				t.Fatalf("%s %s: a 100ms deadline answered after %v", tier, body, took)
+			}
+		}
+	}
+}

@@ -74,81 +74,32 @@ type Result struct {
 	Profile []int
 }
 
-// Fill runs the complete DP-fill algorithm on the ordered set s and
-// returns a fully specified set achieving the minimum possible peak
-// toggle count for that ordering, together with run statistics. The
-// input set is not modified.
+// FillPacked runs the complete DP-fill algorithm on the cubes of the
+// snapshot p applied in perm order (nil: snapshot order) and returns
+// the filled matrix as packed row planes (cube j is column j): a fully
+// specified completion achieving the minimum possible peak toggle
+// count for that ordering, together with the run statistics, whose
+// Peak, Total and Profile are counted once, on those planes. The
+// planes are freshly allocated and owned by the caller; p is not
+// modified. It is the one fill kernel: a served request parsed into a
+// snapshot is ordered and filled without a cube set in between
+// (CountPacked serves one that does not want the cubes).
 //
 // The whole hot path is word-parallel on the bit-packed row planes:
-// the stretch-extraction scan (fanned out across row shards sized to
-// the machine; use FillWith to pin the shard count), the §V-D
-// reconstruction (two word-OR spans per interval instead of a per-trit
-// loop over a cloned set), and the toggle-profile verification
-// (XOR-shift + popcount). The interval scratch comes from a sync.Pool
-// arena, so steady serving load reuses it instead of regrowing it per
-// fill. Every schedule produces byte-identical output, pinned against
-// the per-trit reference path by differential tests.
-func Fill(s *cube.Set) (*cube.Set, *Result, error) {
-	return FillWith(s, Options{})
-}
-
-// FillWith is Fill with explicit execution options. With opt.Trace
-// set, the run's per-stage wall times, BCP prune counters and arena
-// reuse land in the sink; each stage's clock reads sit behind a nil
-// check so the untraced hot path stays branch-predictable.
+// the row build from p's words (Packed.Rows), the stretch-extraction
+// scan (fanned out across opt.Shards row shards), the §V-D
+// reconstruction (two word-OR spans per interval instead of a
+// per-trit loop), and the toggle-profile verification (XOR-shift +
+// popcount). The interval scratch comes from a sync.Pool arena, so
+// steady serving load reuses it instead of regrowing it per fill.
+// Every schedule produces byte-identical output, pinned against the
+// per-trit reference path by differential tests.
 //
-// It is the unpacking edge over FillPlanes: the kernel's planes are
-// decoded into a fresh set, which the trace records as the unpack
-// stage.
-func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
-	tr := opt.Trace
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
-	}
-	pr, res, err := FillPlanes(s, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	var mark time.Time
-	if tr != nil {
-		mark = time.Now()
-	}
-	out := newColumnSet(pr.Width, pr.N)
-	unpackColumns(pr, out, resolveShards(opt.Shards, pr.Width, pr.Width*pr.N))
-	if tr != nil {
-		tr.UnpackNS += time.Since(mark).Nanoseconds()
-		tr.seal(time.Since(start).Nanoseconds())
-	}
-	return out, res, nil
-}
-
-// FillPlanes is the DP-fill kernel without the unpack: it packs s,
-// runs the scan, the BCP solve and the §V-D reconstruction on the
-// planes, and returns the filled matrix as packed row planes (cube j
-// is column j) together with the run statistics, whose Peak, Total
-// and Profile are counted once, on those planes. The planes are
-// freshly allocated and owned by the caller; the interval scratch
-// comes from the arena pool. The trace's unpack stage stays zero.
-func FillPlanes(s *cube.Set, opt Options) (*cube.PackedRows, *Result, error) {
-	return fillPlanes(func() *cube.PackedRows { return cube.PackRows(s) }, opt)
-}
-
-// FillPacked is FillPlanes on the cubes of the snapshot p applied in
-// perm order (nil: snapshot order): what FillPlanes returns for
-// s.Reorder(perm) when p = cube.Pack(s), with the row planes built
-// from p's words (Packed.Rows) instead of from trits. It is the
-// served path of a request that wants the cubes: a request parsed
-// into a snapshot is ordered and filled without a cube set in between
-// (CountPacked serves one that does not). The trace's pack stage
-// covers the row build.
+// With opt.Trace set, the run's per-stage wall times, BCP prune
+// counters and arena reuse land in the sink; each stage's clock reads
+// sit behind a nil check so the untraced hot path stays
+// branch-predictable. The trace's pack stage covers the row build.
 func FillPacked(p *cube.Packed, perm []int, opt Options) (*cube.PackedRows, *Result, error) {
-	return fillPlanes(func() *cube.PackedRows { return p.Rows(perm) }, opt)
-}
-
-// fillPlanes is the kernel behind FillPlanes and FillPacked; pack
-// builds its row planes, which the fill then owns and returns.
-func fillPlanes(pack func() *cube.PackedRows, opt Options) (*cube.PackedRows, *Result, error) {
 	tr := opt.Trace
 	var start, mark time.Time
 	if tr != nil {
@@ -158,7 +109,7 @@ func fillPlanes(pack func() *cube.PackedRows, opt Options) (*cube.PackedRows, *R
 	ar := getArena()
 	defer putArena(ar)
 	reused := cap(ar.bcpIvs) > 0
-	pr := pack()
+	pr := p.Rows(perm)
 	n, rows := pr.N, pr.Width
 	if tr != nil {
 		now := time.Now()
@@ -204,6 +155,37 @@ func fillPlanes(pack func() *cube.PackedRows, opt Options) (*cube.PackedRows, *R
 		tr.finish(res, rows, n, shards, reused, start)
 	}
 	return pr, res, nil
+}
+
+// FillWith is FillPacked on a cube set, for callers that hold and want
+// trits: s is packed, filled in the order given and the planes
+// unpacked into a fresh set. The input set is not modified. The trace
+// charges the pack of s to the pack stage, next to the row build, and
+// the unpack to the unpack stage.
+func FillWith(s *cube.Set, opt Options) (*cube.Set, *Result, error) {
+	tr := opt.Trace
+	var start time.Time
+	if tr != nil {
+		start = time.Now()
+	}
+	p := cube.Pack(s)
+	if tr != nil {
+		tr.PackNS += time.Since(start).Nanoseconds()
+	}
+	pr, res, err := FillPacked(p, nil, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	var mark time.Time
+	if tr != nil {
+		mark = time.Now()
+	}
+	out := pr.Unpack()
+	if tr != nil {
+		tr.UnpackNS += time.Since(mark).Nanoseconds()
+		tr.seal(time.Since(start).Nanoseconds())
+	}
+	return out, res, nil
 }
 
 // CountPacked returns the Result FillPacked returns for the cubes of p

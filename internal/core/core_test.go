@@ -11,7 +11,7 @@ import (
 
 func mustFill(t *testing.T, s *cube.Set) (*cube.Set, *Result) {
 	t.Helper()
-	filled, res, err := Fill(s)
+	filled, res, err := FillWith(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPropertyFillIsOptimal(t *testing.T) {
 		if s.XCount() > 14 {
 			return true // skip oversized instances
 		}
-		filled, res, err := Fill(s)
+		filled, res, err := FillWith(s, Options{})
 		if err != nil {
 			return false
 		}
@@ -276,7 +276,7 @@ func TestPropertyFillAtMostZeroFill(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 1+r.Intn(10), 2+r.Intn(10), 0.6)
-		_, res, err := Fill(s)
+		_, res, err := FillWith(s, Options{})
 		if err != nil {
 			return false
 		}
@@ -299,7 +299,7 @@ func TestPropertyPeakEqualsLowerBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 1+r.Intn(20), 2+r.Intn(20), 0.7)
-		_, res, err := Fill(s)
+		_, res, err := FillWith(s, Options{})
 		if err != nil {
 			return false
 		}
@@ -333,7 +333,7 @@ func BenchmarkCoreFillWide(b *testing.B) {
 	s := randomSet(r, 1000, 200, 0.8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Fill(s); err != nil {
+		if _, _, err := FillWith(s, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,11 +369,11 @@ func fillColdSet(r *rand.Rand, m, n int, x float64) *cube.Set {
 // more intervals behind each busy color than BenchmarkBCPAssign's
 // uniform instance does, so the deadline heap carries its real weight.
 func BenchmarkCoreFillColdShape(b *testing.B) {
-	s := fillColdSet(rand.New(rand.NewSource(1250)), 768, 1250, 0.85)
+	p := cube.Pack(fillColdSet(rand.New(rand.NewSource(1250)), 768, 1250, 0.85))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FillPlanes(s, Options{Shards: 1}); err != nil {
+		if _, _, err := FillPacked(p, nil, Options{Shards: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -79,8 +79,8 @@ func TestFillMatchesReference(t *testing.T) {
 // TestFillPackedMatchesReference pins the served kernel entry, which
 // builds its rows from a packed snapshot through a permutation, to the
 // per-trit reference on the reordered set, and its planes and trace
-// counters to FillPlanes on that set, for the identity (nil) and
-// random orders across word-boundary shapes.
+// counters to FillPacked on a fresh snapshot of that set, for the
+// identity (nil) and random orders across word-boundary shapes.
 func TestFillPackedMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	for _, sh := range []struct{ width, n int }{{0, 3}, {1, 1}, {5, 2}, {63, 64}, {64, 65}, {65, 130}, {200, 70}} {
@@ -105,13 +105,13 @@ func TestFillPackedMatchesReference(t *testing.T) {
 				if !got.Unpack().Equal(want) {
 					t.Fatalf("%dx%d X %.1f perm %v: FillPacked differs from the reference", sh.width, sh.n, xProb, perm)
 				}
-				planes, _, err := FillPlanes(ordered, Options{Shards: 1, Trace: &trWant})
+				planes, _, err := FillPacked(cube.Pack(ordered), nil, Options{Shards: 1, Trace: &trWant})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(got.Strings(), planes.Strings()) || trGot.Intervals != trWant.Intervals ||
 					trGot.ForcedUnit != trWant.ForcedUnit || trGot.Rows != trWant.Rows || trGot.Cols != trWant.Cols {
-					t.Fatalf("%dx%d X %.1f perm %v: FillPacked and FillPlanes disagree", sh.width, sh.n, xProb, perm)
+					t.Fatalf("%dx%d X %.1f perm %v: FillPacked through perm and on the reordered set disagree", sh.width, sh.n, xProb, perm)
 				}
 			}
 		}
@@ -202,7 +202,7 @@ func TestBottleneckMatchesFillPeak(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 4+r.Intn(80), 2+r.Intn(120), r.Float64())
-		_, res, err := Fill(s)
+		_, res, err := FillWith(s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func fuzzFillSet(width, n uint8, allXRow bool, data []byte) *cube.Set {
 	return s
 }
 
-// FuzzFill is the kernel's oracle: the planes FillPlanes returns
+// FuzzFill is the kernel's oracle: the planes FillPacked returns
 // complete the input, the Peak/Total/Profile it counted equal a fresh
 // ToggleStats of the unpacked planes (the count-once contract), the
 // peak equals the BottleneckOrder bound and, for at most 16 Xs, the
@@ -47,9 +47,10 @@ func FuzzFill(f *testing.F) {
 	f.Add(uint8(64), uint8(0), false, []byte("\x11\x44"))
 	f.Fuzz(func(t *testing.T, width, n uint8, allXRow bool, data []byte) {
 		s := fuzzFillSet(width, n, allXRow, data)
-		pr, res, err := FillPlanes(s, Options{Shards: 1})
+		p := cube.Pack(s)
+		pr, res, err := FillPacked(p, nil, Options{Shards: 1})
 		if err != nil {
-			t.Fatalf("FillPlanes: %v", err)
+			t.Fatalf("FillPacked: %v", err)
 		}
 		filled := pr.Unpack()
 		if !s.Covers(filled) {
@@ -64,7 +65,7 @@ func FuzzFill(f *testing.F) {
 		for i := range perm {
 			perm[i] = i
 		}
-		bound, err := BottleneckOrder(cube.Pack(s), perm)
+		bound, err := BottleneckOrder(p, perm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,10 +82,9 @@ func FuzzFill(f *testing.F) {
 			t.Fatalf("FillWith: %v", err)
 		}
 		if !edge.Equal(filled) {
-			t.Fatal("FillWith unpacks to a different set than FillPlanes' planes")
+			t.Fatal("FillWith unpacks to a different set than FillPacked's planes")
 		}
 		sameResult(t, edgeRes, res)
-		p := cube.Pack(s)
 		count, err := CountPacked(p, nil, Options{})
 		if err != nil {
 			t.Fatalf("CountPacked: %v", err)

@@ -10,8 +10,8 @@ import (
 // This file keeps the per-trit reduction of §V-C and its reconstruction
 // as test oracles: Map walks each row as trits on a cloned set,
 // fillMapping solves it and Reconstruct fills the set trit by trit.
-// FillPlanes and FillPacked replaced them on every production path;
-// the differential tests hold those kernels to these references.
+// FillPacked replaced them on every production path; the differential
+// tests hold it, and the FillWith edge over it, to these references.
 
 // Mapping is the outcome of the cube→BCP reduction: a partially filled
 // set in which only unequal-boundary stretches remain as Xs, plus the
@@ -162,15 +162,7 @@ func Reconstruct(mp *Mapping, colors []int) *cube.Set {
 // shards <= 0 picks a machine-sized default.
 func MapSharded(s *cube.Set, shards int) *Mapping {
 	n := s.Len()
-	m := &Mapping{NumCycles: maxInt(0, n-1), Prefilled: newColumnSet(s.Width, n)}
-
-	rows := s.Width
-	if rows == 0 {
-		return m
-	}
-	shards = resolveShards(shards, rows, rows*n)
 	pr := cube.PackRows(s)
-	m.Intervals = scanSharded(pr, shards, nil)
-	unpackColumns(pr, m.Prefilled, shards)
-	return m
+	intervals := scanSharded(pr, resolveShards(shards, s.Width, s.Width*n), nil)
+	return &Mapping{NumCycles: maxInt(0, n-1), Intervals: intervals, Prefilled: pr.Unpack()}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/cube"
 )
 
-// Options tunes how Fill executes. The algorithm and its output are
+// Options tunes how a DP-fill executes. The algorithm and its output are
 // identical for every setting; only the schedule changes.
 type Options struct {
 	// Shards is the number of row shards the stretch scan fans out
@@ -45,18 +45,6 @@ func resolveShards(requested, rows, trits int) int {
 		s = 1
 	}
 	return s
-}
-
-// newColumnSet builds an n-cube set of the given width whose cubes
-// slice one flat backing buffer: the allocator is hit once, and the
-// zeroed make suffices because unpackColumns overwrites every trit.
-func newColumnSet(width, n int) *cube.Set {
-	out := cube.NewSet(width)
-	buf := make(cube.Cube, width*n)
-	for j := 0; j < n; j++ {
-		out.Append(buf[j*width : (j+1)*width : (j+1)*width])
-	}
-	return out
 }
 
 // scanSharded runs the stretch scan over all of pr's rows, fanned out
@@ -96,37 +84,6 @@ func scanSharded(pr *cube.PackedRows, shards int, dst []ToggleInterval) []Toggle
 		dst = append(dst, p...)
 	}
 	return dst
-}
-
-// unpackColumns decodes pr's planes into out, sharded over disjoint
-// cube (column) ranges. out must have pr.N cubes of width pr.Width;
-// every trit is overwritten.
-func unpackColumns(pr *cube.PackedRows, out *cube.Set, shards int) {
-	n := pr.N
-	if n == 0 || pr.Width == 0 {
-		return
-	}
-	if shards <= 1 {
-		pr.UnpackCubes(out, 0, n)
-		return
-	}
-	colChunk := (n + shards - 1) / shards
-	var wg sync.WaitGroup
-	for sh := 0; sh < shards; sh++ {
-		lo, hi := sh*colChunk, (sh+1)*colChunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			pr.UnpackCubes(out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // dpvet:hot

@@ -111,7 +111,7 @@ func TestFillMatchesPreRefactorReference(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s := randomSet(r, 1+r.Intn(50), 2+r.Intn(100), 0.65)
 		want := fillSerialReference(t, s)
-		got, _, err := Fill(s)
+		got, _, err := FillWith(s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,13 +214,7 @@ func (p *Packed) Unpack(perm []int) *Set {
 	for j, c := range perm {
 		cb := buf[j*p.Width : (j+1)*p.Width : (j+1)*p.Width]
 		care, val := p.CubeWords(c)
-		for k := range cb {
-			bit := uint64(1) << (k % 64)
-			cb[k] = X
-			if care[k/64]&bit != 0 {
-				cb[k] = Trit(val[k/64] >> (k % 64) & 1)
-			}
-		}
+		unpackWords(cb, care, val)
 		out.Cubes[j] = cb
 	}
 	return out
@@ -273,8 +267,8 @@ func (p *Packed) Expected2(i, j int) int {
 // pre-filling a stretch becomes a handful of word ORs.
 //
 // Unlike Packed, PackedRows is mutable: FillSpan specifies previously-X
-// columns in place, and UnpackCubes/Unpack convert the columns back
-// into the cube-major Set layout. Distinct rows are independent, so concurrent
+// columns in place, and Unpack converts the columns back into the
+// cube-major Set layout. Distinct rows are independent, so concurrent
 // use is safe as long as no two goroutines touch the same row.
 type PackedRows struct {
 	// Width is the number of pin rows m; N the number of cubes
@@ -369,18 +363,6 @@ func rowViews(dst [][]uint64, buf []uint64, rows, words int) [][]uint64 {
 // comfortably L1-resident).
 const transposeTile = 128
 
-// At returns the trit of row i at column j.
-func (p *PackedRows) At(i, j int) Trit {
-	w, bit := j/64, uint64(1)<<(j%64)
-	if p.care[i][w]&bit == 0 {
-		return X
-	}
-	if p.val[i][w]&bit != 0 {
-		return One
-	}
-	return Zero
-}
-
 // RowWords returns the care and value word planes of row i. The slices
 // alias the packed buffers: callers may scan them directly (the fast
 // path for stretch extraction) but must mutate only through FillSpan.
@@ -417,10 +399,9 @@ func setRange(words []uint64, lo, hi int) {
 	words[hw] |= hiMask
 }
 
-// UnpackCubes decodes columns [lo, hi) into the corresponding cubes of
-// s, X columns staying X. Disjoint column ranges
-// decode independently, so callers can fan the ranges out across
-// goroutines.
+// Unpack decodes the matrix into a fresh Set, X columns staying X.
+// The cubes slice one backing array, so the allocator is hit once for
+// all trits.
 //
 // The decode is tiled like a bit-matrix transpose: one 64-column word
 // block × tileRows rows at a time. The tile's words are staged into a
@@ -428,40 +409,24 @@ func setRange(words []uint64, lo, hi int) {
 // block receives a short sequential run of trit writes — without the
 // tiling, either the reads or the writes walk the full matrix with a
 // cache-hostile stride.
-func (p *PackedRows) UnpackCubes(s *Set, lo, hi int) {
-	if len(s.Cubes) != p.N || s.Width != p.Width {
-		panic("cube: UnpackCubes shape mismatch")
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > p.N {
-		hi = p.N
-	}
-	if lo >= hi {
-		return
+func (p *PackedRows) Unpack() *Set {
+	out := &Set{Width: p.Width, Cubes: make([]Cube, p.N)}
+	buf := make(Cube, p.Width*p.N)
+	for j := range out.Cubes {
+		out.Cubes[j] = buf[j*p.Width : (j+1)*p.Width : (j+1)*p.Width]
 	}
 	var careW, valW [transposeTile]uint64
-	for w := lo / 64; w <= (hi-1)/64; w++ {
-		jlo, jhi := w*64, (w+1)*64
-		if jlo < lo {
-			jlo = lo
-		}
-		if jhi > hi {
-			jhi = hi
-		}
+	for w := 0; w < p.Words; w++ {
+		jlo, jhi := w*64, min((w+1)*64, p.N)
 		for i0 := 0; i0 < p.Width; i0 += transposeTile {
-			i1 := i0 + transposeTile
-			if i1 > p.Width {
-				i1 = p.Width
-			}
+			i1 := min(i0+transposeTile, p.Width)
 			for i := i0; i < i1; i++ {
 				careW[i-i0] = p.careBuf[i*p.Words+w]
 				valW[i-i0] = p.valBuf[i*p.Words+w]
 			}
 			for j := jlo; j < jhi; j++ {
 				shift := uint(j % 64)
-				c := s.Cubes[j][i0:i1]
+				c := out.Cubes[j][i0:i1]
 				for k := range c {
 					// Branchless decode: care=0 → X(2); care=1 → val.
 					cb := (careW[k] >> shift) & 1
@@ -471,22 +436,11 @@ func (p *PackedRows) UnpackCubes(s *Set, lo, hi int) {
 			}
 		}
 	}
-}
-
-// Unpack decodes the matrix into a fresh Set. The cubes slice one
-// backing array, so the allocator is hit once for all trits.
-func (p *PackedRows) Unpack() *Set {
-	out := &Set{Width: p.Width, Cubes: make([]Cube, p.N)}
-	buf := make(Cube, p.Width*p.N)
-	for j := range out.Cubes {
-		out.Cubes[j] = buf[j*p.Width : (j+1)*p.Width : (j+1)*p.Width]
-	}
-	p.UnpackCubes(out, 0, p.N)
 	return out
 }
 
 // Strings renders cube j (column j) as the j-th string, in the
-// canonical '0'/'1'/'X' characters of Cube.String. It is UnpackCubes
+// canonical '0'/'1'/'X' characters of Cube.String. It is Unpack
 // writing characters instead of trits: the same tiled transpose, into
 // one byte buffer that every returned string slices, so a whole set
 // costs two allocations however many cubes it holds.

@@ -225,3 +225,16 @@ func TestPackedToggleProfileMatchesSet(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// At returns the trit of row i at column j: the per-trit read the
+// plane tests check PackedRows against.
+func (p *PackedRows) At(i, j int) Trit {
+	w, bit := j/64, uint64(1)<<(j%64)
+	if p.care[i][w]&bit == 0 {
+		return X
+	}
+	if p.val[i][w]&bit != 0 {
+		return One
+	}
+	return Zero
+}

@@ -52,6 +52,26 @@ func packWord(t []Trit) (care, val uint64) {
 }
 
 // dpvet:hot
+// unpackWords is packWord's inverse over a whole cube: it decodes the
+// care and value words into t, eight trits per word operation. A care
+// bit of 0 gives X (2), a care bit of 1 the value bit.
+func unpackWords(t []Trit, care, val []uint64) {
+	k := 0
+	for ; k+8 <= len(t); k += 8 {
+		c := spread[byte(care[k/64]>>(k%64))]
+		x := (c^lsb8)<<1 | c&spread[byte(val[k/64]>>(k%64))]
+		_ = t[k+7]
+		for b := range 8 {
+			t[k+b] = Trit(x >> (8 * b))
+		}
+	}
+	for ; k < len(t); k++ {
+		c := care[k/64] >> (k % 64) & 1
+		t[k] = Trit((c^1)<<1 | c&(val[k/64]>>(k%64)&1))
+	}
+}
+
+// dpvet:hot
 // transpose64 transposes the 64×64 bit matrix a in place: bit c of
 // a[r] becomes bit r of a[c]. It is the block-swap transpose of
 // Warren, Hacker's Delight §7-3, for bit 0 as the first column: each

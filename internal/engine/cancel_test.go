@@ -63,9 +63,9 @@ func TestRunMidBatchCancelPartialResults(t *testing.T) {
 func TestRunJobTimeout(t *testing.T) {
 	jobs := dpJobs(t, 3)
 	jobs[1].Timeout = time.Millisecond
-	jobs[1].Orderer = order.Func{OrderName: "slow", F: func(s *cube.Set) ([]int, error) {
+	jobs[1].Orderer = order.Func{OrderName: "slow", F: func(p *cube.Packed) ([]int, error) {
 		time.Sleep(30 * time.Millisecond)
-		return order.Identity(s.Len()), nil
+		return order.Identity(p.Len()), nil
 	}}
 	res := New(3).Run(context.Background(), jobs)
 	if !errors.Is(res[1].Err, context.DeadlineExceeded) {
@@ -83,9 +83,9 @@ func TestRunJobTimeout(t *testing.T) {
 // batch-mate is shed with context.DeadlineExceeded instead of running
 // long after its caller gave up.
 func TestRunTimeoutCoversQueueWait(t *testing.T) {
-	slow := order.Func{OrderName: "slow", F: func(s *cube.Set) ([]int, error) {
+	slow := order.Func{OrderName: "slow", F: func(p *cube.Packed) ([]int, error) {
 		time.Sleep(60 * time.Millisecond)
-		return order.Identity(s.Len()), nil
+		return order.Identity(p.Len()), nil
 	}}
 	set := cube.MustParseSet("0X", "X1")
 	jobs := []Job{

@@ -33,16 +33,14 @@ type Job struct {
 	// Name labels the job in results and error messages (a file name, a
 	// circuit name...). Optional.
 	Name string
-	// Set is the cube set to process. The engine never modifies it:
-	// orderers and fillers in this repository operate on copies.
+	// Set is the cube set to process, for a caller that holds one; the
+	// job packs it once when it starts and never modifies it.
 	Set *cube.Set
 	// Packed is the packed snapshot of the cubes to process, what a
 	// served request is parsed into. At least one of Set and Packed is
 	// required; a job carrying both must carry the same cubes in each.
-	// The orderer's and DP-fill's packed entry points run on the
-	// snapshot, which a Set-only job packs once when it starts; an
-	// orderer or filler without one gets the cubes as a set (the job's
-	// own, else unpacked from the snapshot).
+	// The orderer and the filler run on the snapshot, which a Set-only
+	// job packs once when it starts.
 	Packed *cube.Packed
 	// Orderer, when non-nil, orders the cubes before filling.
 	Orderer order.Orderer
@@ -316,24 +314,14 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 		res.Err = fmt.Errorf("engine: job %d (%s): nil filler", idx, job.Name)
 		return res
 	}
-	// A Set-only job is packed once, here, when its orderer or filler
-	// reads the snapshot; baseline fills of a set pay for no pack.
-	po, orderPacked := job.Orderer.(packedOrderer)
-	pf, fillPacked := job.Filler.(packedFiller)
-	cf, count := job.Filler.(countFiller)
-	count = count && job.CountOnly && !e.Verify
+	// A Set-only job is packed once, here; everything after runs on
+	// the snapshot.
 	p := job.Packed
-	if p == nil && (orderPacked || fillPacked || count) {
+	if p == nil {
 		p = cube.Pack(job.Set)
 	}
 	if job.Orderer != nil {
-		var perm []int
-		var err error
-		if orderPacked {
-			perm, err = po.OrderPacked(p)
-		} else {
-			perm, err = job.Orderer.Order(cubeSet(job.Set, p, nil))
-		}
+		perm, err := job.Orderer.OrderPacked(p)
 		if err != nil {
 			res.Err = fmt.Errorf("engine: job %d (%s): %s ordering: %w",
 				idx, job.Name, job.Orderer.Name(), err)
@@ -350,13 +338,10 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 	}
 	var filled *fill.Result
 	var err error
-	switch {
-	case count:
+	if cf, ok := job.Filler.(countFiller); ok && job.CountOnly && !e.Verify {
 		filled, err = cf.CountPacked(p, res.Perm)
-	case fillPacked:
-		filled, err = pf.FillPacked(p, res.Perm)
-	default:
-		filled, err = job.Filler.Fill(cubeSet(job.Set, p, res.Perm))
+	} else {
+		filled, err = job.Filler.Fill(p, res.Perm)
 	}
 	if err != nil {
 		res.Err = fmt.Errorf("engine: job %d (%s): %s: %w",
@@ -370,7 +355,7 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 		res.Err = err
 		return res
 	}
-	if e.Verify && !cubeSet(job.Set, p, res.Perm).Covers(filled.Set()) {
+	if e.Verify && !p.Unpack(res.Perm).Covers(filled.Set()) {
 		res.Err = fmt.Errorf("engine: job %d (%s): %s output is not a completion of its input",
 			idx, job.Name, job.Filler.Name())
 		return res
@@ -380,41 +365,11 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, runStart time.Tim
 	return res
 }
 
-// packedOrderer is an orderer with an entry point on a packed snapshot:
-// OrderPacked(p) returns what Order(s) returns when p = cube.Pack(s).
-// Every orderer in package order has one.
-type packedOrderer interface {
-	OrderPacked(p *cube.Packed) ([]int, error)
-}
-
-// packedFiller is a filler with an entry point on a packed snapshot:
-// FillPacked(p, perm) returns what Fill(s.Reorder(perm)) returns when
-// p = cube.Pack(s), nil perm meaning the snapshot order. DP-fill has
-// one; the heuristic fillers walk trits.
-type packedFiller interface {
-	FillPacked(p *cube.Packed, perm []int) (*fill.Result, error)
-}
-
 // countFiller is a filler with a count-only entry point:
-// CountPacked(p, perm) returns FillPacked(p, perm)'s Peak, Total and
-// Profile with a nil Rows. DP-fill has one.
+// CountPacked(p, perm) returns Fill(p, perm)'s Peak, Total and Profile
+// with a nil Rows. DP-fill has one.
 type countFiller interface {
 	CountPacked(p *cube.Packed, perm []int) (*fill.Result, error)
-}
-
-// cubeSet returns a job's cubes in perm order (nil: as given) as a
-// cube set, the edge for orderers and fillers without a packed entry
-// point: the job's own set when it has one, else the snapshot
-// unpacked.
-func cubeSet(set *cube.Set, p *cube.Packed, perm []int) *cube.Set {
-	switch {
-	case set == nil:
-		return p.Unpack(perm)
-	case perm == nil:
-		return set
-	default:
-		return set.Reorder(perm)
-	}
 }
 
 // FirstErr returns the first job error in a batch result, or nil when

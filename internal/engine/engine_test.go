@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/fill"
 	"repro/internal/order"
@@ -37,7 +38,7 @@ func randomSet(r *rand.Rand, width, n int, xProb float64) *cube.Set {
 // fillSet runs fl and unpacks its result, for test fillers that wrap
 // another filler inside a fill.Func.
 func fillSet(fl fill.Filler, s *cube.Set) (*cube.Set, error) {
-	r, err := fl.Fill(s)
+	r, err := fl.Fill(cube.Pack(s), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -206,17 +207,21 @@ func TestRunWithOrderer(t *testing.T) {
 // TestRunPackedJobsMatchSetJobs: a job carrying only the packed
 // snapshot answers exactly what the same job carrying the set does —
 // permutation, planes, peak, total and profile — for every orderer
-// (packed entry points and a set-only Func alike) and for DP-fill and
-// a set-walking baseline filler, and a job carrying both agrees too.
+// (the package's and a test order.Func) times every filler, under
+// Verify, and a job carrying both agrees too. Each matrix also equals
+// its filler run on s.Reorder(perm) through the set edge (fill.Func's
+// F for the baselines, core.FillWith for DP-fill), so the Unpack(perm)
+// edge every baseline reaches the engine through is held to the cubes
+// it stands for.
 func TestRunPackedJobsMatchSetJobs(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	reverse := order.Func{OrderName: "reverse", F: func(s *cube.Set) ([]int, error) {
-		perm := order.Identity(s.Len())
+	reverse := order.Func{OrderName: "reverse", F: func(p *cube.Packed) ([]int, error) {
+		perm := order.Identity(p.Len())
 		slices.Reverse(perm)
 		return perm, nil
 	}}
 	orderers := []order.Orderer{nil, order.Tool(), order.XStat(), order.Interleaved(), order.ISA(3), reverse}
-	fillers := []fill.Filler{fill.DP(), fill.Backward(), fill.XStat()}
+	fillers := append(fill.All(5, core.Options{}), fill.Adj(), fill.XStat())
 	var setJobs, packedJobs, bothJobs []Job
 	for _, ord := range orderers {
 		for _, fl := range fillers {
@@ -229,11 +234,30 @@ func TestRunPackedJobsMatchSetJobs(t *testing.T) {
 	}
 	e := &Engine{Workers: 2, Verify: true}
 	want := e.Run(context.Background(), setJobs)
+	for i, w := range want {
+		if w.Err != nil {
+			t.Fatalf("job %d: %v", i, w.Err)
+		}
+		s := setJobs[i].Set
+		if w.Perm != nil {
+			s = s.Reorder(w.Perm)
+		}
+		var edge *cube.Set
+		var err error
+		if f, ok := setJobs[i].Filler.(fill.Func); ok {
+			edge, err = f.F(s.Clone())
+		} else {
+			edge, _, err = core.FillWith(s, core.Options{})
+		}
+		if err != nil || !w.Filled.Unpack().Equal(edge) {
+			t.Fatalf("job %d (%s): matrix differs from the set edge's (%v)", i, setJobs[i].Filler.Name(), err)
+		}
+	}
 	for _, jobs := range [][]Job{packedJobs, bothJobs} {
 		for i, got := range e.Run(context.Background(), jobs) {
 			w := want[i]
-			if got.Err != nil || w.Err != nil {
-				t.Fatalf("job %d: %v / %v", i, got.Err, w.Err)
+			if got.Err != nil {
+				t.Fatalf("job %d: %v", i, got.Err)
 			}
 			if !slices.Equal(got.Perm, w.Perm) || !slices.Equal(got.Filled.Strings(), w.Filled.Strings()) ||
 				got.Peak != w.Peak || got.Total != w.Total || !slices.Equal(got.Profile, w.Profile) {
@@ -333,9 +357,9 @@ func TestRunRecordsDurations(t *testing.T) {
 // one shared clock read, so they sum to Duration exactly, and a job
 // that waited for the single worker reports that wait as QueueWait.
 func TestRunTimingSplit(t *testing.T) {
-	slowOrder := order.Func{OrderName: "slow", F: func(s *cube.Set) ([]int, error) {
+	slowOrder := order.Func{OrderName: "slow", F: func(p *cube.Packed) ([]int, error) {
 		time.Sleep(5 * time.Millisecond)
-		return order.Tool().Order(s)
+		return order.Tool().OrderPacked(p)
 	}}
 	slowFill := fill.Func{FillName: "slow", F: func(s *cube.Set) (*cube.Set, error) {
 		time.Sleep(5 * time.Millisecond)

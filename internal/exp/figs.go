@@ -53,11 +53,12 @@ func Fig1() (*Fig1Result, error) {
 		}
 		s.Append(c)
 	}
-	xs, err := fill.XStat().Fill(s)
+	p := cube.Pack(s)
+	xs, err := fill.XStat().Fill(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	dp, err := fill.DP().Fill(s)
+	dp, err := fill.DP().Fill(p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +172,9 @@ func (s *Suite) Fig2c() (*Fig2cResult, error) {
 		PerOrdering:   map[string]stats.StretchSummary{},
 		OrderingNames: []string{"Tool", "X-Stat", "I-Order"},
 	}
+	p := cube.Pack(d.Cubes)
 	for _, ord := range order.All() {
-		perm, err := ord.Order(d.Cubes)
+		perm, err := ord.OrderPacked(p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", d.Name, ord.Name(), err)
 		}

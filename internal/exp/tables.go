@@ -83,10 +83,11 @@ func (s *Suite) PeakTable(ord order.Orderer) ([]PeakRow, error) {
 	fillers := fill.All(s.Config.Seed, core.Options{Shards: 1})
 	n := len(s.Data)
 
-	// Phase 1: each circuit is ordered exactly once, concurrently
-	// (orderings like I-Order dominate cost; running them per fill job
-	// would repeat the work len(fillers) times).
-	reordered := make([]*cube.Set, n)
+	// Phase 1: each circuit is packed and ordered exactly once,
+	// concurrently (orderings like I-Order dominate cost; running them
+	// per fill job would repeat the work len(fillers) times).
+	packed := make([]*cube.Packed, n)
+	perms := make([][]int, n)
 	errs := make([]error, n)
 	sem := make(chan struct{}, s.Config.withDefaults().Parallelism)
 	var wg sync.WaitGroup
@@ -96,12 +97,13 @@ func (s *Suite) PeakTable(ord order.Orderer) ([]PeakRow, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			perm, err := ord.Order(d.Cubes)
+			packed[i] = cube.Pack(d.Cubes)
+			perm, err := ord.OrderPacked(packed[i])
 			if err != nil {
 				errs[i] = fmt.Errorf("%s: %s ordering: %w", d.Name, ord.Name(), err)
 				return
 			}
-			reordered[i] = d.Cubes.Reorder(perm)
+			perms[i] = perm
 		}(i, d)
 	}
 	wg.Wait()
@@ -111,14 +113,20 @@ func (s *Suite) PeakTable(ord order.Orderer) ([]PeakRow, error) {
 		}
 	}
 
-	// Phase 2: the fillers × circuits grid as one engine batch.
+	// Phase 2: the fillers × circuits grid as one engine batch, every
+	// job of a circuit filling its one snapshot in the order phase 1
+	// found.
 	jobs := make([]engine.Job, 0, n*len(fillers))
 	for i, d := range s.Data {
+		applied := order.Func{OrderName: ord.Name(), F: func(*cube.Packed) ([]int, error) {
+			return perms[i], nil
+		}}
 		for _, fl := range fillers {
 			jobs = append(jobs, engine.Job{
-				Name:   d.Name + "/" + fl.Name(),
-				Set:    reordered[i],
-				Filler: fl,
+				Name:    d.Name + "/" + fl.Name(),
+				Packed:  packed[i],
+				Orderer: applied,
+				Filler:  fl,
 			})
 		}
 	}
@@ -163,11 +171,13 @@ var TechniqueNames = []string{"Tool", "ISA", "Adj-fill", "X-Stat", "Proposed"}
 func (s *Suite) techniqueSets(d *CircuitData) (map[string]*cube.Set, error) {
 	out := make(map[string]*cube.Set, len(TechniqueNames))
 
+	// Every technique orders and fills one snapshot of the circuit.
+	p := cube.Pack(d.Cubes)
 	// Tool: tool ordering, best of the six fills (the paper's column 1
 	// is the per-circuit minimum across fills under tool order).
 	var toolBest *fill.Result
 	for _, fl := range fill.All(s.Config.Seed, core.Options{}) {
-		filled, err := fl.Fill(d.Cubes)
+		filled, err := fl.Fill(p, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -180,11 +190,11 @@ func (s *Suite) techniqueSets(d *CircuitData) (map[string]*cube.Set, error) {
 	out["Tool"] = toolBest.Set()
 
 	apply := func(ord order.Orderer, fl fill.Filler) (*cube.Set, error) {
-		perm, err := ord.Order(d.Cubes)
+		perm, err := ord.OrderPacked(p)
 		if err != nil {
 			return nil, err
 		}
-		filled, err := fl.Fill(d.Cubes.Reorder(perm))
+		filled, err := fl.Fill(p, perm)
 		if err != nil {
 			return nil, err
 		}

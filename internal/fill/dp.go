@@ -32,19 +32,13 @@ type dpFiller struct{ opt core.Options }
 // Name implements Filler.
 func (dpFiller) Name() string { return dpName }
 
-// Fill implements Filler.
-func (d dpFiller) Fill(s *cube.Set) (*Result, error) {
-	return dpResult(core.FillPlanes(s, d.opt))
-}
-
-// FillPacked returns what Fill returns for s.Reorder(perm) when
-// p = cube.Pack(s) (a nil perm is the snapshot order): the rows are
-// built from the snapshot's words, with no cube set in between.
-func (d dpFiller) FillPacked(p *cube.Packed, perm []int) (*Result, error) {
+// Fill implements Filler: the rows are built from the snapshot's
+// words, with no cube set in between.
+func (d dpFiller) Fill(p *cube.Packed, perm []int) (*Result, error) {
 	return dpResult(core.FillPacked(p, perm, d.opt))
 }
 
-// CountPacked returns FillPacked's Peak, Total and Profile without the
+// CountPacked returns Fill's Peak, Total and Profile without the
 // filled matrix (Rows is nil): core.CountPacked counts them from the
 // BCP colouring instead of building the planes.
 func (d dpFiller) CountPacked(p *cube.Packed, perm []int) (*Result, error) {

@@ -5,10 +5,11 @@
 // and the two-phase statistical X-Stat fill ([22], the best prior
 // heuristic and the paper's Fig. 1 foil).
 //
-// Every filler consumes an ordered cube set and returns a Result: a
-// fully specified matrix that completes it (same care bits, no X left;
-// see cube.Set.Covers), held as packed row planes, with its toggle
-// statistics counted once. Fillers never modify their input.
+// Every filler consumes a packed snapshot in an applied order and
+// returns a Result: a fully specified matrix that completes it (same
+// care bits, no X left; see cube.Set.Covers), held as packed row
+// planes, with its toggle statistics counted once. Fillers never
+// modify their input.
 package fill
 
 import (
@@ -20,12 +21,13 @@ import (
 	"repro/internal/cube"
 )
 
-// Filler is a named X-filling algorithm.
+// Filler is a named X-filling algorithm on a packed snapshot.
 type Filler interface {
 	// Name returns the short name used in tables ("0-fill", "DP-fill"...).
 	Name() string
-	// Fill returns a fully specified completion of s.
-	Fill(s *cube.Set) (*Result, error)
+	// Fill returns a fully specified completion of the cubes of p
+	// applied in perm order (nil: snapshot order). p is not modified.
+	Fill(p *cube.Packed, perm []int) (*Result, error)
 }
 
 // Result is one fill's outcome: the filled matrix as packed row planes
@@ -58,19 +60,23 @@ func count(s *cube.Set) *Result {
 	return r
 }
 
-// Func adapts a set-to-set function to the Filler interface: Fill
-// packs and counts the set F returns.
+// Func adapts a set-filling function to the Filler interface: Fill
+// unpacks the snapshot in the applied order, the one edge where the
+// baselines that walk trits meet the packed fill stack, and packs and
+// counts the set F returns.
 type Func struct {
 	FillName string
-	F        func(*cube.Set) (*cube.Set, error)
+	// F fills the set it is given, a fresh unpack that it owns, in
+	// place or into a set it returns.
+	F func(*cube.Set) (*cube.Set, error)
 }
 
 // Name implements Filler.
 func (f Func) Name() string { return f.FillName }
 
 // Fill implements Filler.
-func (f Func) Fill(s *cube.Set) (*Result, error) {
-	out, err := f.F(s)
+func (f Func) Fill(p *cube.Packed, perm []int) (*Result, error) {
+	out, err := f.F(p.Unpack(perm))
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +89,10 @@ func Constant(v cube.Trit) Filler {
 	if v == cube.One {
 		name = "1-fill"
 	}
-	return Func{FillName: name, F: func(s *cube.Set) (*cube.Set, error) {
+	return Func{FillName: name, F: func(out *cube.Set) (*cube.Set, error) {
 		if !v.IsCare() {
 			return nil, fmt.Errorf("fill: constant fill value must be 0 or 1")
 		}
-		out := s.Clone()
 		for _, c := range out.Cubes {
 			for i := range c {
 				if c[i] == cube.X {
@@ -109,9 +114,8 @@ func One() Filler { return Constant(cube.One) }
 // coin flip drawn from a generator seeded with seed, so runs are
 // reproducible.
 func Random(seed int64) Filler {
-	return Func{FillName: "R-fill", F: func(s *cube.Set) (*cube.Set, error) {
+	return Func{FillName: "R-fill", F: func(out *cube.Set) (*cube.Set, error) {
 		rng := rand.New(rand.NewSource(seed))
-		out := s.Clone()
 		for _, c := range out.Cubes {
 			for i := range c {
 				if c[i] == cube.X {
@@ -133,8 +137,7 @@ func Random(seed int64) Filler {
 // transitions along the vector. Leading Xs copy the first specified bit;
 // all-X vectors become constant 0.
 func MT() Filler {
-	return Func{FillName: "MT-fill", F: func(s *cube.Set) (*cube.Set, error) {
-		out := s.Clone()
+	return Func{FillName: "MT-fill", F: func(out *cube.Set) (*cube.Set, error) {
 		for _, c := range out.Cubes {
 			fillVectorMT(c)
 		}
@@ -169,8 +172,7 @@ func fillVectorMT(c cube.Cube) {
 // whichever is closer; ties go left), the classic adjacent fill used for
 // LOS transition-fault vectors.
 func Adj() Filler {
-	return Func{FillName: "Adj-fill", F: func(s *cube.Set) (*cube.Set, error) {
-		out := s.Clone()
+	return Func{FillName: "Adj-fill", F: func(out *cube.Set) (*cube.Set, error) {
 		for _, c := range out.Cubes {
 			fillVectorAdj(c)
 		}
@@ -228,8 +230,7 @@ func fillVectorAdj(c cube.Cube) {
 // greedily zeroes inter-pattern toggles wherever a stretch allows it and
 // is the strongest heuristic baseline in the paper's tables.
 func Backward() Filler {
-	return Func{FillName: "B-fill", F: func(s *cube.Set) (*cube.Set, error) {
-		out := s.Clone()
+	return Func{FillName: "B-fill", F: func(out *cube.Set) (*cube.Set, error) {
 		if out.Len() == 0 {
 			return out, nil
 		}
@@ -263,8 +264,7 @@ func Backward() Filler {
 // maintaining the per-cycle toggle histogram (including already-committed
 // toggles), and greedily picks the cycle with the smaller current count.
 func XStat() Filler {
-	return Func{FillName: "X-Stat", F: func(s *cube.Set) (*cube.Set, error) {
-		out := s.Clone()
+	return Func{FillName: "X-Stat", F: func(out *cube.Set) (*cube.Set, error) {
 		n := out.Len()
 		if n == 0 {
 			return out, nil

@@ -154,25 +154,18 @@ func TestXStatTies(t *testing.T) {
 	}
 }
 
-// TestOrderPackedMatchesOrder: each orderer's packed entry point gives
-// the permutation its set entry point gives, and Tool's reads only the
-// cube count.
+// TestOrderPackedMatchesOrder: each orderer's set edge, Func.Order,
+// gives the permutation its packed entry point gives.
 func TestOrderPackedMatchesOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	for _, ord := range append(All(), ISA(5)) {
-		po, ok := ord.(interface {
-			OrderPacked(*cube.Packed) ([]int, error)
-		})
-		if !ok {
-			t.Fatalf("%s has no packed entry point", ord.Name())
-		}
+	for _, ord := range []*Func{Tool(), XStat(), Interleaved(), ISA(5)} {
 		for _, n := range []int{0, 1, 2, 3, 40} {
 			s := randomSet(r, 1+r.Intn(130), n, 0.8)
 			want, err := ord.Order(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := po.OrderPacked(cube.Pack(s))
+			got, err := ord.OrderPacked(cube.Pack(s))
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s n=%d: OrderPacked = %v %v, Order %v", ord.Name(), n, got, err, want)
 			}

@@ -65,7 +65,7 @@ func TestPropertyHeuristicsNeverBeatOptimal(t *testing.T) {
 			return false
 		}
 		for _, o := range orderers {
-			perm, err := o.Order(s)
+			perm, err := o.OrderPacked(cube.Pack(s))
 			if err != nil {
 				return false
 			}

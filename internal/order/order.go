@@ -19,45 +19,32 @@ import (
 	"repro/internal/cube"
 )
 
-// Orderer is a named test-vector ordering algorithm.
+// Orderer is a named test-vector ordering algorithm on a packed
+// snapshot, the one representation the fill stack carries.
 type Orderer interface {
 	// Name returns the short name used in tables.
 	Name() string
-	// Order returns a permutation perm such that s.Reorder(perm) is the
-	// proposed application order.
-	Order(s *cube.Set) ([]int, error)
+	// OrderPacked returns a permutation perm such that the cubes of p
+	// applied in perm order are the proposed application order.
+	OrderPacked(p *cube.Packed) ([]int, error)
 }
 
-// packedFunc is an orderer defined on a packed snapshot, the one
-// representation a served fill carries. OrderPacked returns what Order
-// returns for s when p = cube.Pack(s); Order is the edge wrapper that
-// packs and delegates. Tool, X-Stat, I-Ordering and ISA all have both
-// entry points.
-type packedFunc struct {
-	name string
-	f    func(*cube.Packed) ([]int, error)
-}
-
-// Name implements Orderer.
-func (o packedFunc) Name() string { return o.name }
-
-// Order implements Orderer: it packs s and delegates.
-func (o packedFunc) Order(s *cube.Set) ([]int, error) { return o.f(cube.Pack(s)) }
-
-// OrderPacked orders the cubes of p.
-func (o packedFunc) OrderPacked(p *cube.Packed) ([]int, error) { return o.f(p) }
-
-// Func adapts a function to the Orderer interface.
+// Func is an orderer defined on a packed snapshot. Every orderer in
+// this package is one: Tool, X-Stat, I-Ordering and ISA.
 type Func struct {
 	OrderName string
-	F         func(*cube.Set) ([]int, error)
+	F         func(*cube.Packed) ([]int, error)
 }
 
 // Name implements Orderer.
 func (f Func) Name() string { return f.OrderName }
 
-// Order implements Orderer.
-func (f Func) Order(s *cube.Set) ([]int, error) { return f.F(s) }
+// OrderPacked implements Orderer.
+func (f Func) OrderPacked(p *cube.Packed) ([]int, error) { return f.F(p) }
+
+// Order orders the cubes of s: it packs s and delegates. It is the
+// edge for callers that hold a cube set and order it once.
+func (f Func) Order(s *cube.Set) ([]int, error) { return f.F(cube.Pack(s)) }
 
 // Identity returns the identity permutation of length n.
 func Identity(n int) []int {
@@ -71,20 +58,23 @@ func Identity(n int) []int {
 // Tool returns the "tool ordering": the order in which the ATPG emitted
 // the patterns, i.e. the identity permutation. This is the Table II
 // baseline (the paper's TetraMax order; our ATPG's generation order).
-func Tool() Orderer { return tool{} }
+func Tool() *Func { return toolOrder }
 
-// tool is the identity ordering; it reads only the cube count, so
-// neither entry point packs.
-type tool struct{}
-
-// Name implements Orderer.
-func (tool) Name() string { return "Tool" }
-
-// Order implements Orderer.
-func (tool) Order(s *cube.Set) ([]int, error) { return Identity(s.Len()), nil }
-
-// OrderPacked orders the cubes of p.
-func (tool) OrderPacked(p *cube.Packed) ([]int, error) { return Identity(p.Len()), nil }
+// toolOrder, xstatOrder and iOrder are the stateless orderers, built
+// once and shared, so resolving one per request allocates nothing.
+// Callers must not modify them.
+var (
+	toolOrder = &Func{OrderName: "Tool", F: func(p *cube.Packed) ([]int, error) {
+		return Identity(p.Len()), nil
+	}}
+	xstatOrder = &Func{OrderName: "X-Stat", F: func(p *cube.Packed) ([]int, error) {
+		return xstat(p), nil
+	}}
+	iOrder = &Func{OrderName: "I-Order", F: func(p *cube.Packed) ([]int, error) {
+		perm, _, err := interleavedTrace(p)
+		return perm, err
+	}}
+)
 
 // XStat returns the X-Stat ordering, standing in for the ordering of
 // [22] (paper unavailable — see DESIGN.md substitutions): a greedy
@@ -92,11 +82,7 @@ func (tool) OrderPacked(p *cube.Packed) ([]int, error) { return Identity(p.Len()
 // bits and repeatedly appends the cube with the fewest guaranteed
 // toggles against the current tail, breaking ties toward higher X
 // overlap (longer don't-care stretches).
-func XStat() Orderer {
-	return packedFunc{name: "X-Stat", f: func(p *cube.Packed) ([]int, error) {
-		return xstat(p), nil
-	}}
-}
+func XStat() *Func { return xstatOrder }
 
 // liveCube is an unused cube of the X-Stat chain: its index and a copy
 // of its first care and value words, so the scan's first-word test
@@ -195,8 +181,8 @@ next:
 // nearest-neighbour start. Costs are twice the expected distance so they
 // stay integral; the annealer maintains the peak incrementally via a
 // cost histogram, so each proposal is O(width/64).
-func ISA(seed int64) Orderer {
-	return packedFunc{name: "ISA", f: func(p *cube.Packed) ([]int, error) {
+func ISA(seed int64) *Func {
+	return &Func{OrderName: "ISA", F: func(p *cube.Packed) ([]int, error) {
 		n := p.Len()
 		if n <= 2 {
 			return Identity(n), nil
@@ -358,27 +344,10 @@ type Trace struct {
 // followed by k X-rich cubes from the back, evaluates the optimal
 // bottleneck via DP-fill, and stops as soon as k+1 fails to improve on
 // k. The best order seen is returned.
-func Interleaved() Orderer { return interleaved{} }
+func Interleaved() *Func { return iOrder }
 
-type interleaved struct{}
-
-// Name implements Orderer.
-func (interleaved) Name() string { return "I-Order" }
-
-// Order implements Orderer.
-func (interleaved) Order(s *cube.Set) ([]int, error) {
-	perm, _, err := InterleavedTrace(s)
-	return perm, err
-}
-
-// OrderPacked orders the cubes of p.
-func (interleaved) OrderPacked(p *cube.Packed) ([]int, error) {
-	perm, _, err := interleavedTrace(p)
-	return perm, err
-}
-
-// InterleavedTrace is Order plus the per-iteration trace used by
-// Fig. 2(a)/(b).
+// InterleavedTrace is Interleaved's ordering of s plus the
+// per-iteration trace used by Fig. 2(a)/(b).
 func InterleavedTrace(s *cube.Set) ([]int, []Trace, error) {
 	return interleavedTrace(cube.Pack(s))
 }
@@ -456,7 +425,7 @@ func All() []Orderer {
 // (case-insensitive): tool, xstat|x-stat, i|iorder|i-order, isa. The
 // seed fixes the ISA annealing schedule. Shared by cmd/dpfill and the
 // HTTP fill service, so the two front-ends accept the same names.
-func ByName(name string, seed int64) (Orderer, error) {
+func ByName(name string, seed int64) (*Func, error) {
 	switch strings.ToLower(name) {
 	case "tool":
 		return Tool(), nil
@@ -470,8 +439,3 @@ func ByName(name string, seed int64) (Orderer, error) {
 		return nil, fmt.Errorf("order: unknown ordering %q", name)
 	}
 }
-
-// InterleaveK exposes the Algorithm 3 interleaving step for a given k
-// over an X-sorted index list — used by analysis tooling and ablation
-// benches to isolate the interleave from the k search.
-func InterleaveK(tp []int, k int) []int { return interleave(tp, k) }

@@ -276,7 +276,7 @@ func TestPropertyOrderingsArePermutations(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSet(r, 1+r.Intn(10), 1+r.Intn(16), 0.6)
 		for _, o := range orderers {
-			perm, err := o.Order(s)
+			perm, err := o.OrderPacked(cube.Pack(s))
 			if err != nil || !isPermutation(perm, s.Len()) {
 				return false
 			}

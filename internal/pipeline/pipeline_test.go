@@ -3,9 +3,11 @@ package pipeline
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -268,6 +270,27 @@ func TestRunContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, Request{Spec: testSpec, ATPG: ATPGConfig{Shards: 2}}, RunOptions{}); err == nil {
 		t.Error("want error from cancelled context")
+	}
+}
+
+// TestRunDeadlineStopsATPG: a deadline that fires while ATPG runs
+// stops it at the next targeted fault, on both ATPG call sites (a
+// whole run and a single StageATPG shard), so the run returns
+// context.DeadlineExceeded soon after its deadline rather than when
+// b12's ATPG finishes, seconds later.
+func TestRunDeadlineStopsATPG(t *testing.T) {
+	for _, req := range []Request{{Spec: "b12"}, {Spec: "b12", Stage: StageATPG}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		start := time.Now()
+		_, err := Run(ctx, req, RunOptions{})
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("stage %q: err = %v, want context.DeadlineExceeded", req.Stage, err)
+		}
+		if took >= 500*time.Millisecond {
+			t.Fatalf("stage %q: a 100ms deadline returned after %v", req.Stage, took)
+		}
 	}
 }
 

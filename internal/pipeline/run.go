@@ -119,7 +119,7 @@ func Run(ctx context.Context, req Request, opt RunOptions) (*Report, error) {
 			return nil, err
 		}
 		t0 := time.Now()
-		set, st, err := atpg.Generate(c, req.atpgOptions(k))
+		set, st, err := atpg.GenerateContext(ctx, c, req.atpgOptions(k))
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func runShard(ctx context.Context, req Request, c *circuit.Circuit, stages []Sta
 		return nil, err
 	}
 	t0 := time.Now()
-	set, st, err := atpg.Generate(c, req.atpgOptions(req.ShardIndex))
+	set, st, err := atpg.GenerateContext(ctx, c, req.atpgOptions(req.ShardIndex))
 	if err != nil {
 		return nil, err
 	}
@@ -254,19 +254,19 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 	}
 	stages = append(stages, StageTiming{Stage: "curve", DurationMillis: millis(time.Since(t0))})
 
-	// Fill stage: order, reorder, fill — the exact sequence the batch
-	// engine runs for /v1/fill and /v1/batch, reporting the filler's
-	// own toggle count.
+	// Fill stage: pack once, order and fill that snapshot — the exact
+	// sequence the batch engine runs for /v1/fill and /v1/batch,
+	// reporting the filler's own toggle count.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	perm, err := ord.Order(set)
+	p := cube.Pack(set)
+	perm, err := ord.OrderPacked(p)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s ordering: %w", ord.Name(), err)
 	}
-	reordered := set.Reorder(perm)
-	filled, err := fl.Fill(reordered)
+	filled, err := fl.Fill(p, perm)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: %w", fl.Name(), err)
 	}

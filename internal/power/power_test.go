@@ -204,11 +204,12 @@ func TestInputTogglesCorrelateWithPower(t *testing.T) {
 		}
 		s.Append(cb)
 	}
-	dp, err := fill.DP().Fill(s)
+	packed := cube.Pack(s)
+	dp, err := fill.DP().Fill(packed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := fill.Random(3).Fill(s)
+	rnd, err := fill.Random(3).Fill(packed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

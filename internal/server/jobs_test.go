@@ -213,9 +213,9 @@ func TestReplayRejectsUnknownFields(t *testing.T) {
 type blockingFiller struct{ release chan struct{} }
 
 func (f blockingFiller) Name() string { return "block" }
-func (f blockingFiller) Fill(s *cube.Set) (*fill.Result, error) {
+func (f blockingFiller) Fill(p *cube.Packed, perm []int) (*fill.Result, error) {
 	<-f.release
-	return &fill.Result{Rows: cube.PackRows(s)}, nil
+	return &fill.Result{Rows: p.Rows(perm)}, nil
 }
 
 // blockEngine occupies every worker slot of a 1-worker engine and

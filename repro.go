@@ -51,6 +51,9 @@ type (
 	Cube = cube.Cube
 	// CubeSet is an ordered sequence of equal-width cubes.
 	CubeSet = cube.Set
+	// PackedCubes is the bit-packed snapshot of a cube set that every
+	// Orderer and Filler runs on; PackCubes builds one.
+	PackedCubes = cube.Packed
 	// Circuit is a gate-level netlist.
 	Circuit = circuit.Circuit
 	// Profile describes a synthetic ITC'99 benchmark.
@@ -141,10 +144,14 @@ const (
 // ParseCubes builds a cube set from strings like "01XX0".
 func ParseCubes(cubes ...string) (*CubeSet, error) { return cube.ParseSet(cubes...) }
 
+// PackCubes builds the packed snapshot of s that orderers and fillers
+// take: pack a set once, then order and fill the snapshot.
+func PackCubes(s *CubeSet) *PackedCubes { return cube.Pack(s) }
+
 // DPFill runs the paper's optimal X-filling on the ordered set and
 // returns a fully specified completion achieving the minimum possible
 // peak toggle count for that ordering.
-func DPFill(s *CubeSet) (*CubeSet, *FillResult, error) { return core.Fill(s) }
+func DPFill(s *CubeSet) (*CubeSet, *FillResult, error) { return core.FillWith(s, core.Options{}) }
 
 // DPFillWith is DPFill with explicit execution options (e.g. a pinned
 // row-shard count for the parallel stretch scan).
@@ -221,14 +228,16 @@ func Proposed() Pipeline {
 	return Pipeline{Orderer: order.Interleaved(), Filler: fill.DP()}
 }
 
-// Run reorders and fills the set, returning the filled set, the
-// permutation used, and the achieved peak toggle count.
+// Run packs the set once, then orders and fills that snapshot,
+// returning the filled set, the permutation used, and the achieved
+// peak toggle count.
 func (p Pipeline) Run(s *CubeSet) (*CubeSet, []int, int, error) {
-	perm, err := p.Orderer.Order(s)
+	packed := cube.Pack(s)
+	perm, err := p.Orderer.OrderPacked(packed)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	filled, err := p.Filler.Fill(s.Reorder(perm))
+	filled, err := p.Filler.Fill(packed, perm)
 	if err != nil {
 		return nil, nil, 0, err
 	}
