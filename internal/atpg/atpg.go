@@ -52,12 +52,16 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// TotalFaults is the collapsed (and possibly sampled) target count.
 	TotalFaults int
-	// Detected, Untestable and Aborted partition the targets.
+	// Detected, Untestable and Aborted partition the targets: each
+	// fault is counted once, in the last of them it reached. (A run
+	// that MaxPatterns stops leaves the faults it never reached, and no
+	// pattern detects, in none.)
 	Detected, Untestable, Aborted int
 	// Patterns is the emitted cube count.
 	Patterns int
-	// DroppedBySim counts targets detected by fault simulation of
-	// another target's cube rather than by their own PODEM run.
+	// DroppedBySim counts the Detected targets found by fault
+	// simulation of another target's cube rather than by their own
+	// PODEM run, including faults PODEM had aborted on.
 	DroppedBySim int
 	// Merged counts PODEM cubes absorbed into existing patterns by
 	// static compaction.
@@ -116,7 +120,9 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 	set := cube.NewSet(c.NumInputs())
 	fs := NewFaultSim(cc)
 
-	detected := make([]bool, len(faults))
+	// status[fi] is the one Stats counter fault fi is in, or 0 before
+	// it is targeted or detected.
+	status := make([]int, len(faults))
 	var pending []cube.Cube // cubes not yet fault-simulated
 
 	flush := func() error {
@@ -126,12 +132,15 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 		if err := fs.ApplyBatch(pending); err != nil {
 			return err
 		}
-		for fi := range faults {
-			if detected[fi] {
+		for fi, st := range status {
+			if st == statusDetected || st == statusUntestable {
 				continue
 			}
 			if fs.Detects(faults[fi]) != 0 {
-				detected[fi] = true
+				if st == statusAborted {
+					stats.Aborted-- // PODEM gave up; a later pattern detects it
+				}
+				status[fi] = statusDetected
 				stats.Detected++
 				stats.DroppedBySim++
 			}
@@ -162,7 +171,7 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 	}
 
 	for fi := range faults {
-		if detected[fi] {
+		if status[fi] != 0 {
 			continue
 		}
 		if opts.MaxPatterns > 0 && set.Len() >= opts.MaxPatterns {
@@ -171,8 +180,9 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		t, status := eng.generate(faults[fi], opts.BacktrackLimit)
-		switch status {
+		t, st := eng.generate(faults[fi], opts.BacktrackLimit)
+		status[fi] = st
+		switch st {
 		case statusUntestable:
 			stats.Untestable++
 			continue
@@ -180,7 +190,6 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 			stats.Aborted++
 			continue
 		}
-		detected[fi] = true
 		stats.Detected++
 		if tryMerge(t) {
 			stats.Merged++

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -416,4 +417,86 @@ func BenchmarkATPGGenerateB04(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// checkStatsPartition runs c whole and in shards fault shards and
+// requires each run's Detected, Untestable and Aborted to partition its
+// TotalFaults, the shards' TotalFaults to sum to the whole run's, and
+// the whole run's Detected to equal what CoverageCurve finds in the
+// emitted set.
+func checkStatsPartition(t testing.TB, c *circuit.Circuit, shards int) {
+	t.Helper()
+	partition := func(what string, st Stats) {
+		t.Helper()
+		if sum := st.Detected + st.Untestable + st.Aborted; sum != st.TotalFaults {
+			t.Fatalf("%s %s: detected+untestable+aborted = %d, total faults %d (%+v)",
+				c.Name, what, sum, st.TotalFaults, st)
+		}
+	}
+	set, whole, err := Generate(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partition("whole run", whole)
+	curve, err := CoverageCurve(c, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := curve[len(curve)-1].Detected; got != whole.Detected {
+		t.Fatalf("%s: coverage curve detects %d faults, Stats.Detected %d", c.Name, got, whole.Detected)
+	}
+	total := 0
+	for k := 0; k < shards; k++ {
+		_, st, err := Generate(c, Options{Shard: k, NumShards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		partition(fmt.Sprintf("shard %d/%d", k, shards), st)
+		total += st.TotalFaults
+	}
+	if total != whole.TotalFaults {
+		t.Fatalf("%s: %d shards target %d faults, the whole run %d", c.Name, shards, total, whole.TotalFaults)
+	}
+}
+
+// TestStatsPartitionFaults: every targeted fault is counted exactly
+// once, as detected, untestable or aborted, whole and sharded, on the
+// ITC'99 profiles. A fault PODEM aborts that a later pattern detects is
+// detected, not both.
+func TestStatsPartitionFaults(t *testing.T) {
+	for _, name := range []string{"b01", "b02", "b03", "b04", "b05", "b06", "b07", "b08", "b09", "b10", "b11", "b12"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			if testing.Short() && name == "b12" {
+				t.Skip("b12 ATPG takes seconds")
+			}
+			t.Parallel()
+			checkStatsPartition(t, specCircuit(t, name), 3)
+		})
+	}
+}
+
+// FuzzGenerateAccounting extends TestStatsPartitionFaults to arbitrary
+// small netgen circuits (at most 200 gates) and shard counts.
+func FuzzGenerateAccounting(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(4), uint8(40), uint8(3))
+	f.Add(int64(7), uint8(1), uint8(0), uint8(1), uint8(2))
+	f.Add(int64(42), uint8(8), uint8(15), uint8(199), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, pis, ffs, gates, shards uint8) {
+		p := netgen.Profile{
+			Name:  "fuzz",
+			PIs:   1 + int(pis)%8,
+			FFs:   int(ffs) % 24,
+			Gates: 1 + int(gates)%200,
+			Seed:  seed,
+		}
+		c, err := netgen.Generate(p)
+		if err != nil {
+			t.Fatalf("generate %+v: %v", p, err)
+		}
+		if _, _, err := Generate(c, Options{}); err != nil {
+			t.Skip("no testable faults") // nothing to count
+		}
+		checkStatsPartition(t, c, 1+int(shards)%6)
+	})
 }

@@ -451,9 +451,10 @@ type decision struct {
 	flipped bool // both values tried?
 }
 
-// Result statuses for one fault.
+// Result statuses for one fault. The zero value is none of them: a
+// fault Generate has not yet targeted or detected.
 const (
-	statusDetected = iota
+	statusDetected = iota + 1
 	statusUntestable
 	statusAborted
 )

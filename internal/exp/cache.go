@@ -21,8 +21,8 @@ import (
 // stale entries can never poison a run.
 
 // cacheVersion invalidates old entries when the ATPG pipeline changes
-// behaviourally (relaxation, compaction, ...).
-const cacheVersion = 3
+// behaviourally (relaxation, compaction, fault accounting, ...).
+const cacheVersion = 4
 
 // cacheKey captures everything that determines a generated cube set.
 func cacheKey(p netgen.Profile, cfg Config) string {
