@@ -79,10 +79,14 @@ func (s Stats) Coverage() float64 {
 }
 
 // Generate runs the full ATPG flow on the circuit: collapse the stem
-// fault list (optionally sampling it), then for each remaining
-// undetected fault run PODEM and fault-simulate the resulting cube over
-// the undetected fault list in 64-pattern batches (fault dropping). The
-// returned set's order is the "tool ordering" of Table II.
+// fault list (optionally sampling it), then target each fault in turn.
+// A fault that a pending (not yet flushed) pattern already detects is
+// dropped without PODEM; otherwise PODEM's cube is merged into a
+// compatible pending pattern or appended as a new one. Every 64
+// patterns, and at the end, the batch is fault-simulated over every
+// fault not yet detected or proved untestable (fault dropping), which
+// also moves aborted faults it detects to Detected. The returned set's
+// order is the "tool ordering" of Table II.
 func Generate(c *circuit.Circuit, opts Options) (*cube.Set, Stats, error) {
 	return GenerateContext(context.Background(), c, opts)
 }
@@ -124,25 +128,37 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 	// it is targeted or detected.
 	status := make([]int, len(faults))
 	var pending []cube.Cube // cubes not yet fault-simulated
+	// applied reports whether fs holds pending's good machine; a PODEM
+	// success appends to or merges into pending and clears it.
+	applied := false
+	apply := func() error {
+		if applied {
+			return nil
+		}
+		applied = true
+		return fs.ApplyBatch(pending)
+	}
+	// drop counts fault fi detected by simulating another target's
+	// pattern, moving it out of Aborted if PODEM had given up on it.
+	drop := func(fi int) {
+		if status[fi] == statusAborted {
+			stats.Aborted--
+		}
+		status[fi] = statusDetected
+		stats.Detected++
+		stats.DroppedBySim++
+	}
 
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
-		if err := fs.ApplyBatch(pending); err != nil {
+		if err := apply(); err != nil {
 			return err
 		}
 		for fi, st := range status {
-			if st == statusDetected || st == statusUntestable {
-				continue
-			}
-			if fs.Detects(faults[fi]) != 0 {
-				if st == statusAborted {
-					stats.Aborted-- // PODEM gave up; a later pattern detects it
-				}
-				status[fi] = statusDetected
-				stats.Detected++
-				stats.DroppedBySim++
+			if st != statusDetected && st != statusUntestable && fs.Detects(faults[fi]) != 0 {
+				drop(fi)
 			}
 		}
 		pending = pending[:0]
@@ -180,6 +196,19 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
+		// Drop the fault before targeting it if a pending pattern
+		// already detects it: one good-machine simulation per PODEM
+		// success and one cone simulation per target, far less than
+		// the PODEM search it saves.
+		if len(pending) > 0 {
+			if err := apply(); err != nil {
+				return nil, stats, err
+			}
+			if fs.Detects(faults[fi]) != 0 {
+				drop(fi)
+				continue
+			}
+		}
 		t, st := eng.generate(faults[fi], opts.BacktrackLimit)
 		status[fi] = st
 		switch st {
@@ -191,6 +220,7 @@ func generateWith(ctx context.Context, c *circuit.Circuit, opts Options, eng tes
 			continue
 		}
 		stats.Detected++
+		applied = false
 		if tryMerge(t) {
 			stats.Merged++
 		} else {
