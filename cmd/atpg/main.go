@@ -1,7 +1,12 @@
 // Command atpg generates stuck-at test cubes for a .bench netlist using
 // the PODEM engine with fault-simulation dropping, and writes them as a
 // cube file (tool order). The emitted cubes are X-dominated, ready for
-// the dpfill tool.
+// the dpfill tool. A fault that an earlier pattern already detects is
+// dropped without running PODEM on it.
+//
+// The summary on standard error counts each collapsed fault once, as
+// detected, untestable or aborted (PODEM gave up and no pattern
+// detects it). Its coverage is detected / (detected + aborted).
 //
 // Usage:
 //

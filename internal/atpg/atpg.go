@@ -52,10 +52,10 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// TotalFaults is the collapsed (and possibly sampled) target count.
 	TotalFaults int
-	// Detected, Untestable and Aborted partition the targets: each
-	// fault is counted once, in the last of them it reached. (A run
-	// that MaxPatterns stops leaves the faults it never reached, and no
-	// pattern detects, in none.)
+	// Detected, Untestable and Aborted partition the targets: a fault
+	// PODEM aborted on that a later pattern detects counts as Detected
+	// only. (A run that MaxPatterns stops leaves the faults it never
+	// reached, and no pattern detects, in none of them.)
 	Detected, Untestable, Aborted int
 	// Patterns is the emitted cube count.
 	Patterns int

@@ -37,7 +37,9 @@ type CircuitInfo struct {
 
 // ATPGReport is the generation-stage summary. For sharded runs the
 // counters are sums over the shards and Patterns counts the merged
-// set.
+// set. Detected, Untestable and Aborted partition TotalFaults.
+// Coverage is Detected / (Detected + Aborted), leaving untestable
+// faults out; the curve's coverage is over TotalFaults instead.
 type ATPGReport struct {
 	TotalFaults  int     `json:"total_faults"`
 	Detected     int     `json:"detected"`
